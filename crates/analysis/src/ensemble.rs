@@ -685,6 +685,10 @@ fn flush_exec(spec: &EnsembleSpec, stats: &RunStats) {
             "construction_us",
             stats.phases.construction.as_micros() as u64,
         )
+        .with(
+            "calibration_us",
+            stats.phases.calibration.as_micros() as u64,
+        )
         .with("simulation_us", stats.phases.simulation.as_micros() as u64)
         .with("reduction_us", stats.phases.reduction.as_micros() as u64);
     writeln!(buf, "{}", head.to_json()).expect("writing to a Vec cannot fail");

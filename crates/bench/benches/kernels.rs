@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the hot kernels behind every experiment:
 //!
 //! * `family_construction` — building selective families (random explicit,
-//!   random oracle, Kautz–Singleton) at the sizes EXP-A/B consume;
+//!   random oracle, Kautz–Singleton) at the sizes EXP-A/B consume, and the
+//!   whole random doubling sequence an uncached `WakeupWithS::new` sizes;
 //! * `matrix_oracle` — waking-matrix membership evaluation, the inner loop
 //!   of Scenario C (EXP-C);
 //! * `simulator_throughput` — slots/second of the channel engine (all
@@ -95,6 +96,17 @@ fn family_construction(c: &mut Criterion) {
             BenchmarkId::new("kautz_singleton", format!("n{n}_k{k}")),
             &(n, k),
             |b, &(n, k)| b.iter(|| black_box(KautzSingleton::new(n, k).len())),
+        );
+    }
+    // What an uncached `WakeupWithS::new` pays per run: sizing every
+    // family F₁ … F_{⌈log n⌉} of the doubling sequence.
+    let provider = FamilyProvider::default();
+    for n in [1u32 << 16, 1 << 20] {
+        let top = selectors::math::log_n(u64::from(n));
+        group.bench_with_input(
+            BenchmarkId::new("doubling_sequence", format!("n{n}_top{top}")),
+            &n,
+            |b, &n| b.iter(|| black_box(provider.doubling_sequence(n, top).len())),
         );
     }
     group.finish();
@@ -602,9 +614,9 @@ fn bitslab_burst(_c: &mut Criterion) {
 
 fn construction_cache(c: &mut Criterion) {
     // A whole ensemble of wakeup_with_s runs: the doubling schedule up to
-    // F_{log n} costs ~650 µs to size and build at n = 4096 — far more
-    // than simulating one sparse run — and is seed-independent, so the
-    // cache builds it once per ensemble instead of once per run.
+    // F_{log n} costs ~100 µs to size and build at n = 4096 (2-core Xeon)
+    // — more than simulating one sparse run — and is seed-independent, so
+    // the cache builds it once per ensemble instead of once per run.
     let n = 4096u32;
     let runs = 64u64;
     let provider = FamilyProvider::default();

@@ -101,6 +101,8 @@ fn traced_run_keeps_sink_output_and_is_thread_invariant() {
             line.contains(&format!("\"ensemble\":{i},")),
             "ordinal {i} missing in {line}"
         );
+        // Calibration runs are timed apart from construction.
+        assert!(line.contains("\"calibration_us\":"), "{line}");
     }
 }
 
@@ -151,6 +153,7 @@ fn report_file_reads_trace_and_exec_sidecar_from_disk() {
     let rendered = out.take();
     assert!(rendered.contains("slot classes"), "{rendered}");
     assert!(rendered.contains("worker utilization"), "{rendered}");
+    assert!(rendered.contains("calibration"), "{rendered}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

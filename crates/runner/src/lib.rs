@@ -98,21 +98,24 @@ pub struct WorkerStats {
     pub queue_depth_hw: u64,
 }
 
-/// Scoped monotonic phase timers of one [`Runner::run`]. All three are
+/// Scoped monotonic phase timers of one [`Runner::run`]. All four are
 /// wall-clock durations measured on the calling thread; `reduction` is
 /// cumulative time *inside* the caller's fold/collector code, so
 /// `simulation − reduction` approximates how long the reducer merely waited
 /// on workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Setup: batch-size calibration (including its inline runs) and queue
-    /// construction, before the parallel phase starts.
+    /// Setup: batch-size choice and queue construction, before the
+    /// parallel phase starts — excluding `calibration`.
     pub construction: Duration,
+    /// The inline calibration loop of [`BatchSize::Auto`]: its runs are real
+    /// simulations (and folds), executed before the parallel phase.
+    pub calibration: Duration,
     /// The execution phase: from first dispatched batch until every batch
     /// is folded (workers joined / inline loop done).
     pub simulation: Duration,
     /// Cumulative time spent replaying batch payloads into the caller's
-    /// collector, on this thread (a subset of `simulation`).
+    /// collector, on this thread (a subset of `calibration + simulation`).
     pub reduction: Duration,
 }
 
@@ -164,12 +167,13 @@ impl RunStats {
         )
     }
 
-    /// One-line phase breakdown (construction / simulation / reduction,
-    /// plus the reorder-buffer high-water).
+    /// One-line phase breakdown (construction / calibration / simulation /
+    /// reduction, plus the reorder-buffer high-water).
     pub fn render_phases(&self) -> String {
+        let p = &self.phases;
         format!(
-            "phases: construction {:.2?} | simulation {:.2?} | reduction {:.2?} | reorder peak {} batches",
-            self.phases.construction, self.phases.simulation, self.phases.reduction, self.reorder_peak
+            "phases: construction {:.2?} | calibration {:.2?} | simulation {:.2?} | reduction {:.2?} | reorder peak {} batches",
+            p.construction, p.calibration, p.simulation, p.reduction, self.reorder_peak
         )
     }
 
@@ -358,7 +362,9 @@ impl Runner {
                     }
                 }
                 stats.calibration_runs = calib;
-                let per_run = (t0.elapsed().as_nanos() / u128::from(calib.max(1))).max(1);
+                stats.phases.calibration = t0.elapsed();
+                let per_run =
+                    (stats.phases.calibration.as_nanos() / u128::from(calib.max(1))).max(1);
                 let by_time = (target.as_nanos() / per_run).clamp(1, u64::MAX as u128) as u64;
                 // Keep enough batches around for stealing to balance load:
                 // at least ~8 per worker when the workload allows it.
@@ -378,7 +384,7 @@ impl Runner {
 
         if threads == 1 {
             // Inline fast path: no workers, no channel, same fold order.
-            stats.phases.construction = started.elapsed();
+            stats.phases.construction = started.elapsed().saturating_sub(stats.phases.calibration);
             let sim_t0 = Instant::now();
             let mut i = remaining.start;
             while i < remaining.end {
@@ -407,7 +413,7 @@ impl Runner {
 
         let queue = BatchQueue::new(remaining.clone(), batch, threads, self.placement);
         stats.batches = (remaining.end - remaining.start).div_ceil(batch);
-        stats.phases.construction = started.elapsed();
+        stats.phases.construction = started.elapsed().saturating_sub(stats.phases.calibration);
         let sim_t0 = Instant::now();
         let mut reorder_peak = 0u64;
         let done = AtomicU64::new(next);

@@ -480,3 +480,27 @@ fn inline_path_reports_a_single_synthetic_worker() {
     assert_eq!(stats.workers[0].steals, 0);
     assert_eq!(stats.reorder_peak, 0, "inline path never buffers");
 }
+
+#[test]
+fn calibration_runs_are_timed_apart_from_construction() {
+    // Four inline calibration runs of ≥ 2 ms each: their wall time belongs
+    // to `calibration`, and `construction` (batch choice + queue set-up)
+    // must not absorb it — on the worker path and on the inline path.
+    for threads in [2, 1] {
+        let mut out = VecCollector::with_capacity(8);
+        let stats = Runner::new().with_threads(threads).run(
+            8,
+            |i| {
+                std::thread::sleep(Duration::from_millis(2));
+                i
+            },
+            &mut out,
+        );
+        assert_eq!(stats.calibration_runs, 4);
+        let (p, four_sleeps) = (stats.phases, Duration::from_millis(8));
+        assert!(
+            p.calibration >= four_sleeps && four_sleeps > p.construction,
+            "threads={threads}: {p:?}"
+        );
+    }
+}

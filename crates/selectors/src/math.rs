@@ -88,14 +88,14 @@ pub fn next_prime(x: u64) -> u64 {
 /// Used to size randomized constructions from union bounds without
 /// overflowing; `ln_choose(n, 0) = 0`. Small `min(k, n−k)` is summed
 /// exactly; large arguments use the Stirling-series log-factorial, accurate
-/// to ~1e-12 relative — family sizers call this for every target-set size
-/// up to `k`, so the exact `O(k)` summation would make them `O(k²)` (≈ a
-/// minute per construction at `k = 2^17`, and `n = 2^20` universes were
-/// unbuildable).
+/// to ~1e-12 relative — summing exactly for every target-set size up to `k`
+/// made family sizing `O(k²)` (≈ a minute per construction at `k = 2^17`).
+/// Family sizers evaluate many `k` at one `n` through `LnChooseRow`,
+/// which returns the same bits.
 pub fn ln_choose(n: u64, k: u64) -> f64 {
     assert!(k <= n, "ln_choose: k={k} > n={n}");
     let k = k.min(n - k);
-    if k <= 256 {
+    if k <= EXACT_MAX {
         let mut acc = 0.0f64;
         for i in 0..k {
             acc += ((n - i) as f64).ln() - ((i + 1) as f64).ln();
@@ -104,6 +104,51 @@ pub fn ln_choose(n: u64, k: u64) -> f64 {
     }
     // k > 256 ⇒ all of n, k, n−k are ≥ 256, deep inside the series' range.
     ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
+}
+
+/// Largest `min(k, n−k)` that [`ln_choose`] sums exactly.
+const EXACT_MAX: u64 = 256;
+
+/// [`ln_choose`] for one fixed `n` and many `k`, bit-identical to it but
+/// cheaper per call: the exact path reads a running prefix sum (the same
+/// additions in the same order), extended only as far as the queries reach,
+/// and the Stirling path reuses one hoisted `ln n!`.
+pub(crate) struct LnChooseRow {
+    n: u64,
+    /// `ln n!`, or NaN when no `k` can take the Stirling path (`n ≤ 512`).
+    ln_fact_n: f64,
+    /// `prefix[j] = ln C(n, j)` on the exact path.
+    prefix: Vec<f64>,
+}
+
+impl LnChooseRow {
+    pub(crate) fn new(n: u64) -> Self {
+        LnChooseRow {
+            n,
+            ln_fact_n: if n > 2 * EXACT_MAX {
+                ln_factorial(n)
+            } else {
+                f64::NAN
+            },
+            prefix: vec![0.0],
+        }
+    }
+
+    /// `ln C(n, k)`, bit for bit.
+    pub(crate) fn ln_choose(&mut self, k: u64) -> f64 {
+        assert!(k <= self.n, "ln_choose: k={k} > n={}", self.n);
+        let k = k.min(self.n - k);
+        if k > EXACT_MAX {
+            return self.ln_fact_n - ln_factorial(k) - ln_factorial(self.n - k);
+        }
+        while self.prefix.len() as u64 <= k {
+            let i = self.prefix.len() as u64 - 1;
+            let acc = self.prefix[i as usize];
+            self.prefix
+                .push(acc + (((self.n - i) as f64).ln() - ((i + 1) as f64).ln()));
+        }
+        self.prefix[k as usize]
+    }
 }
 
 /// `ln(x!)` by the Stirling series with three correction terms — relative
@@ -288,6 +333,26 @@ mod tests {
         let lo = ln_choose(1 << 20, 256);
         let hi = ln_choose(1 << 20, 257);
         assert!(hi > lo && (hi - lo) < 20.0);
+    }
+
+    #[test]
+    fn ln_choose_row_is_bit_identical_to_ln_choose() {
+        for n in [1u64, 2, 255, 256, 511, 512, 513, 600, 4097, 1 << 20] {
+            let mut row = LnChooseRow::new(n);
+            // Descending, then ascending: the prefix must give the same
+            // bits however far it was extended before.
+            let ks: Vec<u64> = (0..=n.min(700))
+                .rev()
+                .chain(n.saturating_sub(700)..=n)
+                .collect();
+            for k in ks {
+                assert_eq!(
+                    row.ln_choose(k).to_bits(),
+                    ln_choose(n, k).to_bits(),
+                    "n={n} k={k}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,15 @@
 //! of \[25\]; see `DESIGN.md` §4 for why a seeded sample of the ensemble is the
 //! faithful executable form of an existential combinatorial object.
 //!
+//! ## Evaluating the length
+//!
+//! The sum is a log-sum-exp, `max + ln Σ exp(ln C(n,x) − max)`, taken over
+//! the terms in increasing `x`. A term more than ~745.13 below the max has
+//! `exp(·)` underflow to exactly `0.0` in f64, so adding it changes nothing.
+//! The sizer therefore evaluates only the terms within 760 of the range's
+//! mode, walking outward from it (`O(√n)` terms at most, `O(k)` for small
+//! `k`), and returns the same `m`, bit for bit, as summing all `k/2 + 1`.
+//!
 //! Two representations are built from the same coins:
 //!
 //! * [`RandomFamilyBuilder::build_explicit`] materializes the sets as
@@ -36,9 +45,10 @@
 
 use crate::bitset::BitSet;
 use crate::family::SelectiveFamily;
-use crate::math::ln_choose;
+use crate::math::LnChooseRow;
 use crate::prf::coin;
 use crate::verify::selective_size_range;
+use std::ops::RangeInclusive;
 
 /// Builder for randomized `(n,k)`-selective families.
 #[derive(Clone, Debug)]
@@ -95,22 +105,7 @@ impl RandomFamilyBuilder {
             return 1;
         }
         // ln of the number of target sets, computed exactly.
-        let mut ln_targets = 0.0f64;
-        let range = selective_size_range(self.n, self.k);
-        let mut acc = 0.0f64; // log-sum-exp accumulation
-        let mut max_ln = f64::NEG_INFINITY;
-        let lns: Vec<f64> = range
-            .map(|x| ln_choose(u64::from(self.n), u64::from(x)))
-            .collect();
-        for &l in &lns {
-            max_ln = max_ln.max(l);
-        }
-        if max_ln > f64::NEG_INFINITY {
-            for &l in &lns {
-                acc += (l - max_ln).exp();
-            }
-            ln_targets = max_ln + acc.ln();
-        }
+        let ln_targets = ln_sum_choose(self.n, selective_size_range(self.n, self.k));
         let two_e = 2.0 * std::f64::consts::E;
         let m = two_e * (ln_targets + (1.0 / self.delta).ln());
         (m.ceil() as usize).max(1)
@@ -151,6 +146,40 @@ impl RandomFamilyBuilder {
             p: self.density(),
         }
     }
+}
+
+/// How far below the mode term a term may lie and still be evaluated. A
+/// lower term has `l − max ≤ −760`, and `exp` of that is exactly `0.0` in
+/// f64 (it underflows to zero below `ln 2^−1075 ≈ −745.13`).
+const UNDERFLOW_GAP: f64 = 760.0;
+
+/// `ln Σ_{x ∈ range} C(n, x)` as the log-sum-exp `max + ln Σ exp(l(x) − max)`
+/// over the terms in increasing `x`, bit for bit — but evaluating only the
+/// window of terms within [`UNDERFLOW_GAP`] of the range's mode: each walk
+/// away from the mode stops at its first term below that. `ln C(n, ·)` is
+/// concave, and 760 below its peak it falls by more than `√(1520/n) ≥ 5e-4`
+/// per step, against rounding errors of at most ~1e-4 for any `u32` universe;
+/// so every term past a stop is lower still, adds exactly `0.0` to the sum
+/// and cannot be the max.
+fn ln_sum_choose(n: u32, range: RangeInclusive<u32>) -> f64 {
+    let (lo, hi) = range.into_inner();
+    let mut row = LnChooseRow::new(u64::from(n));
+    let mut term = |x: u32| row.ln_choose(u64::from(x));
+    let mode = (n / 2).clamp(lo, hi);
+    let floor = term(mode) - UNDERFLOW_GAP;
+    let mut lns: Vec<f64> = (lo..mode)
+        .rev()
+        .map(&mut term)
+        .take_while(|&l| l >= floor)
+        .collect();
+    lns.reverse();
+    lns.extend((mode..=hi).map(&mut term).take_while(|&l| l >= floor));
+    let max_ln = lns.iter().fold(f64::NEG_INFINITY, |m, &l| m.max(l));
+    let mut acc = 0.0f64;
+    for &l in &lns {
+        acc += (l - max_ln).exp();
+    }
+    max_ln + acc.ln()
 }
 
 /// An `(n,k)`-selective family represented as a PRF oracle: membership is
@@ -235,6 +264,97 @@ mod tests {
             (ratio_measured / ratio_model - 1.0).abs() < 0.35,
             "measured growth {ratio_measured:.2} vs model {ratio_model:.2}"
         );
+    }
+
+    /// The sizer as it summed every term, kept verbatim as the oracle for
+    /// the windowed [`ln_sum_choose`].
+    fn reference_length(n: u32, k: u32, delta: f64) -> usize {
+        use crate::math::ln_choose;
+        if k == 1 {
+            return 1;
+        }
+        let mut ln_targets = 0.0f64;
+        let range = selective_size_range(n, k);
+        let mut acc = 0.0f64; // log-sum-exp accumulation
+        let mut max_ln = f64::NEG_INFINITY;
+        let lns: Vec<f64> = range
+            .map(|x| ln_choose(u64::from(n), u64::from(x)))
+            .collect();
+        for &l in &lns {
+            max_ln = max_ln.max(l);
+        }
+        if max_ln > f64::NEG_INFINITY {
+            for &l in &lns {
+                acc += (l - max_ln).exp();
+            }
+            ln_targets = max_ln + acc.ln();
+        }
+        let two_e = 2.0 * std::f64::consts::E;
+        let m = two_e * (ln_targets + (1.0 / delta).ln());
+        (m.ceil() as usize).max(1)
+    }
+
+    fn assert_matches_reference(n: u32, k: u32, delta: f64) {
+        let got = RandomFamilyBuilder::new(n, k)
+            .failure_probability(delta)
+            .prescribed_length();
+        assert_eq!(got, reference_length(n, k, delta), "n={n} k={k} δ={delta}");
+    }
+
+    /// `n ∈ {2^e − 1, 2^e, 2^e + 1}` at each doubling `k = min(2^i, n)` and
+    /// `k ± 1`, at `δ = 1e-9`.
+    fn assert_doubling_grid_matches(exponents: RangeInclusive<u32>) {
+        for e in exponents {
+            for n in [(1u32 << e) - 1, 1 << e, (1 << e) + 1] {
+                for i in 0..=e + 1 {
+                    let k = (1u32 << i).min(n);
+                    for k in [k - 1, k, k + 1] {
+                        if (1..=n).contains(&k) {
+                            assert_matches_reference(n, k, 1e-9);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prescribed_length_matches_reference_on_small_universes() {
+        for n in 1..=96u32 {
+            for k in 1..=n {
+                for delta in [1e-9, 1e-4, 0.1] {
+                    assert_matches_reference(n, k, delta);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prescribed_length_matches_reference_on_doubling_grid() {
+        assert_doubling_grid_matches(8..=16);
+    }
+
+    #[test]
+    #[ignore = "slow: the reference sums up to 2^23 terms; run with --release"]
+    fn prescribed_length_matches_reference_on_extended_doubling_grid() {
+        assert_doubling_grid_matches(17..=24);
+    }
+
+    #[test]
+    fn prescribed_length_pins() {
+        for (n, k, m) in [
+            (4096u32, 256u32, 5300usize),
+            (1 << 20, 1 << 19, 3_951_499),
+            (1 << 20, 1 << 20, 3_951_499),
+            (1 << 24, 1 << 24, 63_222_343),
+            (1000, 7, 330),
+        ] {
+            assert_eq!(
+                RandomFamilyBuilder::new(n, k).prescribed_length(),
+                m,
+                "(n={n}, k={k})"
+            );
+        }
     }
 
     #[test]
