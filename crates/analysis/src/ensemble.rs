@@ -29,8 +29,8 @@
 use mac_sim::metrics::{EnergyStats, LatencySample, OutcomeDigest};
 use mac_sim::tracer::{RecordingTracer, TraceFilter};
 use mac_sim::{
-    ChannelModel, ChurnScript, EngineMode, FaultCounts, FeedbackModel, PolicyParams,
-    PopulationMode, Protocol, SimConfig, Simulator, WakePattern,
+    ChannelModel, ChurnScript, EngineMode, FaultCounts, FeedbackModel, PopulationMode, Protocol,
+    SimConfig, Simulator, WakePattern,
 };
 use std::fmt;
 use std::io::Write;
@@ -147,12 +147,6 @@ pub struct EnsembleSpec {
     /// [`run_ensemble`] and [`run_ensemble_stream`]; the chunked reference
     /// scheduler ignores it.
     pub trace: Option<TraceSpec>,
-    /// Self-calibrate the adaptive engine constants
-    /// ([`PolicyParams::calibrated`]) against one sample protocol instance
-    /// before the sweep, instead of the hand-tuned defaults. Off by default:
-    /// calibration times real code, so the *work counters* of a calibrated
-    /// sweep are machine-dependent (outcomes never are).
-    pub calibrate: bool,
 }
 
 impl EnsembleSpec {
@@ -174,7 +168,6 @@ impl EnsembleSpec {
             per_station_detail: true,
             progress: None,
             trace: None,
-            calibrate: false,
         }
     }
 
@@ -261,13 +254,6 @@ impl EnsembleSpec {
         self
     }
 
-    /// Self-calibrate the adaptive engine constants against the protocol
-    /// (see [`EnsembleSpec::calibrate`]).
-    pub fn with_calibration(mut self) -> Self {
-        self.calibrate = true;
-        self
-    }
-
     /// The seed of run `i` (wrapping — see [`base_seed`](Self::base_seed)).
     pub fn seed_of(&self, i: u64) -> u64 {
         self.base_seed.wrapping_add(i)
@@ -287,18 +273,6 @@ impl EnsembleSpec {
             cfg = cfg.without_per_station_detail();
         }
         cfg
-    }
-
-    /// The simulator for this spec. With [`calibrate`](Self::calibrate)
-    /// set, the adaptive policy constants are measured once against the
-    /// run-0 protocol instance and shared by every run of the ensemble.
-    fn simulator<P: Fn(u64) -> Box<dyn Protocol>>(&self, protocol_for: &P) -> Simulator {
-        let mut cfg = self.sim_config();
-        if self.calibrate {
-            let sample = protocol_for(self.seed_of(0));
-            cfg = cfg.with_policy(PolicyParams::calibrated(sample.as_ref(), self.n));
-        }
-        Simulator::new(cfg)
     }
 
     fn runner(&self) -> Runner {
@@ -717,7 +691,7 @@ where
     G: Fn(u64) -> WakePattern + Sync,
     F: FnMut(u64, OutcomeDigest),
 {
-    let sim = spec.simulator(&protocol_for);
+    let sim = Simulator::new(spec.sim_config());
     let trace = spec.trace.as_ref();
     let stats = spec.runner().run(
         spec.runs,
@@ -821,7 +795,7 @@ where
     // and move the stats in afterwards.
     let exec = {
         let s = &mut summary;
-        let sim = spec.simulator(&protocol_for);
+        let sim = Simulator::new(spec.sim_config());
         let trace = spec.trace.as_ref();
         spec.runner().run_folded(
             spec.runs,

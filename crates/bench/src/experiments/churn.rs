@@ -1,8 +1,8 @@
 //! EXP-CHURN — graceful degradation under station churn: crashes,
 //! re-wakes, and permanent leaves.
 //!
-//! The churn layer ([`ChurnScript`](mac_sim::ChurnScript)) crashes awake
-//! stations mid-run and optionally re-wakes them after a fixed delay.
+//! The churn layer ([`ChurnScript`]) crashes awake stations mid-run and
+//! optionally re-wakes them after a fixed delay.
 //! Fates are pure in `(run seed, station id, wake slot)` and drawn against
 //! a shared hash threshold, so the crashed-station sets are **nested**
 //! across rates: every station that crashes at rate `p` also crashes at

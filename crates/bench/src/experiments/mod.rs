@@ -3,10 +3,7 @@
 //! Each submodule holds one ported experiment body (the code that used to
 //! live in the corresponding `exp_*` binary) plus its [`Experiment`]
 //! declaration; [`registry`] lists them in the order of the historical
-//! crate docs. The binaries still exist as shims that run their registry
-//! entry with the environment-variable configuration, so
-//! `cargo run --bin exp_scenario_a` behaves exactly as before the
-//! redesign.
+//! crate docs. `wakeup run exp_scenario_a` runs one entry.
 
 use crate::experiment::Experiment;
 

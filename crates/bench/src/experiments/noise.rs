@@ -2,9 +2,9 @@
 //! and capture effects.
 //!
 //! The fault layer perturbs the ground-truth slot outcome *before* it
-//! reaches feedback, transcript, and stop rule
-//! ([`ChannelModel`](mac_sim::ChannelModel)): a success can be erased to
-//! silence, a collision can be captured by one transmitter. Fault draws are
+//! reaches feedback, transcript, and stop rule ([`ChannelModel`]): a
+//! success can be erased to silence, a collision can be captured by one
+//! transmitter. Fault draws are
 //! pure in `(run seed, slot)` with a shared hash threshold, so the fault
 //! sets are **nested** across rates: every slot erased at rate `p` is also
 //! erased at any rate `p′ > p`. That coupling turns two qualitative claims

@@ -32,9 +32,7 @@
 //! `WAKEUP_ASSERT_SPARSE` (turn the sparse-path expectations of EXP-KG into
 //! hard check failures) keep working as before; `WAKEUP_ASSERT_CLASSES`
 //! additionally cross-checks EXP-MEGA's class-engine cells against the
-//! concrete per-station engine (the CI class smoke). The historical `exp_*`
-//! binaries still exist as two-line shims onto the registry, so muscle
-//! memory and CI invocations keep working.
+//! concrete per-station engine (the CI class smoke).
 //!
 //! Machine-readable output is **deterministic**: every value in a CSV/JSON
 //! row folds in seed order on the runner, so `--out json` is bit-identical

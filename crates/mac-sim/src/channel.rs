@@ -86,15 +86,14 @@ pub enum FeedbackModel {
 }
 
 impl FeedbackModel {
-    /// The feedback perceived by a station under this model.
+    /// The feedback perceived under this model — one value per slot, the
+    /// same for every station.
     ///
-    /// `transmitted` is whether the *perceiving* station itself transmitted
-    /// in the slot. A transmitting station without collision detection learns
-    /// nothing from the channel in that slot beyond what everybody hears —
-    /// except that, as the paper notes, a successful sender "possesses the
-    /// message by default", which is modelled by `Feedback::Heard` carrying
-    /// the sender's own ID.
-    pub fn perceive(self, outcome: &SlotOutcome, _transmitted: bool) -> Feedback {
+    /// A transmitting station learns nothing from the channel beyond what
+    /// everybody hears — except that, as the paper notes, a successful
+    /// sender "possesses the message by default", which is modelled by
+    /// `Feedback::Heard` carrying the sender's own ID.
+    pub fn perceive(self, outcome: &SlotOutcome) -> Feedback {
         match (self, outcome) {
             (_, SlotOutcome::Silence) => Feedback::Silence,
             (_, SlotOutcome::Success(w)) => Feedback::Heard(*w),
@@ -359,10 +358,10 @@ mod tests {
     #[test]
     fn no_cd_makes_collision_look_like_silence() {
         let collision = SlotOutcome::Collision(vec![StationId(0), StationId(1)]);
-        let fb = FeedbackModel::NoCollisionDetection.perceive(&collision, false);
+        let fb = FeedbackModel::NoCollisionDetection.perceive(&collision);
         assert_eq!(fb, Feedback::Silence);
         // ... indistinguishable from true silence:
-        let fb2 = FeedbackModel::NoCollisionDetection.perceive(&SlotOutcome::Silence, false);
+        let fb2 = FeedbackModel::NoCollisionDetection.perceive(&SlotOutcome::Silence);
         assert_eq!(fb, fb2);
     }
 
@@ -370,11 +369,11 @@ mod tests {
     fn cd_distinguishes_collision_from_silence() {
         let collision = SlotOutcome::Collision(vec![StationId(0), StationId(1)]);
         assert_eq!(
-            FeedbackModel::CollisionDetection.perceive(&collision, false),
+            FeedbackModel::CollisionDetection.perceive(&collision),
             Feedback::Noise
         );
         assert_eq!(
-            FeedbackModel::CollisionDetection.perceive(&SlotOutcome::Silence, false),
+            FeedbackModel::CollisionDetection.perceive(&SlotOutcome::Silence),
             Feedback::Silence
         );
     }
@@ -386,12 +385,7 @@ mod tests {
             FeedbackModel::NoCollisionDetection,
             FeedbackModel::CollisionDetection,
         ] {
-            for transmitted in [false, true] {
-                assert_eq!(
-                    model.perceive(&success, transmitted),
-                    Feedback::Heard(StationId(3))
-                );
-            }
+            assert_eq!(model.perceive(&success), Feedback::Heard(StationId(3)));
         }
     }
 

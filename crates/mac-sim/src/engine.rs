@@ -46,6 +46,30 @@
 //! Latency is reported as `t − s`, matching the paper's cost measure: "the
 //! number of time slots between the first spontaneous wakeup and the first
 //! successful transmission".
+//!
+//! ## Components
+//!
+//! Two loops drive a run: the per-station loop of
+//! [`PopulationMode::Concrete`] (sparse heap, adaptive bursts, scalar dense
+//! stepping and the word kernel) and the class loop of
+//! [`PopulationMode::Classes`]. Both call the same private components, and
+//! each component is the only owner of its decision:
+//!
+//! * the **run ledger** holds the outcome counters, the transcript, the
+//!   resolution order and the fault counts. It is the only code that
+//!   settles a busy slot (channel faults → false collision → transcript →
+//!   success / collision / silence accounting and trace), the only code
+//!   that accounts a silent gap, and it builds the one [`Outcome`];
+//! * the **hint scheduler** owns the path a run is on (sparse, adaptive
+//!   burst window, or dense for good), the epoch-stamped heap with its
+//!   per-unit hint states, the stale-entry skip, the due-entry fixpoint,
+//!   success-scope invalidation and the next due slot of the event horizon.
+//!   Its `lock_dense` and `open_burst` are the only ways off the sparse
+//!   path, and each emits its own trace events;
+//! * the **churn event source** materializes every crash and re-wake of
+//!   the run once and hands them out in slot order;
+//! * `admit_splits` appends the units a class split off and traces the
+//!   split.
 
 use crate::channel::{
     ChannelFault, ChannelModel, FaultCounts, Feedback, FeedbackModel, SlotOutcome,
@@ -53,7 +77,7 @@ use crate::channel::{
 use crate::ids::{Slot, StationId};
 use crate::pattern::{ChurnScript, WakePattern};
 use crate::population::{
-    ClassPopulation, DeadClass, MemberRemoval, Members, Population, PopulationMode, TxTally,
+    self, ClassStation, DeadClass, MemberRemoval, Members, PopulationMode, TxTally,
 };
 use crate::rng::{derive_seed, FAULT_STREAM, REWAKE_STREAM};
 use crate::station::{NeverTransmit, Protocol, Station, TxHint, Until};
@@ -108,8 +132,8 @@ pub enum EngineMode {
     /// permanently when any station answers [`TxHint::Dense`]. Under
     /// [`EngineMode::Auto`] the same kernel powers the adaptive policy's
     /// dense burst windows once a window survives its scalar warmup
-    /// ([`PolicyParams::kernel_warmup`]); this mode exists to force it
-    /// everywhere (benchmark baselines, equivalence tests).
+    /// (16 dense-stepped slots); this mode exists to force it everywhere
+    /// (benchmark baselines, equivalence tests).
     Bitslab,
 }
 
@@ -139,12 +163,6 @@ pub struct SimConfig {
     /// runs: the table is O(k) in both engines, and with it off both
     /// engines leave it empty — outcomes stay comparable per config.
     pub per_station_detail: bool,
-    /// Constants of the adaptive [`EngineMode::Auto`] policy (hint-query
-    /// cost, burst-window floors, …). Defaults to the hand-tuned
-    /// [`PolicyParams::default`]; [`PolicyParams::calibrated`] measures
-    /// them against the actual protocol on the actual machine. Outcomes
-    /// are policy-independent — only work counters move.
-    pub policy: PolicyParams,
     /// Split budget of the class engine ([`PopulationMode::Classes`]): when
     /// the number of live simulation units exceeds this, the class run is
     /// abandoned and the engine re-runs the pattern concretely — a
@@ -187,7 +205,6 @@ impl SimConfig {
             engine: EngineMode::Auto,
             population: PopulationMode::default(),
             per_station_detail: true,
-            policy: PolicyParams::default(),
             split_budget: None,
             channel: ChannelModel::ideal(),
             churn: ChurnScript::none(),
@@ -244,13 +261,6 @@ impl SimConfig {
     /// memory at mega scale.
     pub fn without_per_station_detail(mut self) -> Self {
         self.per_station_detail = false;
-        self
-    }
-
-    /// Replace the adaptive-policy constants (e.g. with a
-    /// [`PolicyParams::calibrated`] set).
-    pub fn with_policy(mut self, policy: PolicyParams) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -471,138 +481,43 @@ fn low_mask(width: u64) -> u64 {
     }
 }
 
-/// Constants of the adaptive [`EngineMode::Auto`] policy. The defaults are
-/// hand-tuned for a typical x86 box; [`PolicyParams::calibrated`] measures
-/// them against a concrete protocol on the machine actually running the
-/// sweep. Outcomes never depend on these — they steer only *which path*
-/// simulates each slot, so miscalibration costs time, not correctness.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PolicyParams {
-    /// Cost of one [`Station::next_transmission`] query relative to one
-    /// [`Station::act`] poll. Hint queries scan schedules (PRF gap jumps,
-    /// position walks) and are typically several times the cost of a poll.
-    pub hint_cost: u64,
-    /// What one dense-stepped slot costs per awake station in the same
-    /// units: one poll plus one feedback delivery.
-    pub dense_slot_cost: u64,
-    /// The policy evaluates the skip yield every time this much sparse work
-    /// (polls + weighted hint queries) has accumulated since the window
-    /// start.
-    pub eval_cost: u64,
-    /// Minimum skippable gap (in slots) a re-probe must see ahead to resume
-    /// the sparse path; anything closer and the heap would be churning
-    /// again within a few slots. Also the wake-time burst test: a batch
-    /// arrival whose earliest obligation is due within this gap has nothing
-    /// to skip.
-    pub resume_gap: u64,
-    /// Minimum dense burst-window length in slots — long enough to amortize
-    /// the k hint queries a re-probe costs.
-    pub burst_floor: u64,
-    /// Scalar-dense slots a burst window must survive before the word
-    /// kernel takes over ([`EngineMode::Auto`] only). Bursts that resolve
-    /// within a handful of slots — the no-skip adversarial shape — never
-    /// pay for a tile fill they cannot amortize; bursts that outlive the
-    /// warmup switch to word-level stepping for the remainder of the
-    /// window. [`EngineMode::Bitslab`] ignores this and always runs the
-    /// kernel.
-    pub kernel_warmup: u64,
-}
+// Constants of the adaptive `EngineMode::Auto` policy, hand-tuned for a
+// typical x86 box. Outcomes never depend on these — they steer only *which
+// path* simulates each slot, so a mistuned constant costs time, not
+// correctness.
 
-impl Default for PolicyParams {
-    fn default() -> Self {
-        PolicyParams {
-            hint_cost: 3,
-            dense_slot_cost: 2,
-            eval_cost: 64,
-            resume_gap: 4,
-            burst_floor: 64,
-            kernel_warmup: 16,
-        }
-    }
-}
-
-impl PolicyParams {
-    /// Measure the policy constants against `protocol` on this machine: a
-    /// few hundred timed [`Station::act`] polls and
-    /// [`Station::next_transmission`] queries on scratch stations (the
-    /// "first few hundred events" of a sweep, executed up front so every
-    /// run of the ensemble shares one deterministic parameter set). The
-    /// measured hint/poll cost ratio replaces the hand-tuned
-    /// [`hint_cost`](PolicyParams::hint_cost), and the evaluation cadence
-    /// and burst floor scale with it. All ratios are clamped to sane
-    /// ranges; degenerate measurements (e.g. a resolution-starved clock)
-    /// fall back to the defaults. Calibration never changes outcomes —
-    /// only the adaptive schedule, hence the work counters.
-    pub fn calibrated(protocol: &dyn Protocol, n: u32) -> PolicyParams {
-        use std::hint::black_box;
-        use std::time::Instant;
-
-        const ROUNDS: u64 = 256;
-        let ids = (0..8u32.min(n.max(1))).map(StationId).collect::<Vec<_>>();
-
-        // Poll cost: act() across the first few hundred slots.
-        let mut stations: Vec<_> = ids
-            .iter()
-            .map(|&id| protocol.station(id, derive_seed(0xCA11_B8A7E, u64::from(id.0))))
-            .collect();
-        for st in stations.iter_mut() {
-            st.wake(0);
-        }
-        // lint: allow(wall-clock) — calibration probe measures real act() cost; result steers mode choice, never transcripts
-        let start = Instant::now();
-        for t in 0..ROUNDS {
-            for st in stations.iter_mut() {
-                black_box(st.act(t));
-            }
-        }
-        let act_ns = start.elapsed().as_nanos().max(1) as u64;
-
-        // Hint cost: next_transmission() at non-decreasing slots on fresh
-        // stations (the scratch stations above already consumed act calls).
-        let mut stations: Vec<_> = ids
-            .iter()
-            .map(|&id| protocol.station(id, derive_seed(0xCA11_B8A7E, u64::from(id.0))))
-            .collect();
-        for st in stations.iter_mut() {
-            st.wake(0);
-        }
-        // lint: allow(wall-clock) — calibration probe measures real next_transmission() cost; never transcripts
-        let start = Instant::now();
-        for t in 0..ROUNDS {
-            for st in stations.iter_mut() {
-                black_box(st.next_transmission(t));
-            }
-        }
-        let hint_ns = start.elapsed().as_nanos() as u64;
-
-        if act_ns < 100 || hint_ns < 100 {
-            return PolicyParams::default(); // clock resolution too coarse
-        }
-        let hint_cost = hint_ns.div_ceil(act_ns).clamp(1, 16);
-        PolicyParams {
-            hint_cost,
-            // One poll plus one feedback delivery per station per slot.
-            dense_slot_cost: 2,
-            // Keep the default's cadence of ~21 polls' worth of work per
-            // hint-cost unit, re-expressed in measured units.
-            eval_cost: (21 * hint_cost).clamp(32, 512),
-            resume_gap: 4,
-            // A burst must outlast ~16 hint queries' worth of slots for the
-            // re-probe to amortize.
-            burst_floor: (16 * hint_cost).clamp(32, 256),
-            kernel_warmup: 16,
-        }
-    }
-}
+/// Cost of one [`Station::next_transmission`] query relative to one
+/// [`Station::act`] poll. Hint queries scan schedules (PRF gap jumps,
+/// position walks) and are typically several times the cost of a poll.
+const HINT_COST: u64 = 3;
+/// What one dense-stepped slot costs per awake station in the same units:
+/// one poll plus one feedback delivery.
+const DENSE_SLOT_COST: u64 = 2;
+/// The policy evaluates the skip yield every time this much sparse work
+/// (polls + weighted hint queries) has accumulated since the window start.
+const EVAL_COST: u64 = 64;
+/// Minimum skippable gap (in slots) a re-probe must see ahead to resume the
+/// sparse path; anything closer and the heap would be churning again within
+/// a few slots. Also the wake-time burst test: a batch arrival whose
+/// earliest obligation is due within this gap has nothing to skip.
+const RESUME_GAP: u64 = 4;
+/// Minimum dense burst-window length in slots — long enough to amortize the
+/// k hint queries a re-probe costs.
+const BURST_FLOOR: u64 = 64;
+/// Scalar-dense slots a burst window must survive before the word kernel
+/// takes over ([`EngineMode::Auto`] only). Bursts that resolve within a
+/// handful of slots — the no-skip adversarial shape — never pay for a tile
+/// fill they cannot amortize; bursts that outlive the warmup switch to
+/// word-level stepping for the remainder of the window.
+/// [`EngineMode::Bitslab`] ignores this and always runs the kernel.
+const KERNEL_WARMUP: u64 = 16;
 
 /// The adaptive sparse↔dense policy of [`EngineMode::Auto`]: a sliding cost
 /// window over the sparse path's work, compared against what dense stepping
 /// would have cost over the same simulated slots.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Adaptive {
-    /// The policy constants ([`SimConfig::policy`]).
-    p: PolicyParams,
-    /// Sparse work (polls + `hint_cost`·hint queries) since the window
+    /// Sparse work (polls + `HINT_COST`·hint queries) since the window
     /// started.
     win_cost: u64,
     /// `slots_simulated` at the window start.
@@ -615,31 +530,20 @@ struct Adaptive {
 }
 
 impl Adaptive {
-    fn new(p: PolicyParams) -> Self {
-        Adaptive {
-            p,
-            win_cost: 0,
-            win_start: 0,
-            burst_len: 0,
-            burst_remaining: 0,
-        }
-    }
-
     /// Evaluate the window: `true` iff the sparse path has done more work
     /// over the window than dense stepping would have
-    /// (`dense_slot_cost · awake` per slot) — time to drop into a burst
+    /// (`DENSE_SLOT_COST · awake` per slot) — time to drop into a burst
     /// window. A window that passes the yield test resets so old gaps
     /// cannot subsidize a later burst forever.
     fn should_burst(&mut self, slots_now: u64, awake: usize) -> bool {
-        if self.win_cost < self.p.eval_cost {
+        if self.win_cost < EVAL_COST {
             return false;
         }
         let win_slots = (slots_now - self.win_start).max(1);
-        if self.win_cost > self.p.dense_slot_cost * awake as u64 * win_slots {
+        if self.win_cost > DENSE_SLOT_COST * awake as u64 * win_slots {
             true
         } else {
-            self.win_cost = 0;
-            self.win_start = slots_now;
+            self.restart_window(slots_now);
             false
         }
     }
@@ -647,86 +551,38 @@ impl Adaptive {
     /// Start (or restart) a dense burst window sized to the floor: long
     /// enough to amortize the k hint queries a re-probe costs.
     fn start_burst(&mut self, awake: usize) {
-        self.burst_len = (4 * awake as u64).max(self.p.burst_floor);
+        self.burst_len = (4 * awake as u64).max(BURST_FLOOR);
         self.burst_remaining = self.burst_len;
     }
 
     /// A re-probe failed (no skippable gap ahead): stay dense for a doubled
     /// window, capped so sparsity is still re-tested periodically.
     fn backoff(&mut self, awake: usize) {
-        let cap = (64 * awake as u64).max(64 * self.p.burst_floor);
-        self.burst_len = (self.burst_len * 2).clamp(self.p.burst_floor, cap);
+        let cap = (64 * awake as u64).max(64 * BURST_FLOOR);
+        self.burst_len = (self.burst_len * 2).clamp(BURST_FLOOR, cap);
         self.burst_remaining = self.burst_len;
     }
 
     /// Has the active burst window survived its scalar warmup? The word
-    /// kernel only takes over once `kernel_warmup` slots of the window have
+    /// kernel only takes over once `KERNEL_WARMUP` slots of the window have
     /// been dense-stepped — a burst that resolves faster never pays for a
     /// tile fill it cannot amortize.
     fn kernel_warm(&self) -> bool {
-        self.burst_len.saturating_sub(self.burst_remaining) >= self.p.kernel_warmup
+        self.burst_len.saturating_sub(self.burst_remaining) >= KERNEL_WARMUP
+    }
+
+    /// Restart the yield observation window at `slots_now`.
+    fn restart_window(&mut self, slots_now: u64) {
+        self.win_cost = 0;
+        self.win_start = slots_now;
     }
 
     /// A re-probe succeeded: back to the sparse path with a fresh window.
     fn resume_sparse(&mut self, slots_now: u64) {
-        self.win_cost = 0;
-        self.win_start = slots_now;
+        self.restart_window(slots_now);
         self.burst_len = 0;
         self.burst_remaining = 0;
     }
-}
-
-/// Install a fresh [`TxHint`] for unit `idx` looking from `after`: bump the
-/// hint epoch (superseding any live heap entry), push the new heap entry
-/// and update scope flags. Shared by the concrete and class engines — the
-/// scope semantics are identical; only the hint's *source* (a station or a
-/// whole class) differs. Returns the due slot of the installed entry
-/// (`None` for an unconditional silence promise), or `Err(())` when the
-/// answer ([`TxHint::Dense`] or a malformed scope boundary) forces the
-/// dense path.
-fn install_hint(
-    hint: TxHint,
-    idx: usize,
-    after: Slot,
-    heap: &mut BinaryHeap<Reverse<(Slot, usize, u64)>>,
-    states: &mut [HintState],
-    scoped: &mut Vec<usize>,
-) -> Result<Option<Slot>, ()> {
-    let st = &mut states[idx];
-    st.epoch += 1; // supersede any live heap entry
-    let was_scoped = st.success_scoped;
-    let (entry, now_scoped) = match hint {
-        TxHint::Dense => return Err(()),
-        TxHint::At(slot, until) => {
-            let slot = slot.max(after);
-            match until {
-                Until::Forever => (Some((Due::Poll, slot)), false),
-                Until::NextSuccess => (Some((Due::Poll, slot)), true),
-                // A validity boundary at or before `after` carries no
-                // silence claim at all: fall back to dense rather than
-                // trust it (correctness first).
-                Until::Slot(tb) if tb <= after => return Err(()),
-                Until::Slot(tb) if slot < tb => (Some((Due::Poll, slot)), false),
-                Until::Slot(tb) => (Some((Due::Requery, tb)), false),
-            }
-        }
-        TxHint::Never(until) => match until {
-            Until::Forever => (None, false),
-            Until::NextSuccess => (None, true),
-            Until::Slot(tb) if tb <= after => return Err(()),
-            Until::Slot(tb) => (Some((Due::Requery, tb)), false),
-        },
-    };
-    st.success_scoped = now_scoped;
-    if now_scoped && !was_scoped {
-        scoped.push(idx);
-    }
-    let due_slot = entry.map(|(_, slot)| slot);
-    if let Some((due, slot)) = entry {
-        st.due = due;
-        heap.push(Reverse((slot, idx, st.epoch)));
-    }
-    Ok(due_slot)
 }
 
 /// Engine-side trace emission helper, generic over the tracer so the
@@ -873,34 +729,705 @@ impl<'a, T: Tracer + ?Sized> TraceCtx<'a, T> {
     }
 }
 
-/// Apply the configured channel-fault model to one resolved slot: returns
-/// the *effective* outcome heard on the channel, counting and tracing any
-/// fault. `truth` is the ground-truth resolution of the transmitter set;
-/// under the default ideal channel it passes through untouched (and no
-/// fault draw is made). Shared by every engine path — fault draws are a
-/// pure function of `(fault_seed, slot)`, so paths that materialize the
-/// same busy slots perturb them identically.
-fn apply_channel<T: Tracer + ?Sized>(
-    channel: &ChannelModel,
+/// Which work counter a simulated slot is charged to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Via {
+    /// Advanced over in bulk — a sparse gap or dead air
+    /// ([`Outcome::skipped_slots`]).
+    Skip,
+    /// A sparse event that polled exactly its due units (no path counter).
+    Event,
+    /// Polled by dense stepping ([`Outcome::dense_steps`]).
+    Dense,
+    /// Resolved by the word kernel ([`Outcome::word_slots`]).
+    Word,
+}
+
+/// What the floor hears from one settled busy slot.
+#[derive(Clone, Copy, Debug)]
+enum Settled {
+    /// A success under [`StopRule::FirstSuccess`]: the run ends here and no
+    /// feedback is delivered.
+    Stop,
+    /// A success under [`StopRule::AllResolved`]: every unit hears it.
+    Success(Feedback),
+    /// Silence or a collision: the polled units hear it on the sparse path,
+    /// the transmitters in a word tile, everyone when stepping densely.
+    NoSuccess(Feedback),
+}
+
+/// The run ledger: the [`Outcome`] under construction (counters,
+/// transcript, resolution order, fault counts) and the trace context.
+/// Every slot a run simulates is accounted here — busy slots by
+/// [`settle`](Ledger::settle), silent gaps by [`silence`](Ledger::silence)
+/// and dead air by [`dead_air`](Ledger::dead_air) — and
+/// [`finish`](Ledger::finish) hands out the one `Outcome`.
+struct Ledger<'t, T: Tracer + ?Sized> {
+    out: Outcome,
+    trace: TraceCtx<'t, T>,
+    channel: ChannelModel,
+    feedback: FeedbackModel,
+    stop: StopRule,
+    max_slots: u64,
+    /// Channel-fault draws are keyed by `(fault_seed, slot)`, so every
+    /// engine path perturbs the same slots; under the ideal channel no draw
+    /// is made.
     fault_seed: u64,
-    slot: Slot,
-    truth: SlotOutcome,
-    faults: &mut FaultCounts,
-    trace: &mut TraceCtx<'_, T>,
-) -> SlotOutcome {
-    let (effective, fault) = channel.apply(fault_seed, slot, truth);
-    match fault {
-        Some(ChannelFault::Erasure { winner }) => {
-            faults.erasures += 1;
-            trace.fault_erasure(slot, winner);
+    /// False collisions are heard only under collision detection.
+    mishear_armed: bool,
+    /// Pattern stations: a run under [`StopRule::AllResolved`] ends when
+    /// this many have resolved.
+    stations: usize,
+    /// Trace watermarks (only advanced when a tracer wants them).
+    wm_heap: u64,
+    wm_units: u64,
+}
+
+impl<'t, T: Tracer + ?Sized> Ledger<'t, T> {
+    fn new(cfg: &SimConfig, s: Slot, stations: usize, run_seed: u64, tracer: &'t mut T) -> Self {
+        Ledger {
+            out: Outcome {
+                s,
+                first_success: None,
+                winner: None,
+                slots_simulated: 0,
+                transmissions: 0,
+                per_station_tx: Vec::new(),
+                collisions: 0,
+                silent_slots: 0,
+                polls: 0,
+                skipped_slots: 0,
+                dense_steps: 0,
+                word_slots: 0,
+                mode_switches: 0,
+                peak_units: 0,
+                transcript: cfg.record_transcript.then(Transcript::new),
+                resolved: Vec::new(),
+                all_resolved_at: None,
+                faults: FaultCounts::default(),
+            },
+            trace: TraceCtx::new(tracer),
+            channel: cfg.channel,
+            feedback: cfg.feedback,
+            stop: cfg.stop,
+            max_slots: cfg.max_slots,
+            fault_seed: derive_seed(run_seed, FAULT_STREAM),
+            mishear_armed: cfg.channel.false_collision_ppm > 0
+                && cfg.feedback == FeedbackModel::CollisionDetection,
+            stations,
+            wm_heap: 0,
+            wm_units: 0,
         }
-        Some(ChannelFault::Capture { winner, contenders }) => {
-            faults.captures += 1;
-            trace.fault_capture(slot, winner, contenders.len() as u64);
-        }
-        None => {}
     }
-    effective
+
+    #[inline]
+    fn running(&self) -> bool {
+        self.out.slots_simulated < self.max_slots
+    }
+
+    #[inline]
+    fn remaining(&self) -> u64 {
+        self.max_slots - self.out.slots_simulated
+    }
+
+    #[inline]
+    fn charge(&mut self, via: Via, slots: u64) {
+        self.out.slots_simulated += slots;
+        match via {
+            Via::Skip => self.out.skipped_slots += slots,
+            Via::Event => {}
+            Via::Dense => self.out.dense_steps += slots,
+            Via::Word => self.out.word_slots += slots,
+        }
+    }
+
+    /// Account `count` silent slots starting at `from`, charged to `via`.
+    fn silence(&mut self, from: Slot, count: u64, via: Via) {
+        self.trace.silence(from, count);
+        self.charge(via, count);
+        self.out.silent_slots += count;
+        if let Some(tr) = self.out.transcript.as_mut() {
+            for slot in from..from + count {
+                tr.push(SlotRecord {
+                    slot,
+                    transmitters: Vec::new(),
+                    outcome: SlotOutcome::Silence,
+                });
+            }
+        }
+    }
+
+    /// Nobody is awake at `t`: jump to the next arrival — but never past
+    /// the slot cap. The dead air is traced as silence and skipped, but it
+    /// is not a silent slot of the run and is not transcribed. Returns the
+    /// arrival slot, or `None` when the run ends first. (Cannot happen
+    /// before the first success since `s` is the first wake and stations
+    /// stay awake, but keeps the engine total.)
+    fn dead_air(&mut self, t: Slot, next_arrival: Option<Slot>) -> Option<Slot> {
+        let sigma = next_arrival?;
+        let remaining = self.remaining();
+        let take = (sigma - t).min(remaining);
+        self.trace.silence(t, take);
+        self.charge(Via::Skip, take);
+        (sigma - t < remaining).then_some(sigma)
+    }
+
+    /// Skip the provably silent gap from `t` to the next sparse `event`,
+    /// respecting the cap. Silence cannot void any scope: NextSuccess hints
+    /// survive (no transmission ⇒ no success) and `Slot(t')` boundaries are
+    /// themselves heap entries. With no event pending no station will
+    /// transmit again — not even a success that could void a
+    /// NextSuccess-scoped hint can occur — so the rest of the run is
+    /// skipped and `None` returned; otherwise the new clock.
+    fn skip_to(&mut self, t: Slot, event: Option<Slot>) -> Option<Slot> {
+        let take = event.map_or(self.remaining(), |e| (e - t).min(self.remaining()));
+        self.silence(t, take, Via::Skip);
+        event.map(|_| t + take)
+    }
+
+    /// Settle one busy slot from the ground truth of its `contenders`
+    /// transmitters: apply the channel faults, draw a false collision,
+    /// transcribe, count and trace the effective outcome, and record a
+    /// success. Returns what the floor hears — one feedback value per slot,
+    /// the same for every station.
+    fn settle(&mut self, t: Slot, truth: SlotOutcome, contenders: u64, via: Via) -> Settled {
+        let transmitters = self.out.transcript.is_some().then(|| match &truth {
+            SlotOutcome::Silence => Vec::new(),
+            SlotOutcome::Success(w) => vec![*w],
+            SlotOutcome::Collision(ids) => ids.clone(),
+        });
+        let outcome = self.apply_channel(t, truth);
+        self.out.transmissions += contenders;
+        self.charge(via, 1);
+        let mishear = self.mishear_armed
+            && outcome == SlotOutcome::Silence
+            && self.channel.mishears_silence(self.fault_seed, t);
+        if mishear {
+            self.out.faults.false_collisions += 1;
+        }
+        let fb = if mishear {
+            Feedback::Noise
+        } else {
+            self.feedback.perceive(&outcome)
+        };
+        let heard = match &outcome {
+            SlotOutcome::Success(w) => {
+                self.trace.success(t, *w);
+                if self.out.first_success.is_none() {
+                    self.out.first_success = Some(t);
+                    self.out.winner = Some(*w);
+                }
+                if !self.out.resolved.iter().any(|&(id, _)| id == *w) {
+                    self.out.resolved.push((*w, t));
+                }
+                match self.stop {
+                    StopRule::FirstSuccess => Settled::Stop,
+                    StopRule::AllResolved => Settled::Success(fb),
+                }
+            }
+            SlotOutcome::Collision(_) => {
+                self.out.collisions += 1;
+                self.trace.collision(t, contenders);
+                Settled::NoSuccess(fb)
+            }
+            SlotOutcome::Silence => {
+                self.out.silent_slots += 1;
+                self.trace.silence(t, 1);
+                Settled::NoSuccess(fb)
+            }
+        };
+        if let (Some(tr), Some(transmitters)) = (self.out.transcript.as_mut(), transmitters) {
+            tr.push(SlotRecord {
+                slot: t,
+                transmitters,
+                outcome,
+            });
+        }
+        heard
+    }
+
+    /// Apply the channel-fault model to one resolved slot: returns the
+    /// *effective* outcome heard on the channel, counting and tracing any
+    /// fault. Under the default ideal channel `truth` passes through
+    /// untouched (and no fault draw is made).
+    fn apply_channel(&mut self, t: Slot, truth: SlotOutcome) -> SlotOutcome {
+        let (effective, fault) = self.channel.apply(self.fault_seed, t, truth);
+        match fault {
+            Some(ChannelFault::Erasure { winner }) => {
+                self.out.faults.erasures += 1;
+                self.trace.fault_erasure(t, winner);
+            }
+            Some(ChannelFault::Capture { winner, contenders }) => {
+                self.out.faults.captures += 1;
+                self.trace.fault_capture(t, winner, contenders.len() as u64);
+            }
+            None => {}
+        }
+        effective
+    }
+
+    /// After the floor heard a success at `t` under
+    /// [`StopRule::AllResolved`]: has every pattern station resolved, with
+    /// no arrival pending? Records the slot when so.
+    fn all_resolved(&mut self, t: Slot, arrivals_pending: bool) -> bool {
+        let done = self.out.resolved.len() == self.stations && !arrivals_pending;
+        if done {
+            self.out.all_resolved_at = Some(t);
+        }
+        done
+    }
+
+    /// Account the current number of live units.
+    fn units(&mut self, units: usize) {
+        self.out.peak_units = self.out.peak_units.max(units as u64);
+    }
+
+    /// Account the live units after admissions at `t`, and trace a new
+    /// heap or unit high-water mark.
+    fn watermark(&mut self, t: Slot, heap: usize, units: usize) {
+        self.units(units);
+        if self.trace.wants(TraceKind::Watermark) {
+            let (h, u) = (heap as u64, units as u64);
+            if h > self.wm_heap || u > self.wm_units {
+                self.wm_heap = self.wm_heap.max(h);
+                self.wm_units = self.wm_units.max(u);
+                self.trace.engine_event(TraceEvent::Watermark {
+                    slot: t,
+                    heap: self.wm_heap,
+                    units: self.wm_units,
+                });
+            }
+        }
+    }
+
+    fn crashed(&mut self, slot: Slot, id: StationId) {
+        self.out.faults.churn_crashes += 1;
+        self.trace.churn_crash(slot, id);
+    }
+
+    fn rewoke(&mut self, slot: Slot, id: StationId) {
+        self.out.faults.churn_rewakes += 1;
+        self.trace.churn_rewake(slot, id);
+    }
+
+    /// End the run: trace its end and hand out the outcome.
+    fn finish(mut self, per_station_tx: Vec<(StationId, u64)>) -> Outcome {
+        self.trace
+            .run_end(self.out.slots_simulated, self.out.first_success);
+        self.out.per_station_tx = per_station_tx;
+        self.out
+    }
+}
+
+/// Which path simulates the next slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Path {
+    /// Hints drive the clock: the heap jumps from event to event.
+    Sparse,
+    /// An adaptive dense burst window ([`EngineMode::Auto`] only), re-probed
+    /// at expiry and at successes.
+    Burst,
+    /// Dense for good: forced by the engine mode, or some unit answered
+    /// [`TxHint::Dense`] (or a malformed scope).
+    Locked,
+}
+
+/// The hint scheduler of the sparse path, shared by both engine loops —
+/// the scope semantics are identical; only a hint's *source* (a station
+/// or a whole class) differs. Units are identified by their index in the
+/// loop's unit list.
+struct Hints {
+    /// The path the run is on.
+    path: Path,
+    /// Min-heap of (due slot, unit index, hint epoch). A unit has at most
+    /// one *live* entry: re-querying bumps its hint epoch, and entries
+    /// whose epoch is stale are discarded lazily. Units with an
+    /// unconditional `Never` hint have no entry.
+    heap: BinaryHeap<Reverse<(Slot, usize, u64)>>,
+    /// Per-unit hint bookkeeping, parallel to the unit list.
+    states: Vec<HintState>,
+    /// Units holding an Until::NextSuccess-scoped hint (may contain stale
+    /// entries; the `success_scoped` flag is authoritative).
+    scoped: Vec<usize>,
+    /// Units whose transmission came due at the current event.
+    polled: Vec<usize>,
+    /// Units to re-query next.
+    requery: Vec<usize>,
+}
+
+impl Hints {
+    /// Sparse under [`EngineMode::Auto`], dense for good otherwise; room
+    /// for `units` units.
+    fn new(engine: EngineMode, units: usize) -> Self {
+        let path = if engine == EngineMode::Auto {
+            Path::Sparse
+        } else {
+            Path::Locked
+        };
+        Hints {
+            path,
+            heap: BinaryHeap::with_capacity(if path == Path::Sparse { units } else { 0 }),
+            states: Vec::with_capacity(units),
+            scoped: Vec::new(),
+            polled: Vec::new(),
+            requery: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn sparse(&self) -> bool {
+        self.path == Path::Sparse
+    }
+
+    /// Bookkeeping for a newly admitted unit; returns its index.
+    fn add_unit(&mut self) -> usize {
+        self.states.push(HintState::new());
+        self.states.len() - 1
+    }
+
+    /// Install a fresh `hint` for unit `idx` looking from `after`: bump the
+    /// hint epoch (superseding any live heap entry), push the new heap entry
+    /// and update scope flags. Returns the due slot of the installed entry
+    /// (`None` for an unconditional silence promise), or `Err(())` when the
+    /// answer ([`TxHint::Dense`] or a malformed scope boundary) forces the
+    /// dense path.
+    fn install(&mut self, idx: usize, after: Slot, hint: TxHint) -> Result<Option<Slot>, ()> {
+        let st = self.states.get_mut(idx).ok_or(())?;
+        st.epoch += 1; // supersede any live heap entry
+        let was_scoped = st.success_scoped;
+        let (entry, now_scoped) = match hint {
+            TxHint::Dense => return Err(()),
+            TxHint::At(slot, until) => {
+                let slot = slot.max(after);
+                match until {
+                    Until::Forever => (Some((Due::Poll, slot)), false),
+                    Until::NextSuccess => (Some((Due::Poll, slot)), true),
+                    // A validity boundary at or before `after` carries no
+                    // silence claim at all: fall back to dense rather than
+                    // trust it (correctness first).
+                    Until::Slot(tb) if tb <= after => return Err(()),
+                    Until::Slot(tb) if slot < tb => (Some((Due::Poll, slot)), false),
+                    Until::Slot(tb) => (Some((Due::Requery, tb)), false),
+                }
+            }
+            TxHint::Never(until) => match until {
+                Until::Forever => (None, false),
+                Until::NextSuccess => (None, true),
+                Until::Slot(tb) if tb <= after => return Err(()),
+                Until::Slot(tb) => (Some((Due::Requery, tb)), false),
+            },
+        };
+        st.success_scoped = now_scoped;
+        if now_scoped && !was_scoped {
+            self.scoped.push(idx);
+        }
+        let due_slot = entry.map(|(_, slot)| slot);
+        if let Some((due, slot)) = entry {
+            st.due = due;
+            self.heap.push(Reverse((slot, idx, st.epoch)));
+        }
+        Ok(due_slot)
+    }
+
+    /// Re-query every unit in `requery` through `query` and install the
+    /// answers, all looking from `after`; stops at the first answer that
+    /// forces the dense path.
+    fn rearm<T: Tracer + ?Sized>(
+        &mut self,
+        after: Slot,
+        trace: &mut TraceCtx<'_, T>,
+        mut query: impl FnMut(usize) -> TxHint,
+    ) -> Result<(), ()> {
+        trace.engine_event(TraceEvent::HintRequery {
+            slot: after,
+            queries: self.requery.len() as u64,
+        });
+        let requery = std::mem::take(&mut self.requery);
+        let armed = requery
+            .iter()
+            .try_for_each(|&idx| self.install(idx, after, query(idx)).map(drop));
+        self.requery = requery;
+        armed
+    }
+
+    /// Supersede unit `idx`'s live entry without installing a new one (a
+    /// crashed station turned inert listener).
+    fn supersede(&mut self, idx: usize) {
+        if let Some(st) = self.states.get_mut(idx) {
+            st.epoch += 1;
+            st.success_scoped = false;
+        }
+    }
+
+    /// Discard the heap and the success-scope bookkeeping (a later
+    /// re-probe rebuilds both from fresh hints).
+    fn reset(&mut self) {
+        self.heap.clear();
+        for st in self.states.iter_mut() {
+            st.success_scoped = false;
+        }
+        self.scoped.clear();
+    }
+
+    /// The earliest live due slot: heap entries superseded by a newer hint
+    /// epoch are dropped first.
+    fn next_due(&mut self) -> Option<Slot> {
+        while let Some(&Reverse((slot, idx, epoch))) = self.heap.peek() {
+            if self.states.get(idx).is_some_and(|st| st.epoch == epoch) {
+                return Some(slot);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// The next sparse event: the earliest live due entry, `arrival` or
+    /// `churn` slot. Churn is processed at the loop top, so its slots must
+    /// be landed on exactly — never skipped over.
+    fn horizon(&mut self, arrival: Option<Slot>, churn: Option<Slot>) -> Option<Slot> {
+        [self.next_due(), arrival, churn]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Serve the entries due at `t`: transmissions collect in `polled`,
+    /// scope boundaries are re-queried through `query`. A re-query may
+    /// install a hint due at `t` again (a boundary answering "transmitting
+    /// right now"), so this iterates to a fixpoint. `Err(())` when a
+    /// re-query forces the dense path.
+    fn serve<T: Tracer + ?Sized>(
+        &mut self,
+        t: Slot,
+        trace: &mut TraceCtx<'_, T>,
+        mut query: impl FnMut(usize) -> TxHint,
+    ) -> Result<(), ()> {
+        self.polled.clear();
+        loop {
+            self.requery.clear();
+            while let Some(&Reverse((slot, idx, epoch))) = self.heap.peek() {
+                if slot != t {
+                    break;
+                }
+                self.heap.pop();
+                match self.states.get(idx) {
+                    Some(st) if st.epoch == epoch => match st.due {
+                        Due::Poll => self.polled.push(idx),
+                        Due::Requery => self.requery.push(idx),
+                    },
+                    _ => {} // stale entry
+                }
+            }
+            if self.requery.is_empty() {
+                return Ok(());
+            }
+            self.rearm(t, trace, &mut query)?;
+        }
+    }
+
+    /// Queue the units a success invalidated: every live
+    /// NextSuccess-scoped one, plus the polled ones (their entries were
+    /// consumed), in index order.
+    fn requery_after_success(&mut self) {
+        self.requery.clear();
+        for idx in self.scoped.drain(..) {
+            if let Some(st) = self.states.get_mut(idx) {
+                if st.success_scoped {
+                    st.success_scoped = false;
+                    self.requery.push(idx);
+                }
+            }
+        }
+        self.requery.extend_from_slice(&self.polled);
+        self.requery.sort_unstable();
+        self.requery.dedup();
+    }
+
+    /// Queue exactly the polled units (their entries were consumed; a
+    /// silence or collision invalidates nothing else).
+    fn requery_polled(&mut self) {
+        self.requery.clear();
+        self.requery.extend_from_slice(&self.polled);
+    }
+
+    /// Leave the hint path for good at `slot`: some unit answered
+    /// [`TxHint::Dense`] or a malformed scope, or the word kernel cannot
+    /// plan for it. Leaving the sparse path this way is traced as a mode
+    /// switch but, unlike the adaptive switches, not counted in
+    /// [`Outcome::mode_switches`].
+    fn lock_dense<T: Tracer + ?Sized>(&mut self, slot: Slot, trace: &mut TraceCtx<'_, T>) {
+        if self.sparse() {
+            trace.engine_event(TraceEvent::ModeSwitch { slot, dense: true });
+        }
+        self.path = Path::Locked;
+        self.heap.clear();
+    }
+
+    /// Drop from the sparse path into an adaptive dense burst window at
+    /// `slot`, sized for `units` awake units.
+    fn open_burst<T: Tracer + ?Sized>(
+        &mut self,
+        slot: Slot,
+        units: usize,
+        policy: &mut Adaptive,
+        ledger: &mut Ledger<'_, T>,
+    ) {
+        self.path = Path::Burst;
+        ledger.out.mode_switches += 1;
+        policy.start_burst(units);
+        ledger
+            .trace
+            .engine_event(TraceEvent::ModeSwitch { slot, dense: true });
+        ledger.trace.engine_event(TraceEvent::BurstOpen {
+            slot,
+            window: policy.burst_len,
+        });
+        self.reset();
+    }
+}
+
+/// Churn as an event source: every crash and re-wake of the run,
+/// materialized once from the pattern (a pure function of
+/// `(run_seed, id, wake)` — engine-path-independent) and handed out in
+/// slot order. Both loops process churn at the top of a slot, so every
+/// path lands on exactly these slots.
+struct ChurnEvents {
+    crashes: Vec<(Slot, StationId)>,
+    rewakes: Vec<(Slot, StationId)>,
+    next_crash: usize,
+    next_rewake: usize,
+    /// Seed stream of re-woken instances.
+    rewake_seed: u64,
+}
+
+impl ChurnEvents {
+    fn new(
+        script: &ChurnScript,
+        run_seed: u64,
+        wakes: impl Iterator<Item = (StationId, Slot)>,
+    ) -> Self {
+        let mut crashes = Vec::new();
+        let mut rewakes = Vec::new();
+        if !script.is_empty() {
+            for (id, sigma) in wakes {
+                if let Some((crash, rewake)) = script.fate(run_seed, id, sigma) {
+                    crashes.push((crash, id));
+                    if let Some(r) = rewake {
+                        rewakes.push((r, id));
+                    }
+                }
+            }
+            crashes.sort_unstable();
+            rewakes.sort_unstable();
+        }
+        ChurnEvents {
+            crashes,
+            rewakes,
+            next_crash: 0,
+            next_rewake: 0,
+            rewake_seed: derive_seed(run_seed, REWAKE_STREAM),
+        }
+    }
+
+    /// Take the next crash due at or before `t`.
+    fn crash_due(&mut self, t: Slot) -> Option<(Slot, StationId)> {
+        let due = self
+            .crashes
+            .get(self.next_crash)
+            .filter(|&&(c, _)| c <= t)?;
+        self.next_crash += 1;
+        Some(*due)
+    }
+
+    /// Take the next re-wake due at or before `t`.
+    fn rewake_due(&mut self, t: Slot) -> Option<(Slot, StationId)> {
+        let due = self
+            .rewakes
+            .get(self.next_rewake)
+            .filter(|&&(r, _)| r <= t)?;
+        self.next_rewake += 1;
+        Some(*due)
+    }
+
+    /// The earliest pending churn slot — the loops must land on it
+    /// exactly, never skip or tile over it.
+    fn next_slot(&self) -> Option<Slot> {
+        let crash = self.crashes.get(self.next_crash).map(|&(slot, _)| slot);
+        let rewake = self.rewakes.get(self.next_rewake).map(|&(slot, _)| slot);
+        crash.into_iter().chain(rewake).min()
+    }
+}
+
+/// Per-station transmission counts of the class engine, in wake order
+/// (detail mode only — the table is O(k) by nature).
+#[derive(Default)]
+struct TxDetail {
+    rows: Vec<(StationId, u64)>,
+    // lint: allow(default-hash-state) — lookup-only index into the wake-ordered rows; never iterated
+    index: HashMap<StationId, usize>,
+}
+
+impl TxDetail {
+    /// Give `id` a row unless it has one (a re-woken station keeps
+    /// accumulating into its original row).
+    fn add(&mut self, id: StationId) {
+        let rows = &mut self.rows;
+        self.index.entry(id).or_insert_with(|| {
+            rows.push((id, 0));
+            rows.len() - 1
+        });
+    }
+
+    /// Count one transmission of every station in `ids`.
+    fn count(&mut self, ids: &[StationId]) {
+        for id in ids {
+            if let Some(row) = self.index.get(id).and_then(|&i| self.rows.get_mut(i)) {
+                row.1 += 1;
+            }
+        }
+    }
+}
+
+/// Append the units that feedback at `t` split off (`born`, each with fresh
+/// hint state), trace the split, and account the new unit count. Returns
+/// the index of the first newborn unit, or `None` when the live units now
+/// exceed the split `budget`.
+fn admit_splits<T: Tracer + ?Sized>(
+    units: &mut Vec<Box<dyn ClassStation>>,
+    born: Vec<Box<dyn ClassStation>>,
+    t: Slot,
+    budget: u64,
+    hints: &mut Hints,
+    ledger: &mut Ledger<'_, T>,
+) -> Option<usize> {
+    let first_new = units.len();
+    if !born.is_empty() {
+        ledger.trace.engine_event(TraceEvent::ClassSplit {
+            slot: t,
+            born: born.len() as u64,
+        });
+        for unit in born {
+            hints.add_unit();
+            units.push(unit);
+        }
+    }
+    if units.len() as u64 > budget {
+        return None;
+    }
+    ledger.units(units.len());
+    Some(first_new)
+}
+
+/// A fresh hint from a concrete station, looking from `after`.
+fn station_hint(entry: Option<&mut (StationId, Box<dyn Station>, u64)>, after: Slot) -> TxHint {
+    entry.map_or(TxHint::Dense, |(_, station, _)| {
+        station.next_transmission(after)
+    })
+}
+
+/// A fresh hint from a class unit, looking from `after`.
+fn unit_hint(unit: Option<&mut Box<dyn ClassStation>>, after: Slot) -> TxHint {
+    unit.map_or(TxHint::Dense, |unit| unit.next_transmission(after))
 }
 
 /// Resolve one slot from the tally: exact IDs in the collecting regime
@@ -911,10 +1438,10 @@ fn slot_outcome(tally: &mut TxTally) -> SlotOutcome {
     if tally.collect_ids() {
         SlotOutcome::resolve(tally.sorted_ids().to_vec())
     } else {
-        match tally.total() {
-            0 => SlotOutcome::Silence,
-            1 => SlotOutcome::Success(tally.winner().expect("sole transmitter carries its ID")),
-            _ => SlotOutcome::Collision(Vec::new()),
+        match tally.winner() {
+            Some(w) => SlotOutcome::Success(w),
+            None if tally.total() == 0 => SlotOutcome::Silence,
+            None => SlotOutcome::Collision(Vec::new()),
         }
     }
 }
@@ -970,6 +1497,12 @@ impl Simulator {
         self.run_traced_impl(protocol, pattern, run_seed, tracer)
     }
 
+    /// Dispatch on the population. A class run that crosses its split
+    /// budget ([`SimConfig::split_budget`]) is abandoned wholesale and the
+    /// pattern re-runs on the concrete engine. Outcomes are identical
+    /// either way; trace output is transactional (the abandoned attempt
+    /// leaves no events), and only the work counters show the flip
+    /// ([`Outcome::peak_units`] ≤ the budget, no class splits).
     fn run_traced_impl<T: Tracer + ?Sized>(
         &self,
         protocol: &dyn Protocol,
@@ -977,10 +1510,22 @@ impl Simulator {
         run_seed: u64,
         tracer: &mut T,
     ) -> Result<Outcome, SimError> {
-        match self.cfg.population {
-            PopulationMode::Concrete => self.run_concrete(protocol, pattern, run_seed, tracer),
-            PopulationMode::Classes => {
-                self.run_with_population(protocol, pattern, run_seed, &mut ClassPopulation, tracer)
+        if self.cfg.population == PopulationMode::Concrete {
+            return self.run_concrete(protocol, pattern, run_seed, tracer);
+        }
+        let budget = self
+            .cfg
+            .split_budget
+            .unwrap_or_else(|| (pattern.k() as u64 / 2).max(4096));
+        let mut buffer = BufferTracer::new(tracer);
+        match self.run_classes(protocol, pattern, run_seed, &mut buffer, budget)? {
+            ClassRun::Done(out) => {
+                buffer.flush();
+                Ok(*out)
+            }
+            ClassRun::BudgetExceeded => {
+                buffer.discard();
+                self.run_concrete(protocol, pattern, run_seed, tracer)
             }
         }
     }
@@ -1007,72 +1552,20 @@ impl Simulator {
         tracer: &mut T,
     ) -> Result<Outcome, SimError> {
         self.validate(pattern)?;
-        let mut trace = TraceCtx::new(tracer);
-
-        let s = pattern.s();
         let wakes = pattern.materialize();
         let wakes: &[(StationId, Slot)] = &wakes;
+        let mut ledger = Ledger::new(&self.cfg, pattern.s(), wakes.len(), run_seed, tracer);
+        let mut churn = ChurnEvents::new(&self.cfg.churn, run_seed, wakes.iter().copied());
         let mut next_wake = 0usize; // index into `wakes`
         let mut awake: Vec<(StationId, Box<dyn Station>, u64)> = Vec::new(); // (id, station, tx count)
-        let mut transcript = self.cfg.record_transcript.then(Transcript::new);
-
-        let mut transmissions = 0u64;
-        let mut collisions = 0u64;
-        let mut silent_slots = 0u64;
-        let mut first_success = None;
-        let mut winner = None;
-        let mut slots_simulated = 0u64;
-        let mut polls = 0u64;
-        let mut skipped_slots = 0u64;
-        let mut dense_steps = 0u64;
-        let mut word_slots = 0u64;
-        let mut mode_switches = 0u64;
-        let mut peak_units = 0u64;
-        // Trace watermarks (only advanced when a tracer wants them).
-        let (mut wm_heap, mut wm_units) = (0u64, 0u64);
         let mut transmitters: Vec<StationId> = Vec::new();
-        let mut transmitted_flags: Vec<bool> = Vec::new();
-        let mut resolved: Vec<(StationId, Slot)> = Vec::new();
-        let mut all_resolved_at = None;
-        let total_stations = wakes.len();
 
-        // Channel-fault plumbing. Draws are keyed by (fault_seed, slot) so
-        // every engine path perturbs the same slots; under the ideal
-        // channel apply_channel is the identity and no draw is made.
-        let fault_seed = derive_seed(run_seed, FAULT_STREAM);
-        let mishear_armed = self.cfg.channel.false_collision_ppm > 0
-            && self.cfg.feedback == FeedbackModel::CollisionDetection;
-        let mut faults = FaultCounts::default();
-
-        // Churn fates, materialized up front from the pattern (a pure
-        // function of (run_seed, id, wake) — engine-path-independent).
-        // Crash and re-wake slots become sparse events below so both
-        // engine paths process them at exactly their slot.
-        let mut crashes: Vec<(Slot, StationId)> = Vec::new();
-        let mut rewakes: Vec<(Slot, StationId)> = Vec::new();
-        if !self.cfg.churn.is_empty() {
-            for &(id, sigma) in wakes.iter() {
-                if let Some((crash, rewake)) = self.cfg.churn.fate(run_seed, id, sigma) {
-                    crashes.push((crash, id));
-                    if let Some(r) = rewake {
-                        rewakes.push((r, id));
-                    }
-                }
-            }
-            crashes.sort_unstable();
-            rewakes.sort_unstable();
-        }
-        let rewake_seed = derive_seed(run_seed, REWAKE_STREAM);
-        let mut next_crash = 0usize; // index into `crashes`
-        let mut next_rewake = 0usize; // index into `rewakes`
-
-        // Sparse until any station answers TxHint::Dense (or a malformed
-        // scope), which locks dense polling permanently, or until the
-        // adaptive policy drops into a dense burst window (from which a
+        // Sparse under Auto until any station answers TxHint::Dense (or a
+        // malformed scope), which locks dense polling permanently, or until
+        // the adaptive policy drops into a dense burst window (from which a
         // re-probe can return to sparse).
-        let mut sparse = self.cfg.engine == EngineMode::Auto;
-        let mut locked = matches!(self.cfg.engine, EngineMode::Dense | EngineMode::Bitslab);
-        let mut policy = Adaptive::new(self.cfg.policy);
+        let mut hints = Hints::new(self.cfg.engine, wakes.len());
+        let mut policy = Adaptive::default();
         // Word-kernel state (EngineMode::Bitslab always; Auto burst windows
         // until a TxHint::Dense answer): per-station claim memos reusable
         // across consecutive tiles, per-tile fill plumbing, and the slot the
@@ -1094,98 +1587,19 @@ impl Simulator {
         // long burst reaches full-word tiles after three doublings.
         const WORD_RAMP_SEED: u64 = 8;
         let mut word_ramp: u64 = WORD_RAMP_SEED;
-        // Min-heap of (due slot, index into `awake`, hint epoch). A station
-        // has at most one *live* entry: re-querying bumps its hint epoch,
-        // and entries whose epoch is stale are discarded lazily on pop.
-        // Stations with an unconditional `Never` hint have no entry.
-        let mut heap: BinaryHeap<Reverse<(Slot, usize, u64)>> =
-            BinaryHeap::with_capacity(if sparse { wakes.len() + 1 } else { 0 });
-        // Per-station hint bookkeeping, parallel to `awake`.
-        let mut hint_states: Vec<HintState> = Vec::with_capacity(wakes.len());
-        // Indices holding an Until::NextSuccess-scoped hint (may contain
-        // stale entries; the `success_scoped` flag is authoritative).
-        let mut success_scoped: Vec<usize> = Vec::new();
-        let mut polled: Vec<usize> = Vec::new();
-        let mut requery: Vec<usize> = Vec::new();
 
-        /// Ask station `idx` for a fresh hint looking from `after` and
-        /// install it (heap entry + scope flags). Returns the due slot of
-        /// the installed heap entry (`None` for an unconditional silence
-        /// promise), or `Err(())` when the answer forces the dense path.
-        fn arm(
-            station: &mut dyn Station,
-            idx: usize,
-            after: Slot,
-            heap: &mut BinaryHeap<Reverse<(Slot, usize, u64)>>,
-            states: &mut [HintState],
-            scoped: &mut Vec<usize>,
-        ) -> Result<Option<Slot>, ()> {
-            install_hint(
-                station.next_transmission(after),
-                idx,
-                after,
-                heap,
-                states,
-                scoped,
-            )
-        }
-
-        /// Drop from the sparse path into a dense burst window: discard the
-        /// heap and success-scope bookkeeping (a later re-probe rebuilds
-        /// both from fresh hints).
-        fn clear_sparse_state(
-            heap: &mut BinaryHeap<Reverse<(Slot, usize, u64)>>,
-            states: &mut [HintState],
-            scoped: &mut Vec<usize>,
-        ) {
-            heap.clear();
-            for st in states.iter_mut() {
-                st.success_scoped = false;
-            }
-            scoped.clear();
-        }
-
-        // Append `count` silent-slot records starting at `from`.
-        fn record_silence(transcript: &mut Option<Transcript>, from: Slot, count: u64) {
-            if let Some(tr) = transcript.as_mut() {
-                for slot in from..from + count {
-                    tr.push(SlotRecord {
-                        slot,
-                        transmitters: Vec::new(),
-                        outcome: SlotOutcome::Silence,
-                    });
-                }
-            }
-        }
-
-        let mut t = s;
-        'slots: while slots_simulated < self.cfg.max_slots {
+        let mut t = pattern.s();
+        'slots: while ledger.running() {
             // Wake newly arriving stations (wakes are sorted by slot).
             let batch_start = awake.len();
-            while next_wake < wakes.len() && wakes[next_wake].1 <= t {
-                let (id, sigma) = wakes[next_wake];
+            while let Some(&(id, sigma)) = wakes.get(next_wake).filter(|&&(_, w)| w <= t) {
                 let mut station = protocol.station(id, derive_seed(run_seed, u64::from(id.0)));
                 station.wake(sigma);
-                hint_states.push(HintState::new());
-                if sparse {
-                    policy.win_cost += policy.p.hint_cost;
-                    match arm(
-                        station.as_mut(),
-                        awake.len(),
-                        t,
-                        &mut heap,
-                        &mut hint_states,
-                        &mut success_scoped,
-                    ) {
-                        Err(()) => {
-                            sparse = false;
-                            locked = true;
-                            heap.clear();
-                            trace.engine_event(TraceEvent::ModeSwitch {
-                                slot: t,
-                                dense: true,
-                            });
-                        }
+                let idx = hints.add_unit();
+                if hints.sparse() {
+                    policy.win_cost += HINT_COST;
+                    match hints.install(idx, t, station.next_transmission(t)) {
+                        Err(()) => hints.lock_dense(t, &mut ledger.trace),
                         // Wake-time burst detection, short-circuited: a
                         // *batch* arrival (≥ 2 stations this slot) whose
                         // member is due immediately has nothing to skip —
@@ -1196,18 +1610,7 @@ impl Simulator {
                                 && (awake.len() > batch_start
                                     || wakes.get(next_wake + 1).is_some_and(|&(_, w)| w <= t)) =>
                         {
-                            sparse = false;
-                            mode_switches += 1;
-                            policy.start_burst(awake.len() + 1);
-                            trace.engine_event(TraceEvent::ModeSwitch {
-                                slot: t,
-                                dense: true,
-                            });
-                            trace.engine_event(TraceEvent::BurstOpen {
-                                slot: t,
-                                window: policy.burst_len,
-                            });
-                            clear_sparse_state(&mut heap, &mut hint_states, &mut success_scoped);
+                            hints.open_burst(t, awake.len() + 1, &mut policy, &mut ledger);
                         }
                         Ok(_) => {}
                     }
@@ -1216,17 +1619,14 @@ impl Simulator {
                 next_wake += 1;
             }
             if awake.len() > batch_start {
-                trace.wake(t, (awake.len() - batch_start) as u64);
+                ledger.trace.wake(t, (awake.len() - batch_start) as u64);
             }
             // Crash stations fated to die at or before t: the station is
             // replaced by an inert listener (no dead-flag checks on the hot
-            // paths) and its live hint entry is superseded. A crash never
-            // shrinks `awake`, so indices stay stable.
-            while let Some(&(cslot, cid)) = crashes.get(next_crash) {
-                if cslot > t {
-                    break;
-                }
-                next_crash += 1;
+            // paths) and its live hint entry is superseded — an inert
+            // listener needs no new one. A crash never shrinks `awake`, so
+            // indices stay stable.
+            while let Some((cslot, cid)) = churn.crash_due(t) {
                 if let Some(idx) = awake.iter().rposition(|(aid, _, _)| *aid == cid) {
                     if let Some(entry) = awake.get_mut(idx) {
                         entry.1 = Box::new(NeverTransmit);
@@ -1234,111 +1634,41 @@ impl Simulator {
                     if let Some(memo) = word_memos.get_mut(idx) {
                         *memo = WordMemo::Stale;
                     }
-                    // Supersede any live heap entry; an inert listener
-                    // needs no new one.
-                    if let Some(hs) = hint_states.get_mut(idx) {
-                        hs.epoch += 1;
-                        hs.success_scoped = false;
-                    }
-                    faults.churn_crashes += 1;
-                    trace.churn_crash(cslot, cid);
+                    hints.supersede(idx);
+                    ledger.crashed(cslot, cid);
                 }
             }
             // Re-wake crashed stations fated to return at or before t, as
             // fresh protocol instances under the re-wake seed stream (the
             // old instance's state died with it).
-            while let Some(&(rslot, rid)) = rewakes.get(next_rewake) {
-                if rslot > t {
-                    break;
-                }
-                next_rewake += 1;
-                let mut station = protocol.station(rid, derive_seed(rewake_seed, u64::from(rid.0)));
+            while let Some((rslot, rid)) = churn.rewake_due(t) {
+                let mut station =
+                    protocol.station(rid, derive_seed(churn.rewake_seed, u64::from(rid.0)));
                 station.wake(rslot);
-                hint_states.push(HintState::new());
-                if sparse {
-                    policy.win_cost += policy.p.hint_cost;
-                    if arm(
-                        station.as_mut(),
-                        awake.len(),
-                        t,
-                        &mut heap,
-                        &mut hint_states,
-                        &mut success_scoped,
-                    )
-                    .is_err()
-                    {
-                        sparse = false;
-                        locked = true;
-                        heap.clear();
-                        trace.engine_event(TraceEvent::ModeSwitch {
-                            slot: t,
-                            dense: true,
-                        });
+                let idx = hints.add_unit();
+                if hints.sparse() {
+                    policy.win_cost += HINT_COST;
+                    if hints.install(idx, t, station.next_transmission(t)).is_err() {
+                        hints.lock_dense(t, &mut ledger.trace);
                     }
                 }
                 awake.push((rid, station, 0));
-                faults.churn_rewakes += 1;
-                trace.churn_rewake(rslot, rid);
+                ledger.rewoke(rslot, rid);
             }
-            peak_units = peak_units.max(awake.len() as u64);
-            if trace.wants(TraceKind::Watermark) {
-                let (h, u) = (heap.len() as u64, awake.len() as u64);
-                if h > wm_heap || u > wm_units {
-                    wm_heap = wm_heap.max(h);
-                    wm_units = wm_units.max(u);
-                    trace.engine_event(TraceEvent::Watermark {
-                        slot: t,
-                        heap: wm_heap,
-                        units: wm_units,
-                    });
-                }
-            }
+            ledger.watermark(t, hints.heap.len(), awake.len());
             // Full-batch burst test: after a batch arrival, if the earliest
-            // live obligation in the heap is due within resume_gap slots,
+            // live obligation in the heap is due within RESUME_GAP slots,
             // the heap has nothing to skip right now — run the burst dense.
-            if sparse && awake.len() - batch_start >= 2 {
-                while let Some(&Reverse((_, idx, epoch))) = heap.peek() {
-                    if hint_states[idx].epoch == epoch {
-                        break;
-                    }
-                    heap.pop();
-                }
-                if let Some(&Reverse((due, _, _))) = heap.peek() {
-                    if due < t + policy.p.resume_gap {
-                        sparse = false;
-                        mode_switches += 1;
-                        policy.start_burst(awake.len());
-                        trace.engine_event(TraceEvent::ModeSwitch {
-                            slot: t,
-                            dense: true,
-                        });
-                        trace.engine_event(TraceEvent::BurstOpen {
-                            slot: t,
-                            window: policy.burst_len,
-                        });
-                        clear_sparse_state(&mut heap, &mut hint_states, &mut success_scoped);
-                    }
-                }
+            if hints.sparse()
+                && awake.len() - batch_start >= 2
+                && hints.next_due().is_some_and(|due| due < t + RESUME_GAP)
+            {
+                hints.open_burst(t, awake.len(), &mut policy, &mut ledger);
             }
 
-            // Fast-forward: if nobody is awake, jump to the next wake-up —
-            // but never past the slot cap. (Cannot happen before the first
-            // success since `s` is the first wake and stations stay awake,
-            // but keep the engine total.)
             if awake.is_empty() {
-                match wakes.get(next_wake) {
-                    Some(&(_, sigma)) => {
-                        let gap = sigma - t;
-                        let remaining = self.cfg.max_slots - slots_simulated;
-                        if gap >= remaining {
-                            trace.silence(t, remaining);
-                            slots_simulated += remaining;
-                            skipped_slots += remaining;
-                            break 'slots;
-                        }
-                        trace.silence(t, gap);
-                        slots_simulated += gap;
-                        skipped_slots += gap;
+                match ledger.dead_air(t, wakes.get(next_wake).map(|&(_, sigma)| sigma)) {
+                    Some(sigma) => {
                         t = sigma;
                         continue 'slots;
                     }
@@ -1346,319 +1676,114 @@ impl Simulator {
                 }
             }
 
-            if sparse {
-                // Drop heap entries superseded by a newer hint epoch so the
-                // peeked due slot is a live one.
-                while let Some(&Reverse((_, idx, epoch))) = heap.peek() {
-                    if hint_states[idx].epoch == epoch {
-                        break;
-                    }
-                    heap.pop();
-                }
-                // Next event: the earliest due entry, arrival, or churn
-                // event (crash/re-wake slots are processed at the loop top,
-                // so they must be landed on exactly — never skipped over).
-                let next_due = heap.peek().map(|&Reverse((slot, _, _))| slot);
+            if hints.sparse() {
                 let next_arrival = wakes.get(next_wake).map(|&(_, sigma)| sigma);
-                let next_churn = crashes
-                    .get(next_crash)
-                    .map(|&(slot, _)| slot)
-                    .into_iter()
-                    .chain(rewakes.get(next_rewake).map(|&(slot, _)| slot))
-                    .min();
-                let event = match next_due
-                    .into_iter()
-                    .chain(next_arrival)
-                    .chain(next_churn)
-                    .min()
-                {
-                    Some(e) => e,
-                    None => {
-                        // No due entries, nobody else wakes, and no churn
-                        // pending: no station will transmit, so no event —
-                        // not even a success that could void a
-                        // NextSuccess-scoped hint — can occur. The rest of
-                        // the run is provably silent.
-                        let remaining = self.cfg.max_slots - slots_simulated;
-                        record_silence(&mut transcript, t, remaining);
-                        trace.silence(t, remaining);
-                        slots_simulated += remaining;
-                        silent_slots += remaining;
-                        skipped_slots += remaining;
-                        break 'slots;
+                let event = hints.horizon(next_arrival, churn.next_slot());
+                debug_assert!(
+                    event.is_none_or(|e| e >= t),
+                    "event {event:?} behind clock {t}"
+                );
+                if event != Some(t) {
+                    match ledger.skip_to(t, event) {
+                        Some(next) => {
+                            t = next;
+                            continue 'slots; // re-checks the cap / wakes arrivals
+                        }
+                        None => break 'slots,
                     }
-                };
-                debug_assert!(event >= t, "event {event} behind clock {t}");
-                if event > t {
-                    // Skip the provably silent gap [t, event), respecting
-                    // the cap. Silence cannot void any scope: NextSuccess
-                    // hints survive (no transmission ⇒ no success) and
-                    // Slot(t') boundaries are themselves heap entries.
-                    let gap = event - t;
-                    let remaining = self.cfg.max_slots - slots_simulated;
-                    let take = gap.min(remaining);
-                    record_silence(&mut transcript, t, take);
-                    trace.silence(t, take);
-                    slots_simulated += take;
-                    silent_slots += take;
-                    skipped_slots += take;
-                    t += take;
-                    continue 'slots; // re-checks the cap / wakes arrivals
                 }
 
-                // Event at t: serve the due entries. A re-query may install
-                // a hint due at t again (e.g. a scope boundary answering
-                // "transmitting right now"), so iterate to a fixpoint.
-                transmitters.clear();
-                transmitted_flags.clear();
-                polled.clear();
-                loop {
-                    requery.clear();
-                    while let Some(&Reverse((slot, idx, epoch))) = heap.peek() {
-                        if slot != t {
-                            break;
-                        }
-                        heap.pop();
-                        if hint_states[idx].epoch != epoch {
-                            continue; // stale entry
-                        }
-                        match hint_states[idx].due {
-                            Due::Poll => polled.push(idx),
-                            Due::Requery => requery.push(idx),
-                        }
-                    }
-                    if requery.is_empty() {
-                        break;
-                    }
-                    trace.engine_event(TraceEvent::HintRequery {
-                        slot: t,
-                        queries: requery.len() as u64,
-                    });
-                    for &idx in &requery {
-                        policy.win_cost += policy.p.hint_cost;
-                        if arm(
-                            awake[idx].1.as_mut(),
-                            idx,
-                            t,
-                            &mut heap,
-                            &mut hint_states,
-                            &mut success_scoped,
-                        )
-                        .is_err()
-                        {
-                            sparse = false;
-                            locked = true;
-                            heap.clear();
-                            break;
-                        }
-                    }
-                    if !sparse {
-                        break;
-                    }
-                }
-                if !sparse {
+                // Event at t: serve the due entries.
+                let served = hints.serve(t, &mut ledger.trace, |idx| {
+                    policy.win_cost += HINT_COST;
+                    station_hint(awake.get_mut(idx), t)
+                });
+                if served.is_err() {
+                    hints.lock_dense(t, &mut ledger.trace);
                     continue 'slots; // dense path simulates slot t itself
                 }
-                if polled.is_empty() {
+                if hints.polled.is_empty() {
                     // Pure re-query event: nobody claimed a transmission at
                     // t after all, so the slot joins the next silent gap
                     // instead of being simulated individually. Re-query
                     // storms still count as sparse work, so a protocol that
                     // calls back every slot trips the yield test too.
-                    if policy.should_burst(slots_simulated, awake.len()) {
-                        sparse = false;
-                        mode_switches += 1;
-                        policy.start_burst(awake.len());
-                        trace.engine_event(TraceEvent::ModeSwitch {
-                            slot: t,
-                            dense: true,
-                        });
-                        trace.engine_event(TraceEvent::BurstOpen {
-                            slot: t,
-                            window: policy.burst_len,
-                        });
-                        clear_sparse_state(&mut heap, &mut hint_states, &mut success_scoped);
+                    if policy.should_burst(ledger.out.slots_simulated, awake.len()) {
+                        hints.open_burst(t, awake.len(), &mut policy, &mut ledger);
                     }
                     continue 'slots;
                 }
 
                 // Transmission event at t: poll exactly the scheduled
                 // stations (everyone else is silent by promise).
-                policy.win_cost += polled.len() as u64;
-                for &idx in &polled {
-                    let (id, station, tx_count) = &mut awake[idx];
-                    polls += 1;
-                    let transmit = station.act(t).is_transmit();
-                    transmitted_flags.push(transmit);
-                    if transmit {
-                        transmitters.push(*id);
-                        *tx_count += 1;
-                        transmissions += 1;
-                    }
-                }
-                transmitters.sort_unstable();
-                let outcome = apply_channel(
-                    &self.cfg.channel,
-                    fault_seed,
-                    t,
-                    SlotOutcome::resolve(transmitters.clone()),
-                    &mut faults,
-                    &mut trace,
-                );
-                let mishear = mishear_armed
-                    && outcome == SlotOutcome::Silence
-                    && self.cfg.channel.mishears_silence(fault_seed, t);
-                if mishear {
-                    faults.false_collisions += 1;
-                }
-
-                if let Some(tr) = transcript.as_mut() {
-                    tr.push(SlotRecord {
-                        slot: t,
-                        transmitters: transmitters.clone(),
-                        outcome: outcome.clone(),
-                    });
-                }
-
-                slots_simulated += 1;
-                if let Some(w) = outcome.success_id() {
-                    trace.success(t, w);
-                    if first_success.is_none() {
-                        first_success = Some(t);
-                        winner = Some(w);
-                    }
-                    if !resolved.iter().any(|&(id, _)| id == w) {
-                        resolved.push((w, t));
-                    }
-                    if self.cfg.stop == StopRule::FirstSuccess {
-                        break 'slots; // matches dense: no feedback delivered
-                    }
-
-                    // AllResolved: a success is heard by every station, so
-                    // feedback goes to the whole floor (matching dense; a
-                    // non-polled station cannot have transmitted).
-                    for (j, (_, station, _)) in awake.iter_mut().enumerate() {
-                        let transmitted = polled
-                            .iter()
-                            .position(|&idx| idx == j)
-                            .is_some_and(|p| transmitted_flags[p]);
-                        let fb = self.cfg.feedback.perceive(&outcome, transmitted);
-                        station.feedback(t, fb);
-                    }
-                    if resolved.len() == total_stations && next_wake == wakes.len() {
-                        all_resolved_at = Some(t);
-                        break 'slots;
-                    }
-
-                    // The success event invalidates every NextSuccess-scoped
-                    // hint; re-query exactly those stations (plus the polled
-                    // ones, whose entries were consumed) from t + 1.
-                    requery.clear();
-                    for idx in success_scoped.drain(..) {
-                        if hint_states[idx].success_scoped {
-                            hint_states[idx].success_scoped = false;
-                            requery.push(idx);
+                policy.win_cost += hints.polled.len() as u64;
+                transmitters.clear();
+                for &idx in &hints.polled {
+                    if let Some((id, station, tx_count)) = awake.get_mut(idx) {
+                        ledger.out.polls += 1;
+                        if station.act(t).is_transmit() {
+                            transmitters.push(*id);
+                            *tx_count += 1;
                         }
                     }
-                    requery.extend(polled.iter().copied());
-                    requery.sort_unstable();
-                    requery.dedup();
-                    trace.engine_event(TraceEvent::HintRequery {
-                        slot: t + 1,
-                        queries: requery.len() as u64,
-                    });
-                    for &idx in &requery {
-                        if arm(
-                            awake[idx].1.as_mut(),
-                            idx,
-                            t + 1,
-                            &mut heap,
-                            &mut hint_states,
-                            &mut success_scoped,
-                        )
-                        .is_err()
+                }
+                let truth = SlotOutcome::resolve(transmitters.clone());
+                match ledger.settle(t, truth, transmitters.len() as u64, Via::Event) {
+                    Settled::Stop => break 'slots, // matches dense: no feedback delivered
+                    Settled::Success(fb) => {
+                        // AllResolved: a success is heard by every station,
+                        // so feedback goes to the whole floor (matching
+                        // dense).
+                        for (_, station, _) in awake.iter_mut() {
+                            station.feedback(t, fb);
+                        }
+                        if ledger.all_resolved(t, next_wake < wakes.len()) {
+                            break 'slots;
+                        }
+                        // The success event invalidates every
+                        // NextSuccess-scoped hint; re-query exactly those
+                        // stations (plus the polled ones) from t + 1.
+                        hints.requery_after_success();
+                        if hints
+                            .rearm(t + 1, &mut ledger.trace, |idx| {
+                                station_hint(awake.get_mut(idx), t + 1)
+                            })
+                            .is_err()
                         {
-                            sparse = false;
-                            locked = true;
-                            heap.clear();
-                            break;
+                            hints.lock_dense(t + 1, &mut ledger.trace);
+                        }
+                        // A success reshapes the hint landscape
+                        // (retirement, rescheduling): restart the yield
+                        // observation window rather than letting
+                        // pre-success burstiness linger — and the broadcast
+                        // re-arms above are the mandatory price of the
+                        // event, not per-slot overhead, so they are not
+                        // charged to the window either.
+                        policy.restart_window(ledger.out.slots_simulated);
+                    }
+                    Settled::NoSuccess(fb) => {
+                        // Non-success feedback goes only to the polled
+                        // stations: Forever-scoped stations are oblivious,
+                        // NextSuccess-scoped ones must ignore anything but
+                        // a success, by contract.
+                        for &idx in &hints.polled {
+                            if let Some((_, station, _)) = awake.get_mut(idx) {
+                                station.feedback(t, fb);
+                            }
+                        }
+                        // Re-arm the polled stations' hints (their entries
+                        // were consumed); nothing else was invalidated.
+                        hints.requery_polled();
+                        let rearmed = hints.rearm(t + 1, &mut ledger.trace, |idx| {
+                            policy.win_cost += HINT_COST;
+                            station_hint(awake.get_mut(idx), t + 1)
+                        });
+                        if rearmed.is_err() {
+                            hints.lock_dense(t + 1, &mut ledger.trace);
+                        } else if policy.should_burst(ledger.out.slots_simulated, awake.len()) {
+                            hints.open_burst(t + 1, awake.len(), &mut policy, &mut ledger);
                         }
                     }
-
-                    // A success reshapes the hint landscape (retirement,
-                    // rescheduling): restart the yield observation window
-                    // rather than letting pre-success burstiness linger —
-                    // and the broadcast re-arms above are the mandatory
-                    // price of the event, not per-slot overhead, so they
-                    // are not charged to the window either.
-                    policy.win_cost = 0;
-                    policy.win_start = slots_simulated;
-                    t += 1;
-                    continue 'slots;
-                }
-
-                match &outcome {
-                    SlotOutcome::Collision(_) => {
-                        collisions += 1;
-                        trace.collision(t, transmitters.len() as u64);
-                    }
-                    SlotOutcome::Silence => {
-                        silent_slots += 1;
-                        trace.silence(t, 1);
-                    }
-                    SlotOutcome::Success(_) => unreachable!("handled above"),
-                }
-
-                // Non-success feedback goes only to the polled stations:
-                // Forever-scoped stations are oblivious, NextSuccess-scoped
-                // ones must ignore anything but a success, by contract.
-                for (&idx, &transmitted) in polled.iter().zip(transmitted_flags.iter()) {
-                    let fb = if mishear {
-                        Feedback::Noise
-                    } else {
-                        self.cfg.feedback.perceive(&outcome, transmitted)
-                    };
-                    awake[idx].1.feedback(t, fb);
-                }
-
-                // Re-arm the polled stations' hints (their entries were
-                // consumed); nothing else was invalidated.
-                trace.engine_event(TraceEvent::HintRequery {
-                    slot: t + 1,
-                    queries: polled.len() as u64,
-                });
-                for &idx in &polled {
-                    policy.win_cost += policy.p.hint_cost;
-                    if arm(
-                        awake[idx].1.as_mut(),
-                        idx,
-                        t + 1,
-                        &mut heap,
-                        &mut hint_states,
-                        &mut success_scoped,
-                    )
-                    .is_err()
-                    {
-                        sparse = false;
-                        locked = true;
-                        heap.clear();
-                        break;
-                    }
-                }
-
-                if sparse && policy.should_burst(slots_simulated, awake.len()) {
-                    sparse = false;
-                    mode_switches += 1;
-                    policy.start_burst(awake.len());
-                    trace.engine_event(TraceEvent::ModeSwitch {
-                        slot: t + 1,
-                        dense: true,
-                    });
-                    trace.engine_event(TraceEvent::BurstOpen {
-                        slot: t + 1,
-                        window: policy.burst_len,
-                    });
-                    clear_sparse_state(&mut heap, &mut hint_states, &mut success_scoped);
                 }
                 t += 1;
                 continue 'slots;
@@ -1675,7 +1800,7 @@ impl Simulator {
             let kernel_live = !kernel_dead
                 && match self.cfg.engine {
                     EngineMode::Bitslab => true,
-                    EngineMode::Auto => !locked && policy.kernel_warm(),
+                    EngineMode::Auto => hints.path == Path::Burst && policy.kernel_warm(),
                     EngineMode::Dense => false,
                 };
             let mut stepped = 1u64; // slots consumed by this iteration
@@ -1684,7 +1809,8 @@ impl Simulator {
             if kernel_live {
                 // Tile horizon: the ramp width, then stop at the next
                 // arrival (the wake loop at the top of 'slots admits
-                // batches), the slot cap, and — under Auto — the burst
+                // batches), at the next churn event (processed at the loop
+                // top too), the slot cap, and — under Auto — the burst
                 // window's own expiry.
                 word_ramp = if word_cont == t {
                     (word_ramp * 2).min(64)
@@ -1695,15 +1821,10 @@ impl Simulator {
                 if let Some(&(_, sigma)) = wakes.get(next_wake) {
                     tile_h = tile_h.min(sigma);
                 }
-                // Churn events are processed at the loop top: never tile
-                // past a pending crash or re-wake slot.
-                if let Some(&(crash, _)) = crashes.get(next_crash) {
-                    tile_h = tile_h.min(crash);
+                if let Some(churn_slot) = churn.next_slot() {
+                    tile_h = tile_h.min(churn_slot);
                 }
-                if let Some(&(rewake, _)) = rewakes.get(next_rewake) {
-                    tile_h = tile_h.min(rewake);
-                }
-                tile_h = tile_h.min(t + (self.cfg.max_slots - slots_simulated));
+                tile_h = tile_h.min(t + ledger.remaining());
                 if self.cfg.engine == EngineMode::Auto {
                     tile_h = tile_h.min(t + policy.burst_remaining.max(1));
                 }
@@ -1727,9 +1848,12 @@ impl Simulator {
                 // `after` arguments of `next_transmission` must stay
                 // non-decreasing even if a mid-tile success re-probes).
                 let mut fill_err = false;
-                for (idx, (_, station, _)) in awake.iter_mut().enumerate() {
+                let columns = word_cols.iter_mut().zip(word_generic.iter_mut());
+                for (((_, station, _), memo), (col, generic)) in
+                    awake.iter_mut().zip(word_memos.iter_mut()).zip(columns)
+                {
                     // A still-valid claim from a previous tile?
-                    let mut claim = match word_memos[idx] {
+                    let memo_claim = match *memo {
                         WordMemo::Hint { next, until } => {
                             let live = match until {
                                 Until::Forever | Until::NextSuccess => true,
@@ -1743,57 +1867,59 @@ impl Simulator {
                         }
                         WordMemo::Stale => None,
                     };
-                    if claim.is_none() {
-                        // Protocol-level batch fill first…
-                        if let Some(w) = station.fill_tx_word(t, (tile_h - t) as u32) {
-                            let (mask, horizon) = match w.until {
-                                Until::Slot(tb) if tb <= t => {
-                                    fill_err = true;
-                                    break;
-                                }
-                                Until::Slot(tb) => (low_mask(tb - t), tb),
-                                Until::Forever | Until::NextSuccess => (u64::MAX, t + 64),
-                            };
-                            word_cols[idx] = w.bits & mask;
-                            tile_h = tile_h.min(horizon);
-                            continue;
-                        }
-                        // …generic per-station fill from the hint protocol.
-                        claim = match station.next_transmission(t) {
-                            TxHint::Dense => {
-                                fill_err = true;
-                                break;
-                            }
-                            TxHint::At(p, until) => {
-                                let p = p.max(t);
-                                match until {
+                    let (next, until) = match memo_claim {
+                        Some(claim) => claim,
+                        None => {
+                            // Protocol-level batch fill first…
+                            if let Some(w) = station.fill_tx_word(t, (tile_h - t) as u32) {
+                                let (mask, horizon) = match w.until {
                                     Until::Slot(tb) if tb <= t => {
                                         fill_err = true;
                                         break;
                                     }
-                                    // Scope boundary before the claimed
-                                    // transmission: only the silence up to
-                                    // `tb` is usable.
-                                    Until::Slot(tb) if p >= tb => Some((None, until)),
-                                    _ => Some((Some(p), until)),
-                                }
+                                    Until::Slot(tb) => (low_mask(tb - t), tb),
+                                    Until::Forever | Until::NextSuccess => (u64::MAX, t + 64),
+                                };
+                                *col = w.bits & mask;
+                                tile_h = tile_h.min(horizon);
+                                continue;
                             }
-                            TxHint::Never(until) => match until {
-                                Until::Slot(tb) if tb <= t => {
+                            // …generic per-station fill from the hint protocol.
+                            match station.next_transmission(t) {
+                                TxHint::Dense => {
                                     fill_err = true;
                                     break;
                                 }
-                                _ => Some((None, until)),
-                            },
-                        };
-                    }
-                    let (next, until) = claim.unwrap();
-                    word_generic[idx] = true;
-                    word_memos[idx] = WordMemo::Hint { next, until };
+                                TxHint::At(p, until) => {
+                                    let p = p.max(t);
+                                    match until {
+                                        Until::Slot(tb) if tb <= t => {
+                                            fill_err = true;
+                                            break;
+                                        }
+                                        // Scope boundary before the claimed
+                                        // transmission: only the silence up
+                                        // to `tb` is usable.
+                                        Until::Slot(tb) if p >= tb => (None, until),
+                                        _ => (Some(p), until),
+                                    }
+                                }
+                                TxHint::Never(until) => match until {
+                                    Until::Slot(tb) if tb <= t => {
+                                        fill_err = true;
+                                        break;
+                                    }
+                                    _ => (None, until),
+                                },
+                            }
+                        }
+                    };
+                    *generic = true;
+                    *memo = WordMemo::Hint { next, until };
                     match next {
                         Some(p) => {
                             if p - t < 64 {
-                                word_cols[idx] = 1u64 << (p - t);
+                                *col = 1u64 << (p - t);
                             }
                             // Nothing is claimed past the transmission.
                             tile_h = tile_h.min(p + 1);
@@ -1809,9 +1935,8 @@ impl Simulator {
                 if fill_err {
                     // Same permanent lock as a TxHint::Dense answer on the
                     // sparse path: scalar dense polling from here on.
-                    locked = true;
+                    hints.lock_dense(t, &mut ledger.trace);
                     kernel_dead = true;
-                    heap.clear();
                 } else {
                     ran_tile = true;
                     let w = (tile_h - t) as usize;
@@ -1820,113 +1945,74 @@ impl Simulator {
                     // Transpose station-major columns into slot-major rows:
                     // after transposing each 64-station block, word `j` of a
                     // block holds that block's transmit bits for slot t + j.
-                    let nblocks = awake.len().div_ceil(64);
                     word_blocks.clear();
-                    word_blocks.resize(nblocks, [0u64; 64]);
-                    for (i, &col) in word_cols.iter().enumerate() {
-                        word_blocks[i / 64][i % 64] = col & wmask;
-                    }
-                    for blk in word_blocks.iter_mut() {
+                    word_blocks.resize(awake.len().div_ceil(64), [0u64; 64]);
+                    for (blk, cols) in word_blocks.iter_mut().zip(word_cols.chunks(64)) {
+                        for (row, &col) in blk.iter_mut().zip(cols) {
+                            *row = col & wmask;
+                        }
                         transpose64(blk);
                     }
 
                     let mut tile_end = t + w as u64;
                     let mut silent_from = t;
                     let mut silent_run = 0u64;
-                    let mut j = 0usize;
-                    'tile: while j < w {
+                    'tile: for j in 0..w {
                         let slot = t + j as u64;
-                        let mut busy = 0u32;
-                        for blk in word_blocks.iter() {
-                            busy += blk[j].count_ones();
-                        }
-                        if busy == 0 {
+                        let row = |blk: &[u64; 64]| blk.get(j).copied().unwrap_or(0);
+                        if word_blocks.iter().all(|blk| row(blk) == 0) {
                             if silent_run == 0 {
                                 silent_from = slot;
                             }
                             silent_run += 1;
-                            j += 1;
                             continue 'tile;
                         }
                         // A real channel event: flush the silent prefix,
                         // then materialize exactly this slot.
                         if silent_run > 0 {
-                            record_silence(&mut transcript, silent_from, silent_run);
-                            trace.silence(silent_from, silent_run);
-                            slots_simulated += silent_run;
-                            silent_slots += silent_run;
-                            word_slots += silent_run;
+                            ledger.silence(silent_from, silent_run, Via::Word);
                             silent_run = 0;
                         }
                         transmitters.clear();
                         word_tx_idx.clear();
                         for (b, blk) in word_blocks.iter().enumerate() {
-                            let mut bits = blk[j];
+                            let mut bits = row(blk);
                             while bits != 0 {
-                                let idx = b * 64 + bits.trailing_zeros() as usize;
+                                word_tx_idx.push(b * 64 + bits.trailing_zeros() as usize);
                                 bits &= bits - 1;
-                                word_tx_idx.push(idx);
                             }
                         }
                         for &idx in &word_tx_idx {
-                            let (id, station, tx_count) = &mut awake[idx];
-                            if word_generic[idx] {
+                            let Some((id, station, tx_count)) = awake.get_mut(idx) else {
+                                continue;
+                            };
+                            if word_generic.get(idx) == Some(&true) {
                                 // The generic fill promised a transmission
                                 // here: give the station its act() call
                                 // (the sparse path's lifecycle) and consume
                                 // the claim.
-                                polls += 1;
+                                ledger.out.polls += 1;
                                 let acted = station.act(slot).is_transmit();
                                 debug_assert!(acted, "hinted transmission at {slot} not acted on");
                                 let _ = acted;
-                                word_memos[idx] = WordMemo::Stale;
+                                if let Some(memo) = word_memos.get_mut(idx) {
+                                    *memo = WordMemo::Stale;
+                                }
                             }
                             transmitters.push(*id);
                             *tx_count += 1;
-                            transmissions += 1;
                         }
-                        transmitters.sort_unstable();
-                        let outcome = apply_channel(
-                            &self.cfg.channel,
-                            fault_seed,
-                            slot,
-                            SlotOutcome::resolve(transmitters.clone()),
-                            &mut faults,
-                            &mut trace,
-                        );
-                        if let Some(tr) = transcript.as_mut() {
-                            tr.push(SlotRecord {
-                                slot,
-                                transmitters: transmitters.clone(),
-                                outcome: outcome.clone(),
-                            });
-                        }
-                        slots_simulated += 1;
-                        word_slots += 1;
-                        match &outcome {
-                            SlotOutcome::Success(wid) => {
-                                let wid = *wid;
-                                trace.success(slot, wid);
-                                if first_success.is_none() {
-                                    first_success = Some(slot);
-                                    winner = Some(wid);
-                                }
-                                if !resolved.iter().any(|&(id, _)| id == wid) {
-                                    resolved.push((wid, slot));
-                                }
+                        let truth = SlotOutcome::resolve(transmitters.clone());
+                        match ledger.settle(slot, truth, transmitters.len() as u64, Via::Word) {
+                            Settled::Stop => break 'slots, // matches scalar: no feedback
+                            Settled::Success(fb) => {
                                 step_success = true;
-                                if self.cfg.stop == StopRule::FirstSuccess {
-                                    break 'slots; // matches scalar: no feedback
-                                }
                                 // AllResolved: the success is heard by the
                                 // whole floor (matching both scalar paths).
-                                let widx = word_tx_idx[0];
-                                for (i2, (_, station, _)) in awake.iter_mut().enumerate() {
-                                    let fb = self.cfg.feedback.perceive(&outcome, i2 == widx);
+                                for (_, station, _) in awake.iter_mut() {
                                     station.feedback(slot, fb);
                                 }
-                                if resolved.len() == total_stations && next_wake == wakes.len() {
-                                    all_resolved_at = Some(slot);
+                                if ledger.all_resolved(slot, next_wake < wakes.len()) {
                                     break 'slots;
                                 }
                                 // The success voids every NextSuccess-scoped
@@ -1944,48 +2030,21 @@ impl Simulator {
                                 tile_end = slot + 1;
                                 break 'tile;
                             }
-                            SlotOutcome::Collision(_) => {
-                                collisions += 1;
-                                trace.collision(slot, transmitters.len() as u64);
+                            Settled::NoSuccess(fb) => {
                                 // Non-success feedback goes only to the
                                 // transmitters (the sparse-path contract;
-                                // everyone else ignores it by scope).
+                                // everyone else ignores it by scope). A
+                                // silence here is an erased success.
                                 for &idx in &word_tx_idx {
-                                    let fb = self.cfg.feedback.perceive(&outcome, true);
-                                    awake[idx].1.feedback(slot, fb);
-                                }
-                            }
-                            SlotOutcome::Silence => {
-                                // busy > 0, yet silence: an erased success.
-                                // The slot is heard silent; the transmitter
-                                // gets silence feedback and the run goes on.
-                                silent_slots += 1;
-                                trace.silence(slot, 1);
-                                let mishear = mishear_armed
-                                    && self.cfg.channel.mishears_silence(fault_seed, slot);
-                                if mishear {
-                                    faults.false_collisions += 1;
-                                }
-                                for &idx in &word_tx_idx {
-                                    let fb = if mishear {
-                                        Feedback::Noise
-                                    } else {
-                                        self.cfg.feedback.perceive(&outcome, true)
-                                    };
-                                    if let Some(entry) = awake.get_mut(idx) {
-                                        entry.1.feedback(slot, fb);
+                                    if let Some((_, station, _)) = awake.get_mut(idx) {
+                                        station.feedback(slot, fb);
                                     }
                                 }
                             }
                         }
-                        j += 1;
                     }
                     if silent_run > 0 {
-                        record_silence(&mut transcript, silent_from, silent_run);
-                        trace.silence(silent_from, silent_run);
-                        slots_simulated += silent_run;
-                        silent_slots += silent_run;
-                        word_slots += silent_run;
+                        ledger.silence(silent_from, silent_run, Via::Word);
                     }
                     stepped = tile_end - t;
                     t = tile_end;
@@ -1993,395 +2052,167 @@ impl Simulator {
                 }
             }
             if !ran_tile {
-                // Scalar dense slot: poll every awake station.
+                // Scalar dense slot: poll every awake station, then deliver
+                // feedback to every awake station.
                 transmitters.clear();
-                transmitted_flags.clear();
+                ledger.out.polls += awake.len() as u64;
                 for (id, station, tx_count) in awake.iter_mut() {
-                    polls += 1;
-                    let transmit = station.act(t).is_transmit();
-                    transmitted_flags.push(transmit);
-                    if transmit {
+                    if station.act(t).is_transmit() {
                         transmitters.push(*id);
                         *tx_count += 1;
-                        transmissions += 1;
                     }
                 }
-                transmitters.sort_unstable();
-                let outcome = apply_channel(
-                    &self.cfg.channel,
-                    fault_seed,
-                    t,
-                    SlotOutcome::resolve(transmitters.clone()),
-                    &mut faults,
-                    &mut trace,
-                );
-                let mishear = mishear_armed
-                    && outcome == SlotOutcome::Silence
-                    && self.cfg.channel.mishears_silence(fault_seed, t);
-                if mishear {
-                    faults.false_collisions += 1;
-                }
-
-                if let Some(tr) = transcript.as_mut() {
-                    tr.push(SlotRecord {
-                        slot: t,
-                        transmitters: transmitters.clone(),
-                        outcome: outcome.clone(),
-                    });
-                }
-
-                slots_simulated += 1;
-                dense_steps += 1;
-                match &outcome {
-                    SlotOutcome::Success(w) => {
+                let truth = SlotOutcome::resolve(transmitters.clone());
+                let fb = match ledger.settle(t, truth, transmitters.len() as u64, Via::Dense) {
+                    Settled::Stop => break 'slots,
+                    Settled::Success(fb) => {
                         step_success = true;
-                        trace.success(t, *w);
-                        if first_success.is_none() {
-                            first_success = Some(t);
-                            winner = Some(*w);
-                        }
-                        if !resolved.iter().any(|&(id, _)| id == *w) {
-                            resolved.push((*w, t));
-                        }
-                        match self.cfg.stop {
-                            StopRule::FirstSuccess => break 'slots,
-                            StopRule::AllResolved => {
-                                if resolved.len() == total_stations && next_wake == wakes.len() {
-                                    all_resolved_at = Some(t);
-                                    // Deliver the final feedback so the winner
-                                    // learns of its own success, then stop.
-                                    for ((_, station, _), &transmitted) in
-                                        awake.iter_mut().zip(transmitted_flags.iter())
-                                    {
-                                        let fb = self.cfg.feedback.perceive(&outcome, transmitted);
-                                        station.feedback(t, fb);
-                                    }
-                                    break 'slots;
-                                }
-                            }
-                        }
+                        fb
                     }
-                    SlotOutcome::Collision(_) => {
-                        collisions += 1;
-                        trace.collision(t, transmitters.len() as u64);
-                    }
-                    SlotOutcome::Silence => {
-                        silent_slots += 1;
-                        trace.silence(t, 1);
-                    }
-                }
-
-                // Deliver feedback to every awake station.
-                for ((_, station, _), &transmitted) in
-                    awake.iter_mut().zip(transmitted_flags.iter())
-                {
-                    let fb = if mishear {
-                        Feedback::Noise
-                    } else {
-                        self.cfg.feedback.perceive(&outcome, transmitted)
-                    };
+                    Settled::NoSuccess(fb) => fb,
+                };
+                for (_, station, _) in awake.iter_mut() {
                     station.feedback(t, fb);
                 }
-
+                // The final feedback lets the last winner learn of its own
+                // success before the run stops.
+                if step_success && ledger.all_resolved(t, next_wake < wakes.len()) {
+                    break 'slots;
+                }
                 t += 1;
             }
 
-            // Adaptive burst window bookkeeping (never when dense is locked
-            // by EngineMode::Dense / EngineMode::Bitslab or a TxHint::Dense
-            // answer): at window expiry — and early at success events, which
-            // reshape the hint landscape (retirement) — re-probe whether
-            // sparsity pays again.
-            if !locked {
+            // Adaptive burst window bookkeeping (only in a burst window —
+            // never when dense is locked by EngineMode::Dense /
+            // EngineMode::Bitslab or a TxHint::Dense answer): at window
+            // expiry — and early at success events, which reshape the hint
+            // landscape (retirement) — re-probe whether sparsity pays again.
+            if hints.path == Path::Burst {
                 policy.burst_remaining = policy.burst_remaining.saturating_sub(stepped);
                 if policy.burst_remaining == 0 || step_success {
                     // Re-query every awake station for a fresh hint from t.
-                    clear_sparse_state(&mut heap, &mut hint_states, &mut success_scoped);
-                    trace.engine_event(TraceEvent::HintRequery {
-                        slot: t,
-                        queries: awake.len() as u64,
-                    });
-                    let mut hints_ok = true;
-                    for (idx, (_, station, _)) in awake.iter_mut().enumerate() {
-                        if arm(
-                            station.as_mut(),
-                            idx,
-                            t,
-                            &mut heap,
-                            &mut hint_states,
-                            &mut success_scoped,
-                        )
+                    hints.reset();
+                    hints.requery.clear();
+                    hints.requery.extend(0..awake.len());
+                    if hints
+                        .rearm(t, &mut ledger.trace, |idx| {
+                            station_hint(awake.get_mut(idx), t)
+                        })
                         .is_err()
-                        {
-                            hints_ok = false;
-                            break;
-                        }
+                    {
+                        hints.lock_dense(t, &mut ledger.trace);
+                        continue 'slots;
                     }
-                    if !hints_ok {
-                        locked = true;
-                        heap.clear();
+                    let next_arrival = wakes.get(next_wake).map(|&(_, sigma)| sigma);
+                    let event = hints.horizon(next_arrival, None);
+                    // Resume sparse only when there is an actual gap to
+                    // skip (or provable silence to the cap).
+                    if event.is_none_or(|e| e >= t + RESUME_GAP) {
+                        hints.path = Path::Sparse;
+                        ledger.out.mode_switches += 1;
+                        policy.resume_sparse(ledger.out.slots_simulated);
+                        ledger
+                            .trace
+                            .engine_event(TraceEvent::BurstClose { slot: t });
+                        ledger.trace.engine_event(TraceEvent::ModeSwitch {
+                            slot: t,
+                            dense: false,
+                        });
                     } else {
-                        while let Some(&Reverse((_, idx, epoch))) = heap.peek() {
-                            if hint_states[idx].epoch == epoch {
-                                break;
-                            }
-                            heap.pop();
-                        }
-                        let next_due = heap.peek().map(|&Reverse((slot, _, _))| slot);
-                        let next_arrival = wakes.get(next_wake).map(|&(_, sigma)| sigma);
-                        let event = match (next_due, next_arrival) {
-                            (Some(a), Some(b)) => Some(a.min(b)),
-                            (a, b) => a.or(b),
-                        };
-                        // Resume sparse only when there is an actual gap to
-                        // skip (or provable silence to the cap).
-                        if event.is_none_or(|e| e >= t + policy.p.resume_gap) {
-                            sparse = true;
-                            mode_switches += 1;
-                            policy.resume_sparse(slots_simulated);
-                            trace.engine_event(TraceEvent::BurstClose { slot: t });
-                            trace.engine_event(TraceEvent::ModeSwitch {
-                                slot: t,
-                                dense: false,
-                            });
-                        } else {
-                            policy.backoff(awake.len());
-                            heap.clear();
-                            trace.engine_event(TraceEvent::BurstOpen {
-                                slot: t,
-                                window: policy.burst_len,
-                            });
-                        }
+                        policy.backoff(awake.len());
+                        hints.heap.clear();
+                        ledger.trace.engine_event(TraceEvent::BurstOpen {
+                            slot: t,
+                            window: policy.burst_len,
+                        });
                     }
                 }
             }
         }
 
-        trace.run_end(slots_simulated, first_success);
-        Ok(Outcome {
-            s,
-            first_success,
-            winner,
-            slots_simulated,
-            transmissions,
-            per_station_tx: if self.cfg.per_station_detail {
-                if rewakes.is_empty() {
-                    awake.iter().map(|(id, _, tx)| (*id, *tx)).collect()
-                } else {
-                    // Re-wakes duplicate IDs in `awake`: merge each ID's
-                    // counts into its first occurrence (wake order).
-                    let mut merged: Vec<(StationId, u64)> = Vec::with_capacity(awake.len());
-                    for (id, _, tx) in awake.iter() {
-                        match merged.iter_mut().find(|(mid, _)| mid == id) {
-                            Some((_, count)) => *count += *tx,
-                            None => merged.push((*id, *tx)),
-                        }
-                    }
-                    merged
+        let per_station_tx = if !self.cfg.per_station_detail {
+            Vec::new()
+        } else if churn.rewakes.is_empty() {
+            awake.iter().map(|(id, _, tx)| (*id, *tx)).collect()
+        } else {
+            // Re-wakes duplicate IDs in `awake`: merge each ID's counts
+            // into its first occurrence (wake order).
+            let mut merged: Vec<(StationId, u64)> = Vec::with_capacity(awake.len());
+            for (id, _, tx) in awake.iter() {
+                match merged.iter_mut().find(|(mid, _)| mid == id) {
+                    Some((_, count)) => *count += *tx,
+                    None => merged.push((*id, *tx)),
                 }
-            } else {
-                Vec::new()
-            },
-            collisions,
-            silent_slots,
-            polls,
-            skipped_slots,
-            dense_steps,
-            word_slots,
-            mode_switches,
-            peak_units,
-            transcript,
-            resolved,
-            all_resolved_at,
-            faults,
-        })
+            }
+            merged
+        };
+        Ok(ledger.finish(per_station_tx))
     }
 
-    /// Run `protocol` against `pattern` under an explicit [`Population`]
-    /// strategy — the **class engine**. Stations waking at the same slot
-    /// are admitted as weighted units ([`ClassStation`]s); the run loop
-    /// mirrors the concrete engine's sparse event discipline (epoch-stamped
-    /// min-heap of per-unit due slots, fixpoint re-query at events, success
-    /// broadcast under [`StopRule::AllResolved`]) with one entry per *unit*
-    /// rather than per station, and falls back to per-slot dense polling
-    /// permanently when any unit answers [`TxHint::Dense`]. No adaptive
-    /// burst policy runs here — outcomes are path-independent, so only the
-    /// work counters differ from the concrete engine.
+    /// The **class engine**: stations waking at the same slot are admitted
+    /// as weighted units ([`ClassStation`]s); the run loop mirrors the
+    /// concrete engine's sparse event discipline (the same hint scheduler,
+    /// fixpoint re-query at events, success broadcast under
+    /// [`StopRule::AllResolved`]) with one entry per *unit* rather than per
+    /// station, and falls back to per-slot dense polling permanently when
+    /// any unit answers [`TxHint::Dense`]. No adaptive burst policy runs
+    /// here — outcomes are path-independent, so only the work counters
+    /// differ from the concrete engine.
     ///
-    /// Outcomes and transcripts are bit-identical to
-    /// [`run`](Simulator::run) under [`PopulationMode::Concrete`] for the
-    /// same config; memory is O(live units), reported via
-    /// [`Outcome::peak_units`].
-    ///
-    /// **Split-budget guard.** A class run whose population fragments into
-    /// Ω(members) singletons pays per-unit split bookkeeping *on top of*
-    /// per-station work; past [`SimConfig::split_budget`] live units the
-    /// attempt is abandoned wholesale and the pattern re-runs on the
-    /// concrete engine. Outcomes are identical either way; trace output is
-    /// transactional (the abandoned attempt leaves no events), and only the
-    /// work counters show the flip ([`Outcome::peak_units`] ≤ the budget,
-    /// no class splits).
-    ///
-    /// [`ClassStation`]: crate::population::ClassStation
-    pub fn run_with_population<T: Tracer + ?Sized>(
-        &self,
-        protocol: &dyn Protocol,
-        pattern: &WakePattern,
-        run_seed: u64,
-        population: &mut dyn Population,
-        tracer: &mut T,
-    ) -> Result<Outcome, SimError> {
-        let budget = self
-            .cfg
-            .split_budget
-            .unwrap_or_else(|| (pattern.k() as u64 / 2).max(4096));
-        let mut buffer = BufferTracer::new(tracer);
-        match self.run_classes(protocol, pattern, run_seed, population, &mut buffer, budget)? {
-            ClassRun::Done(out) => {
-                buffer.flush();
-                Ok(*out)
-            }
-            ClassRun::BudgetExceeded => {
-                buffer.discard();
-                self.run_concrete(protocol, pattern, run_seed, tracer)
-            }
-        }
-    }
-
-    /// The class engine proper: one attempt under a live-unit `budget`.
-    /// Returns [`ClassRun::BudgetExceeded`] the moment the unit count
-    /// crosses the budget — at batch admission or at any split site — so
-    /// the wrapper can fall back to the concrete engine.
+    /// Outcomes and transcripts are bit-identical to the concrete engine
+    /// for the same config; memory is O(live units), reported via
+    /// [`Outcome::peak_units`]. One attempt runs under a live-unit
+    /// `budget`: it returns [`ClassRun::BudgetExceeded`] the moment the
+    /// unit count crosses the budget — at batch admission or at any split
+    /// site — so the caller can fall back to the concrete engine.
     fn run_classes<T: Tracer + ?Sized>(
         &self,
         protocol: &dyn Protocol,
         pattern: &WakePattern,
         run_seed: u64,
-        population: &mut dyn Population,
         tracer: &mut T,
         budget: u64,
     ) -> Result<ClassRun, SimError> {
-        use crate::population::ClassStation;
-
         self.validate(pattern)?;
-        let mut trace = TraceCtx::new(tracer);
-        let (mut wm_heap, mut wm_units) = (0u64, 0u64);
-
-        let s = pattern.s();
         let batches = pattern.batches_by_slot();
-        let total_stations = pattern.k();
+        let mut ledger = Ledger::new(&self.cfg, pattern.s(), pattern.k(), run_seed, tracer);
+        let mut churn = ChurnEvents::new(
+            &self.cfg.churn,
+            run_seed,
+            batches
+                .iter()
+                .flat_map(|(sigma, members)| members.iter().map(move |id| (id, *sigma))),
+        );
         let mut next_batch = 0usize; // index into `batches`
         let mut units: Vec<Box<dyn ClassStation>> = Vec::new();
-        let mut transcript = self.cfg.record_transcript.then(Transcript::new);
         let detail = self.cfg.per_station_detail;
+        let mut tx_detail = TxDetail::default();
         // Transcripts and per-station detail need individual transmitter
         // IDs — as does capture, whose winner is drawn from the contender
         // list; mega runs use weighted counts only.
         let mut tally =
             TxTally::new(detail || self.cfg.record_transcript || self.cfg.channel.capture_ppm > 0);
-
-        let mut transmissions = 0u64;
-        let mut collisions = 0u64;
-        let mut silent_slots = 0u64;
-        let mut first_success = None;
-        let mut winner = None;
-        let mut slots_simulated = 0u64;
-        let mut polls = 0u64;
-        let mut skipped_slots = 0u64;
-        let mut dense_steps = 0u64;
-        let mut peak_units = 0u64;
-        let mut resolved: Vec<(StationId, Slot)> = Vec::new();
-        let mut all_resolved_at = None;
-
-        // Channel-fault and churn plumbing — same derivations as the
-        // concrete engine, so both perturb identical slots and process
-        // identical crash/re-wake events.
-        let fault_seed = derive_seed(run_seed, FAULT_STREAM);
-        let mishear_armed = self.cfg.channel.false_collision_ppm > 0
-            && self.cfg.feedback == FeedbackModel::CollisionDetection;
-        let mut faults = FaultCounts::default();
-        let mut crashes: Vec<(Slot, StationId)> = Vec::new();
-        let mut rewakes: Vec<(Slot, StationId)> = Vec::new();
-        if !self.cfg.churn.is_empty() {
-            for (sigma, members) in batches.iter() {
-                for id in members.iter() {
-                    if let Some((crash, rewake)) = self.cfg.churn.fate(run_seed, id, *sigma) {
-                        crashes.push((crash, id));
-                        if let Some(r) = rewake {
-                            rewakes.push((r, id));
-                        }
-                    }
-                }
-            }
-            crashes.sort_unstable();
-            rewakes.sort_unstable();
-        }
-        let rewake_seed = derive_seed(run_seed, REWAKE_STREAM);
-        let mut next_crash = 0usize;
-        let mut next_rewake = 0usize;
-
-        // Per-station transmission counts in wake order (detail mode only —
-        // the table is O(k) by nature).
-        let mut tx_counts: Vec<(StationId, u64)> = Vec::new();
-        // lint: allow(default-hash-state) — lookup-only index into the wake-ordered tx_counts vec; never iterated
-        let mut tx_index: HashMap<StationId, usize> = HashMap::new();
-
         // Sparse until any unit answers TxHint::Dense or a malformed scope,
         // which locks dense polling permanently (no adaptive policy here).
-        let mut sparse = self.cfg.engine == EngineMode::Auto;
-        // Min-heap of (due slot, index into `units`, hint epoch) — exactly
-        // the concrete engine's discipline, one entry per unit.
-        let mut heap: BinaryHeap<Reverse<(Slot, usize, u64)>> = BinaryHeap::new();
-        let mut hint_states: Vec<HintState> = Vec::new();
-        let mut success_scoped: Vec<usize> = Vec::new();
-        let mut polled: Vec<usize> = Vec::new();
-        let mut requery: Vec<usize> = Vec::new();
+        let mut hints = Hints::new(self.cfg.engine, 0);
 
-        // Append `count` silent-slot records starting at `from`.
-        fn record_silence(transcript: &mut Option<Transcript>, from: Slot, count: u64) {
-            if let Some(tr) = transcript.as_mut() {
-                for slot in from..from + count {
-                    tr.push(SlotRecord {
-                        slot,
-                        transmitters: Vec::new(),
-                        outcome: SlotOutcome::Silence,
-                    });
-                }
-            }
-        }
-
-        let mut t = s;
-        'slots: while slots_simulated < self.cfg.max_slots {
-            // Admit batches due at or before t (batches are slot-sorted).
-            while next_batch < batches.len() && batches[next_batch].0 <= t {
-                let (sigma, members) = &batches[next_batch];
-                trace.wake(t, members.count());
+        let mut t = pattern.s();
+        'slots: while ledger.running() {
+            // Admit batches due at or before t (batches are slot-sorted),
+            // then re-wake crashed stations as fresh single-member units
+            // under the re-wake seed stream (matching the concrete
+            // engine's re-wake instances; transmission counts accumulate
+            // into the station's original detail row).
+            while let Some((sigma, members)) = batches.get(next_batch).filter(|(s, _)| *s <= t) {
+                ledger.trace.wake(t, members.count());
                 if detail {
-                    for id in members.iter() {
-                        tx_index.insert(id, tx_counts.len());
-                        tx_counts.push((id, 0));
-                    }
+                    members.iter().for_each(|id| tx_detail.add(id));
                 }
-                for mut unit in population.admit(protocol, members, run_seed) {
+                for mut unit in population::admit(protocol, members, run_seed) {
                     unit.wake(*sigma);
-                    let idx = units.len();
-                    hint_states.push(HintState::new());
-                    if sparse
-                        && install_hint(
-                            unit.next_transmission(t),
-                            idx,
-                            t,
-                            &mut heap,
-                            &mut hint_states,
-                            &mut success_scoped,
-                        )
-                        .is_err()
-                    {
-                        sparse = false;
-                        heap.clear();
-                        trace.engine_event(TraceEvent::ModeSwitch {
-                            slot: t,
-                            dense: true,
-                        });
+                    let idx = hints.add_unit();
+                    if hints.sparse() && hints.install(idx, t, unit.next_transmission(t)).is_err() {
+                        hints.lock_dense(t, &mut ledger.trace);
                     }
                     units.push(unit);
                 }
@@ -2393,11 +2224,7 @@ impl Simulator {
             // attempt wholesale — the concrete engine handles churn
             // natively. An emptied unit is replaced by an inert
             // [`DeadClass`] so indices stay stable.
-            while let Some(&(cslot, cid)) = crashes.get(next_crash) {
-                if cslot > t {
-                    break;
-                }
-                next_crash += 1;
+            while let Some((cslot, cid)) = churn.crash_due(t) {
                 let mut hit = None;
                 for (idx, unit) in units.iter_mut().enumerate() {
                     match unit.remove_member(cid) {
@@ -2409,35 +2236,18 @@ impl Simulator {
                         MemberRemoval::Unsupported => return Ok(ClassRun::BudgetExceeded),
                     }
                 }
-                if let Some((idx, emptied)) = hit {
-                    if let Some(unit) = units.get_mut(idx) {
-                        if emptied {
-                            *unit = Box::new(DeadClass);
-                        }
-                        if sparse {
-                            // The unit's schedule changed: supersede its
-                            // hint and re-arm it from t.
-                            if install_hint(
-                                unit.next_transmission(t),
-                                idx,
-                                t,
-                                &mut heap,
-                                &mut hint_states,
-                                &mut success_scoped,
-                            )
-                            .is_err()
-                            {
-                                sparse = false;
-                                heap.clear();
-                                trace.engine_event(TraceEvent::ModeSwitch {
-                                    slot: t,
-                                    dense: true,
-                                });
-                            }
-                        } else if let Some(hs) = hint_states.get_mut(idx) {
-                            hs.epoch += 1;
-                            hs.success_scoped = false;
-                        }
+                if let Some((idx, unit, emptied)) =
+                    hit.and_then(|(idx, emptied)| Some((idx, units.get_mut(idx)?, emptied)))
+                {
+                    if emptied {
+                        *unit = Box::new(DeadClass);
+                    }
+                    // The unit's schedule changed: supersede its hint and
+                    // (on the sparse path) re-arm it from t.
+                    if !hints.sparse() {
+                        hints.supersede(idx);
+                    } else if hints.install(idx, t, unit.next_transmission(t)).is_err() {
+                        hints.lock_dense(t, &mut ledger.trace);
                     }
                 }
                 // Count and trace the crash even when no unit held the
@@ -2445,83 +2255,31 @@ impl Simulator {
                 // concrete engine keeps retired stations in `awake`, so it
                 // counts the crash — fault accounting is engine-path-
                 // independent.
-                faults.churn_crashes += 1;
-                trace.churn_crash(cslot, cid);
+                ledger.crashed(cslot, cid);
             }
-            // Re-wake crashed stations as fresh single-member units under
-            // the re-wake seed stream (matching the concrete engine's
-            // re-wake instances). Transmission counts accumulate into the
-            // station's original detail row.
-            while let Some(&(rslot, rid)) = rewakes.get(next_rewake) {
-                if rslot > t {
-                    break;
-                }
-                next_rewake += 1;
-                if detail && !tx_index.contains_key(&rid) {
-                    tx_index.insert(rid, tx_counts.len());
-                    tx_counts.push((rid, 0));
+            while let Some((rslot, rid)) = churn.rewake_due(t) {
+                if detail {
+                    tx_detail.add(rid);
                 }
                 let members = Members::from_sorted_ids(&[rid]);
-                for mut unit in population.admit(protocol, &members, rewake_seed) {
+                for mut unit in population::admit(protocol, &members, churn.rewake_seed) {
                     unit.wake(rslot);
-                    let idx = units.len();
-                    hint_states.push(HintState::new());
-                    if sparse
-                        && install_hint(
-                            unit.next_transmission(t),
-                            idx,
-                            t,
-                            &mut heap,
-                            &mut hint_states,
-                            &mut success_scoped,
-                        )
-                        .is_err()
-                    {
-                        sparse = false;
-                        heap.clear();
-                        trace.engine_event(TraceEvent::ModeSwitch {
-                            slot: t,
-                            dense: true,
-                        });
+                    let idx = hints.add_unit();
+                    if hints.sparse() && hints.install(idx, t, unit.next_transmission(t)).is_err() {
+                        hints.lock_dense(t, &mut ledger.trace);
                     }
                     units.push(unit);
                 }
-                faults.churn_rewakes += 1;
-                trace.churn_rewake(rslot, rid);
+                ledger.rewoke(rslot, rid);
             }
             if units.len() as u64 > budget {
                 return Ok(ClassRun::BudgetExceeded);
             }
-            peak_units = peak_units.max(units.len() as u64);
-            if trace.wants(TraceKind::Watermark) {
-                let (h, u) = (heap.len() as u64, units.len() as u64);
-                if h > wm_heap || u > wm_units {
-                    wm_heap = wm_heap.max(h);
-                    wm_units = wm_units.max(u);
-                    trace.engine_event(TraceEvent::Watermark {
-                        slot: t,
-                        heap: wm_heap,
-                        units: wm_units,
-                    });
-                }
-            }
+            ledger.watermark(t, hints.heap.len(), units.len());
 
-            // Fast-forward: if nobody is awake, jump to the next batch —
-            // but never past the slot cap.
             if units.is_empty() {
-                match batches.get(next_batch) {
-                    Some(&(sigma, _)) => {
-                        let gap = sigma - t;
-                        let remaining = self.cfg.max_slots - slots_simulated;
-                        if gap >= remaining {
-                            trace.silence(t, remaining);
-                            slots_simulated += remaining;
-                            skipped_slots += remaining;
-                            break 'slots;
-                        }
-                        trace.silence(t, gap);
-                        slots_simulated += gap;
-                        skipped_slots += gap;
+                match ledger.dead_air(t, batches.get(next_batch).map(|&(sigma, _)| sigma)) {
+                    Some(sigma) => {
                         t = sigma;
                         continue 'slots;
                     }
@@ -2529,110 +2287,30 @@ impl Simulator {
                 }
             }
 
-            if sparse {
-                // Drop heap entries superseded by a newer hint epoch.
-                while let Some(&Reverse((_, idx, epoch))) = heap.peek() {
-                    if hint_states[idx].epoch == epoch {
-                        break;
-                    }
-                    heap.pop();
-                }
-                let next_due = heap.peek().map(|&Reverse((slot, _, _))| slot);
+            if hints.sparse() {
                 let next_arrival = batches.get(next_batch).map(|&(sigma, _)| sigma);
-                let next_churn = crashes
-                    .get(next_crash)
-                    .map(|&(slot, _)| slot)
-                    .into_iter()
-                    .chain(rewakes.get(next_rewake).map(|&(slot, _)| slot))
-                    .min();
-                let event = match next_due
-                    .into_iter()
-                    .chain(next_arrival)
-                    .chain(next_churn)
-                    .min()
+                let event = hints.horizon(next_arrival, churn.next_slot());
+                debug_assert!(
+                    event.is_none_or(|e| e >= t),
+                    "event {event:?} behind clock {t}"
+                );
+                if event != Some(t) {
+                    match ledger.skip_to(t, event) {
+                        Some(next) => {
+                            t = next;
+                            continue 'slots; // re-checks the cap / batch arrivals
+                        }
+                        None => break 'slots,
+                    }
+                }
+                if hints
+                    .serve(t, &mut ledger.trace, |idx| unit_hint(units.get_mut(idx), t))
+                    .is_err()
                 {
-                    Some(e) => e,
-                    None => {
-                        // No due entries, nobody else wakes, no churn
-                        // pending: the rest of the run is provably silent.
-                        let remaining = self.cfg.max_slots - slots_simulated;
-                        record_silence(&mut transcript, t, remaining);
-                        trace.silence(t, remaining);
-                        slots_simulated += remaining;
-                        silent_slots += remaining;
-                        skipped_slots += remaining;
-                        break 'slots;
-                    }
-                };
-                debug_assert!(event >= t, "event {event} behind clock {t}");
-                if event > t {
-                    // Skip the provably silent gap [t, event).
-                    let gap = event - t;
-                    let remaining = self.cfg.max_slots - slots_simulated;
-                    let take = gap.min(remaining);
-                    record_silence(&mut transcript, t, take);
-                    trace.silence(t, take);
-                    slots_simulated += take;
-                    silent_slots += take;
-                    skipped_slots += take;
-                    t += take;
-                    continue 'slots; // re-checks the cap / batch arrivals
-                }
-
-                // Event at t: serve the due entries to a fixpoint (a
-                // re-query may install a hint due at t again).
-                tally.clear();
-                polled.clear();
-                loop {
-                    requery.clear();
-                    while let Some(&Reverse((slot, idx, epoch))) = heap.peek() {
-                        if slot != t {
-                            break;
-                        }
-                        heap.pop();
-                        if hint_states[idx].epoch != epoch {
-                            continue; // stale entry
-                        }
-                        match hint_states[idx].due {
-                            Due::Poll => polled.push(idx),
-                            Due::Requery => requery.push(idx),
-                        }
-                    }
-                    if requery.is_empty() {
-                        break;
-                    }
-                    trace.engine_event(TraceEvent::HintRequery {
-                        slot: t,
-                        queries: requery.len() as u64,
-                    });
-                    for &idx in &requery {
-                        if install_hint(
-                            units[idx].next_transmission(t),
-                            idx,
-                            t,
-                            &mut heap,
-                            &mut hint_states,
-                            &mut success_scoped,
-                        )
-                        .is_err()
-                        {
-                            sparse = false;
-                            heap.clear();
-                            trace.engine_event(TraceEvent::ModeSwitch {
-                                slot: t,
-                                dense: true,
-                            });
-                            break;
-                        }
-                    }
-                    if !sparse {
-                        break;
-                    }
-                }
-                if !sparse {
+                    hints.lock_dense(t, &mut ledger.trace);
                     continue 'slots; // dense path simulates slot t itself
                 }
-                if polled.is_empty() {
+                if hints.polled.is_empty() {
                     // Pure re-query event: the slot joins the next silent
                     // gap instead of being simulated individually.
                     continue 'slots;
@@ -2640,192 +2318,67 @@ impl Simulator {
 
                 // Transmission event at t: poll exactly the scheduled units
                 // (everyone else is silent by promise).
-                for &idx in &polled {
-                    polls += 1;
-                    units[idx].act(t, &mut tally);
+                tally.clear();
+                for &idx in &hints.polled {
+                    if let Some(unit) = units.get_mut(idx) {
+                        ledger.out.polls += 1;
+                        unit.act(t, &mut tally);
+                    }
                 }
-                let contenders = tally.total();
-                transmissions += contenders;
-                let outcome = apply_channel(
-                    &self.cfg.channel,
-                    fault_seed,
-                    t,
-                    slot_outcome(&mut tally),
-                    &mut faults,
-                    &mut trace,
-                );
-                let mishear = mishear_armed
-                    && outcome == SlotOutcome::Silence
-                    && self.cfg.channel.mishears_silence(fault_seed, t);
-                if mishear {
-                    faults.false_collisions += 1;
-                }
-
-                if let Some(tr) = transcript.as_mut() {
-                    tr.push(SlotRecord {
-                        slot: t,
-                        transmitters: tally.sorted_ids().to_vec(),
-                        outcome: outcome.clone(),
-                    });
-                }
+                let truth = slot_outcome(&mut tally);
                 if detail {
-                    for &id in tally.sorted_ids() {
-                        tx_counts[tx_index[&id]].1 += 1;
-                    }
+                    tx_detail.count(tally.sorted_ids());
                 }
-
-                slots_simulated += 1;
-                if let Some(w) = outcome.success_id() {
-                    trace.success(t, w);
-                    if first_success.is_none() {
-                        first_success = Some(t);
-                        winner = Some(w);
-                    }
-                    if !resolved.iter().any(|&(id, _)| id == w) {
-                        resolved.push((w, t));
-                    }
-                    if self.cfg.stop == StopRule::FirstSuccess {
-                        break 'slots; // matches concrete: no feedback
-                    }
-
-                    // AllResolved: a success is heard by every unit, and
-                    // classes may split on it (the winner retires out).
-                    // Feedback is uniform across stations, so one perceive
-                    // covers the whole floor.
-                    let fb = self.cfg.feedback.perceive(&outcome, false);
-                    let mut born: Vec<Box<dyn ClassStation>> = Vec::new();
-                    for unit in units.iter_mut() {
-                        born.append(&mut unit.feedback(t, fb));
-                    }
-                    let first_new = units.len();
-                    for nu in born {
-                        hint_states.push(HintState::new());
-                        units.push(nu);
-                    }
-                    if units.len() > first_new {
-                        trace.engine_event(TraceEvent::ClassSplit {
-                            slot: t,
-                            born: (units.len() - first_new) as u64,
-                        });
-                    }
-                    if units.len() as u64 > budget {
-                        return Ok(ClassRun::BudgetExceeded);
-                    }
-                    peak_units = peak_units.max(units.len() as u64);
-                    if resolved.len() == total_stations && next_batch == batches.len() {
-                        all_resolved_at = Some(t);
-                        break 'slots;
-                    }
-
-                    // The success invalidates every NextSuccess-scoped
-                    // hint; re-query those, the polled units (entries
-                    // consumed), and newborn splits, from t + 1.
-                    requery.clear();
-                    for idx in success_scoped.drain(..) {
-                        if hint_states[idx].success_scoped {
-                            hint_states[idx].success_scoped = false;
-                            requery.push(idx);
-                        }
-                    }
-                    requery.extend(polled.iter().copied());
-                    requery.extend(first_new..units.len());
-                    requery.sort_unstable();
-                    requery.dedup();
-                    trace.engine_event(TraceEvent::HintRequery {
-                        slot: t + 1,
-                        queries: requery.len() as u64,
-                    });
-                    for &idx in &requery {
-                        if install_hint(
-                            units[idx].next_transmission(t + 1),
-                            idx,
-                            t + 1,
-                            &mut heap,
-                            &mut hint_states,
-                            &mut success_scoped,
-                        )
-                        .is_err()
-                        {
-                            sparse = false;
-                            heap.clear();
-                            trace.engine_event(TraceEvent::ModeSwitch {
-                                slot: t + 1,
-                                dense: true,
-                            });
-                            break;
-                        }
-                    }
-                    t += 1;
-                    continue 'slots;
-                }
-
-                match &outcome {
-                    SlotOutcome::Collision(_) => {
-                        collisions += 1;
-                        trace.collision(t, contenders);
-                    }
-                    SlotOutcome::Silence => {
-                        silent_slots += 1;
-                        trace.silence(t, 1);
-                    }
-                    SlotOutcome::Success(_) => unreachable!("handled above"),
-                }
-
-                // Non-success feedback goes only to the polled units (the
-                // concrete sparse contract); splits are possible here too.
-                let fb = if mishear {
-                    Feedback::Noise
-                } else {
-                    self.cfg.feedback.perceive(&outcome, false)
-                };
                 let mut born: Vec<Box<dyn ClassStation>> = Vec::new();
-                for &idx in &polled {
-                    born.append(&mut units[idx].feedback(t, fb));
-                }
-                let first_new = units.len();
-                for nu in born {
-                    hint_states.push(HintState::new());
-                    units.push(nu);
-                }
-                if units.len() > first_new {
-                    trace.engine_event(TraceEvent::ClassSplit {
-                        slot: t,
-                        born: (units.len() - first_new) as u64,
-                    });
-                }
-                if units.len() as u64 > budget {
-                    return Ok(ClassRun::BudgetExceeded);
-                }
-                peak_units = peak_units.max(units.len() as u64);
-
-                // Re-arm the polled units (entries consumed) and newborn
-                // splits from t + 1; nothing else was invalidated.
-                requery.clear();
-                requery.extend(polled.iter().copied());
-                requery.extend(first_new..units.len());
-                trace.engine_event(TraceEvent::HintRequery {
-                    slot: t + 1,
-                    queries: requery.len() as u64,
-                });
-                for &idx in &requery {
-                    if install_hint(
-                        units[idx].next_transmission(t + 1),
-                        idx,
-                        t + 1,
-                        &mut heap,
-                        &mut hint_states,
-                        &mut success_scoped,
-                    )
-                    .is_err()
-                    {
-                        sparse = false;
-                        heap.clear();
-                        trace.engine_event(TraceEvent::ModeSwitch {
-                            slot: t + 1,
-                            dense: true,
-                        });
-                        break;
+                match ledger.settle(t, truth, tally.total(), Via::Event) {
+                    Settled::Stop => break 'slots, // matches concrete: no feedback
+                    Settled::Success(fb) => {
+                        // AllResolved: a success is heard by every unit, and
+                        // classes may split on it (the winner retires out).
+                        for unit in units.iter_mut() {
+                            born.append(&mut unit.feedback(t, fb));
+                        }
+                        let Some(first_new) =
+                            admit_splits(&mut units, born, t, budget, &mut hints, &mut ledger)
+                        else {
+                            return Ok(ClassRun::BudgetExceeded);
+                        };
+                        if ledger.all_resolved(t, next_batch < batches.len()) {
+                            break 'slots;
+                        }
+                        // The success invalidates every NextSuccess-scoped
+                        // hint; re-query those, the polled units (entries
+                        // consumed), and newborn splits, from t + 1.
+                        hints.requery_after_success();
+                        hints.requery.extend(first_new..units.len());
                     }
+                    Settled::NoSuccess(fb) => {
+                        // Non-success feedback goes only to the polled units
+                        // (the concrete sparse contract); splits are
+                        // possible here too.
+                        for &idx in &hints.polled {
+                            if let Some(unit) = units.get_mut(idx) {
+                                born.append(&mut unit.feedback(t, fb));
+                            }
+                        }
+                        let Some(first_new) =
+                            admit_splits(&mut units, born, t, budget, &mut hints, &mut ledger)
+                        else {
+                            return Ok(ClassRun::BudgetExceeded);
+                        };
+                        // Re-arm the polled units (entries consumed) and
+                        // newborn splits; nothing else was invalidated.
+                        hints.requery_polled();
+                        hints.requery.extend(first_new..units.len());
+                    }
+                }
+                if hints
+                    .rearm(t + 1, &mut ledger.trace, |idx| {
+                        unit_hint(units.get_mut(idx), t + 1)
+                    })
+                    .is_err()
+                {
+                    hints.lock_dense(t + 1, &mut ledger.trace);
                 }
                 t += 1;
                 continue 'slots;
@@ -2833,82 +2386,26 @@ impl Simulator {
 
             // Dense path: poll every unit every slot.
             tally.clear();
+            ledger.out.polls += units.len() as u64;
             for unit in units.iter_mut() {
-                polls += 1;
                 unit.act(t, &mut tally);
             }
-            let contenders = tally.total();
-            transmissions += contenders;
-            let outcome = apply_channel(
-                &self.cfg.channel,
-                fault_seed,
-                t,
-                slot_outcome(&mut tally),
-                &mut faults,
-                &mut trace,
-            );
-            let mishear = mishear_armed
-                && outcome == SlotOutcome::Silence
-                && self.cfg.channel.mishears_silence(fault_seed, t);
-            if mishear {
-                faults.false_collisions += 1;
-            }
-
-            if let Some(tr) = transcript.as_mut() {
-                tr.push(SlotRecord {
-                    slot: t,
-                    transmitters: tally.sorted_ids().to_vec(),
-                    outcome: outcome.clone(),
-                });
-            }
+            let truth = slot_outcome(&mut tally);
             if detail {
-                for &id in tally.sorted_ids() {
-                    tx_counts[tx_index[&id]].1 += 1;
-                }
+                tx_detail.count(tally.sorted_ids());
             }
-
-            slots_simulated += 1;
-            dense_steps += 1;
-            let fb = if mishear {
-                Feedback::Noise
-            } else {
-                self.cfg.feedback.perceive(&outcome, false)
+            let fb = match ledger.settle(t, truth, tally.total(), Via::Dense) {
+                Settled::Stop => break 'slots,
+                Settled::Success(fb) if ledger.all_resolved(t, next_batch < batches.len()) => {
+                    // Deliver the final feedback so the winner learns of
+                    // its own success, then stop.
+                    for unit in units.iter_mut() {
+                        let _ = unit.feedback(t, fb);
+                    }
+                    break 'slots;
+                }
+                Settled::Success(fb) | Settled::NoSuccess(fb) => fb,
             };
-            match &outcome {
-                SlotOutcome::Success(w) => {
-                    trace.success(t, *w);
-                    if first_success.is_none() {
-                        first_success = Some(t);
-                        winner = Some(*w);
-                    }
-                    if !resolved.iter().any(|&(id, _)| id == *w) {
-                        resolved.push((*w, t));
-                    }
-                    match self.cfg.stop {
-                        StopRule::FirstSuccess => break 'slots,
-                        StopRule::AllResolved => {
-                            if resolved.len() == total_stations && next_batch == batches.len() {
-                                all_resolved_at = Some(t);
-                                // Deliver the final feedback so the winner
-                                // learns of its own success, then stop.
-                                for unit in units.iter_mut() {
-                                    let _ = unit.feedback(t, fb);
-                                }
-                                break 'slots;
-                            }
-                        }
-                    }
-                }
-                SlotOutcome::Collision(_) => {
-                    collisions += 1;
-                    trace.collision(t, contenders);
-                }
-                SlotOutcome::Silence => {
-                    silent_slots += 1;
-                    trace.silence(t, 1);
-                }
-            }
-
             // Deliver feedback to every unit; append any splits (they are
             // polled from the next slot, like everyone else on the dense
             // path — the members they carry already received this slot's
@@ -2917,45 +2414,13 @@ impl Simulator {
             for unit in units.iter_mut() {
                 born.append(&mut unit.feedback(t, fb));
             }
-            let first_new = units.len();
-            for nu in born {
-                hint_states.push(HintState::new());
-                units.push(nu);
-            }
-            if units.len() > first_new {
-                trace.engine_event(TraceEvent::ClassSplit {
-                    slot: t,
-                    born: (units.len() - first_new) as u64,
-                });
-            }
-            if units.len() as u64 > budget {
+            if admit_splits(&mut units, born, t, budget, &mut hints, &mut ledger).is_none() {
                 return Ok(ClassRun::BudgetExceeded);
             }
-            peak_units = peak_units.max(units.len() as u64);
             t += 1;
         }
 
-        trace.run_end(slots_simulated, first_success);
-        Ok(ClassRun::Done(Box::new(Outcome {
-            s,
-            first_success,
-            winner,
-            slots_simulated,
-            transmissions,
-            per_station_tx: tx_counts,
-            collisions,
-            silent_slots,
-            polls,
-            skipped_slots,
-            dense_steps,
-            word_slots: 0,
-            mode_switches: 0,
-            peak_units,
-            transcript,
-            resolved,
-            all_resolved_at,
-            faults,
-        })))
+        Ok(ClassRun::Done(Box::new(ledger.finish(tx_detail.rows))))
     }
 }
 

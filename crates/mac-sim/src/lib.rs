@@ -91,12 +91,11 @@ pub mod tracer;
 
 pub use adversary::{SpoiledPattern, SpoilerSearch};
 pub use channel::{ChannelFault, ChannelModel, FaultCounts, Feedback, FeedbackModel, SlotOutcome};
-pub use engine::{EngineMode, Outcome, PolicyParams, SimConfig, SimError, Simulator};
+pub use engine::{EngineMode, Outcome, SimConfig, SimError, Simulator};
 pub use ids::{Slot, StationId};
 pub use pattern::{ChurnEntry, ChurnError, ChurnScript, RandomChurn, WakeBlock, WakePattern};
 pub use population::{
-    ClassPopulation, ClassStation, ConcretePopulation, DeadClass, MemberRemoval, Members,
-    Population, PopulationMode, SingletonClass, TxTally,
+    ClassStation, DeadClass, MemberRemoval, Members, PopulationMode, SingletonClass, TxTally,
 };
 pub use station::{Action, Protocol, Station, TxHint, TxWord, Until};
 pub use trace::Transcript;
@@ -111,15 +110,14 @@ pub mod prelude {
     pub use crate::channel::{
         ChannelFault, ChannelModel, FaultCounts, Feedback, FeedbackModel, SlotOutcome,
     };
-    pub use crate::engine::{EngineMode, Outcome, PolicyParams, SimConfig, SimError, Simulator};
+    pub use crate::engine::{EngineMode, Outcome, SimConfig, SimError, Simulator};
     pub use crate::ids::{Slot, StationId};
     pub use crate::metrics::{EnergyStats, LatencySample, OutcomeDigest};
     pub use crate::pattern::{
         ChurnEntry, ChurnError, ChurnScript, IdChoice, RandomChurn, WakeBlock, WakePattern,
     };
     pub use crate::population::{
-        ClassPopulation, ClassStation, ConcretePopulation, DeadClass, MemberRemoval, Members,
-        Population, PopulationMode, SingletonClass, TxTally,
+        ClassStation, DeadClass, MemberRemoval, Members, PopulationMode, SingletonClass, TxTally,
     };
     pub use crate::station::{Action, Protocol, Station, TxHint, TxWord, Until};
     pub use crate::trace::Transcript;

@@ -302,3 +302,74 @@ fn engine_tier_reports_mode_switch_counts_consistent_with_outcome() {
         }
     }
 }
+
+/// Hints `At(3)` on its first query and answers [`TxHint::Dense`] to every
+/// later one; transmits at every slot from 3 on (so the two stations below
+/// collide forever).
+struct HintThenDense;
+struct HintThenDenseStation {
+    queried: bool,
+}
+impl Station for HintThenDenseStation {
+    fn wake(&mut self, _sigma: Slot) {}
+    fn act(&mut self, t: Slot) -> Action {
+        Action::from_bool(t >= 3)
+    }
+    fn next_transmission(&mut self, _after: Slot) -> TxHint {
+        if std::mem::replace(&mut self.queried, true) {
+            TxHint::Dense
+        } else {
+            TxHint::at(3)
+        }
+    }
+}
+impl Protocol for HintThenDense {
+    fn station(&self, _id: StationId, _seed: u64) -> Box<dyn Station> {
+        Box::new(HintThenDenseStation { queried: false })
+    }
+    fn name(&self) -> String {
+        "hint-then-dense".into()
+    }
+}
+
+#[test]
+fn dense_lock_at_a_re_arm_is_evented_on_both_populations() {
+    // The polled stations are re-armed from slot 4 and answer Dense: the
+    // run leaves the sparse path for good there. That permanent lock is
+    // one ModeSwitch event (uncounted, like every dense lock) on both
+    // populations, not only on the class engine.
+    let pattern = WakePattern::new(vec![(StationId(2), 0), (StationId(5), 1)]).unwrap();
+    for population in [PopulationMode::Concrete, PopulationMode::Classes] {
+        let cfg = SimConfig::new(16)
+            .with_max_slots(40)
+            .with_engine(EngineMode::Auto)
+            .with_population(population);
+        let mut rec = RecordingTracer::with_filter(TraceFilter::engine_only());
+        let out = Simulator::new(cfg)
+            .run_traced(&HintThenDense, &pattern, 0, &mut rec)
+            .unwrap();
+        assert_eq!(
+            (
+                out.slots_simulated,
+                out.polls,
+                out.dense_steps,
+                out.mode_switches
+            ),
+            (40, 74, 36, 0),
+            "{population:?}"
+        );
+        let switches: Vec<TraceEvent> = rec
+            .into_events()
+            .into_iter()
+            .filter(|e| e.kind() == TraceKind::ModeSwitch)
+            .collect();
+        assert_eq!(
+            switches,
+            vec![TraceEvent::ModeSwitch {
+                slot: 4,
+                dense: true
+            }],
+            "{population:?}"
+        );
+    }
+}
