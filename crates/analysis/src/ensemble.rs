@@ -44,12 +44,12 @@ use wakeup_runner::{OnlineStats, P2Quantile, Progress, RunStats, Runner};
 /// where the JSONL lines go.
 ///
 /// Each run records its admitted events into a private in-memory buffer on
-/// the worker that executes it; the serialized lines (each prefixed with
-/// the run index, `{"run":3,"ev":…}` — the same schema as
-/// [`StreamTracer`](mac_sim::tracer::StreamTracer)) are then written to
-/// `sink` by the seed-ordered reducer on the calling thread. The resulting
-/// byte stream is therefore **bit-identical across thread counts**:
-/// scheduling decides only who records, never the order lines land.
+/// the worker that executes it; the serialized lines (the run index, then
+/// [`TraceEvent::json_fields`](mac_sim::tracer::TraceEvent::json_fields):
+/// `{"run":3,"ev":…}`) are then written to `sink` by the seed-ordered
+/// reducer on the calling thread. The resulting byte stream is therefore
+/// **bit-identical across thread counts**: scheduling decides only who
+/// records, never the order lines land.
 ///
 /// Per-kind sampling (see [`TraceFilter::sample_every`]) restarts at every
 /// run, so the stream is the concatenation of the runs' individual

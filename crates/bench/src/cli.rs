@@ -13,7 +13,7 @@
 //! exists (`--scale` → `WAKEUP_SCALE`, `--threads` → `WAKEUP_THREADS`), so
 //! existing invocations and CI recipes keep working.
 
-use crate::experiment::{run_experiment_with, Knobs};
+use crate::experiment::run_experiment_traced;
 use crate::experiments;
 use crate::sink::OutFormat;
 use crate::Scale;
@@ -52,11 +52,6 @@ pub struct Config {
     /// Keep every N-th event per (run, kind) stream (`--trace-sample`,
     /// default 1 = keep everything).
     pub trace_sample: u64,
-    /// Family-pool size (`--family-pool`, else `WAKEUP_FAMILY_POOL`):
-    /// EXP-A/B draw their selective-family seeds from a pool of `F`
-    /// realizations per sweep cell, amortizing construction through the
-    /// ensemble-wide cache instead of building one family per run.
-    pub family_pool: Option<u64>,
 }
 
 impl Config {
@@ -72,10 +67,6 @@ impl Config {
             trace: false,
             trace_out: None,
             trace_sample: 1,
-            family_pool: std::env::var("WAKEUP_FAMILY_POOL")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&f| f >= 1),
         }
     }
 }
@@ -90,7 +81,7 @@ USAGE:
     wakeup trace <experiment>... [OPTIONS]
     wakeup report <trace.jsonl> [--out table|csv|json]
     wakeup diff <dir_a> <dir_b> [--threshold F]
-    wakeup lint [--out table|csv|json] [--baseline FILE] [--rules]
+    wakeup lint [--out table|csv|json] [--rules]
 
 OPTIONS:
     --scale quick|full     sweep scale (default: $WAKEUP_SCALE or quick)
@@ -101,10 +92,6 @@ OPTIONS:
     --trace                also capture a structured event trace per experiment
     --trace-out DIR        trace artifact directory (default: traces)
     --trace-sample N       keep every N-th event per (run, kind) stream
-    --family-pool F        EXP-A/B: draw family seeds from a pool of F
-                           realizations per sweep cell (construction amortized
-                           through the ensemble cache; default: $WAKEUP_FAMILY_POOL
-                           or one fresh family per run)
     --time-box SECS        schedule the selection inside this wall-clock box:
                            at full scale, run budget-ascending (declared
                            per-experiment budgets) and stop before the
@@ -123,11 +110,9 @@ histograms, the mode-switch timeline and worker utilization.
 candidate) and exits 1 when any latency/work metric regressed beyond the
 threshold, a row or artifact disappeared, or a check flipped to failing.
 
-`wakeup lint` statically checks the workspace's determinism & architecture
-invariants (hash-state, wall-clock, ambient RNG, unsafe hygiene, sink/env
-discipline, crate layering, hot-path panics, trace-schema sync) and exits 1
-on any deny finding or warn-tier growth past ci/lint-baseline.jsonl; see
-`wakeup lint --rules`.
+`wakeup lint` statically checks the workspace's determinism invariants
+(hash-state, wall-clock, ambient RNG, unsafe hygiene, sink/env discipline,
+hot-path panics) and exits 1 on any finding; see `wakeup lint --rules`.
 
 Environment: WAKEUP_PROGRESS=secs enables live runs/s lines on stderr;
 WAKEUP_ASSERT_SPARSE=1 turns EXP-KG's sparse-path expectations into checks;
@@ -336,16 +321,6 @@ fn parse_run(
                 }
                 config.trace_sample = n;
             }
-            "--family-pool" => {
-                let v = value(it, "--family-pool")?;
-                let f = v.parse::<u64>().map_err(|_| {
-                    ParseError(format!("--family-pool must be a number, got '{v}'"))
-                })?;
-                if f == 0 {
-                    return Err(ParseError("--family-pool must be ≥ 1".into()));
-                }
-                config.family_pool = Some(f);
-            }
             "--time-box" => {
                 let v = value(it, "--time-box")?;
                 config.time_box =
@@ -517,15 +492,12 @@ pub fn run_many(names: &[String], config: &Config) -> std::io::Result<u64> {
         } else {
             (None, None)
         };
-        failures += run_experiment_with(
+        failures += run_experiment_traced(
             &exp,
             config.scale,
             config.seed,
             config.threads,
             trace,
-            Knobs {
-                family_pool: config.family_pool,
-            },
             sink.as_mut(),
         );
         if let Some((t, e)) = sinks {
@@ -632,12 +604,10 @@ mod tests {
 
     #[test]
     fn parse_lint_passes_arguments_through_verbatim() {
-        let Ok(Command::Lint { args }) =
-            parse(&argv("lint --out json --baseline ci/lint-baseline.jsonl"))
-        else {
+        let Ok(Command::Lint { args }) = parse(&argv("lint --out json --root ../ws")) else {
             panic!("lint did not parse");
         };
-        assert_eq!(args, argv("--out json --baseline ci/lint-baseline.jsonl"));
+        assert_eq!(args, argv("--out json --root ../ws"));
         let Ok(Command::Lint { args }) = parse(&argv("lint")) else {
             panic!("bare lint did not parse");
         };
@@ -704,24 +674,6 @@ mod tests {
         assert!(parse(&argv("trace exp_nope")).is_err());
         assert!(parse(&argv("run exp_certify --trace-sample 0")).is_err());
         assert!(parse(&argv("run exp_certify --trace-sample lots")).is_err());
-    }
-
-    #[test]
-    fn parse_family_pool() {
-        // Default: no pool (env is not set under test).
-        let Ok(Command::Run { config, .. }) = parse(&argv("run exp_scenario_a")) else {
-            panic!("run did not parse");
-        };
-        assert_eq!(config.family_pool, None);
-        let Ok(Command::Run { config, .. }) =
-            parse(&argv("run exp_scenario_a exp_scenario_b --family-pool 8"))
-        else {
-            panic!("run with knobs did not parse");
-        };
-        assert_eq!(config.family_pool, Some(8));
-        assert!(parse(&argv("run exp_scenario_a --family-pool 0")).is_err());
-        assert!(parse(&argv("run exp_scenario_a --family-pool lots")).is_err());
-        assert!(parse(&argv("run exp_scenario_a --family-pool")).is_err());
     }
 
     #[test]

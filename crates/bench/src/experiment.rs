@@ -58,16 +58,6 @@ impl Experiment {
     }
 }
 
-/// Optional workload knobs the CLI threads into experiment bodies — the
-/// flags that tune *how* a sweep runs without changing what it measures.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Knobs {
-    /// `--family-pool F`: EXP-A/B draw their selective-family seeds from a
-    /// pool of `F` realizations per sweep cell, so construction is
-    /// amortized through the ensemble cache instead of paid once per run.
-    pub family_pool: Option<u64>,
-}
-
 /// A declarative expectation on measured results — the replacement for the
 /// binaries' inline `assert!`s. Constructed per sweep cell and handed to
 /// [`Ctx::check`], which evaluates, emits and tallies it.
@@ -132,8 +122,6 @@ pub struct Ctx<'a> {
     ensembles: Cell<u64>,
     /// Structured-trace capture attached to every spec built here.
     trace: Option<TraceSpec>,
-    /// CLI workload knobs (family pooling).
-    knobs: Knobs,
 }
 
 impl<'a> Ctx<'a> {
@@ -158,7 +146,6 @@ impl<'a> Ctx<'a> {
             id: String::new(),
             ensembles: Cell::new(0),
             trace: None,
-            knobs: Knobs::default(),
         }
     }
 
@@ -173,19 +160,6 @@ impl<'a> Ctx<'a> {
     pub fn with_trace(mut self, trace: Option<TraceSpec>) -> Self {
         self.trace = trace;
         self
-    }
-
-    /// Attach the CLI workload knobs (family pooling).
-    pub fn with_knobs(mut self, knobs: Knobs) -> Self {
-        self.knobs = knobs;
-        self
-    }
-
-    /// `--family-pool F`, when set: bodies that construct per-run selective
-    /// families should reduce their family seed modulo `F` and route
-    /// construction through an ensemble cache.
-    pub fn family_pool(&self) -> Option<u64> {
-        self.knobs.family_pool
     }
 
     /// The resolved scale.
@@ -319,7 +293,8 @@ pub fn run_experiment(
 
 /// [`run_experiment`] with structured-trace capture: every ensemble the
 /// body runs records trace events into `trace` (when `Some`), without
-/// perturbing outcomes or the sink's output.
+/// perturbing outcomes or the sink's output. `wakeup run` and `wakeup
+/// trace` call this.
 pub fn run_experiment_traced(
     exp: &Experiment,
     scale: Scale,
@@ -328,25 +303,10 @@ pub fn run_experiment_traced(
     trace: Option<TraceSpec>,
     sink: &mut dyn Sink,
 ) -> u64 {
-    run_experiment_with(exp, scale, seed, threads, trace, Knobs::default(), sink)
-}
-
-/// [`run_experiment_traced`] with explicit workload [`Knobs`] — the full
-/// entry point the `wakeup` driver uses.
-pub fn run_experiment_with(
-    exp: &Experiment,
-    scale: Scale,
-    seed: u64,
-    threads: Option<usize>,
-    trace: Option<TraceSpec>,
-    knobs: Knobs,
-    sink: &mut dyn Sink,
-) -> u64 {
     sink.begin(&exp.head(), scale, seed);
     let mut ctx = Ctx::new(scale, exp.grid, seed, threads, sink)
         .with_id(exp.id)
-        .with_trace(trace)
-        .with_knobs(knobs);
+        .with_trace(trace);
     (exp.run)(&mut ctx);
     let failures = ctx.failures();
     sink.finish(failures);

@@ -65,19 +65,6 @@ fn run(ctx: &mut Ctx<'_>) {
     let runs = ctx.runs();
     // lint: allow(env-discipline) — opt-in CI assertion knob, read-only; documented in README.md
     let assert_classes = std::env::var("WAKEUP_ASSERT_CLASSES").is_ok();
-    // lint: allow(env-discipline) — opt-in exploration knob (top crash rate, ppm), read-only; documented in README.md
-    let top_ppm: u32 = std::env::var("WAKEUP_CHURN_PPM")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map(|p: u32| p.min(999_999))
-        .unwrap_or(CRASH_PPM[CRASH_PPM.len() - 1]);
-    let mut rates: Vec<u32> = CRASH_PPM.to_vec();
-    *rates.last_mut().expect("non-empty") = top_ppm;
-    rates.sort_unstable();
-    rates.dedup();
-    if top_ppm != CRASH_PPM[CRASH_PPM.len() - 1] {
-        ctx.note(format!("WAKEUP_CHURN_PPM: top crash rate {top_ppm} ppm"));
-    }
 
     let cache = ConstructionCache::new();
     let mut table = Table::new([
@@ -91,7 +78,7 @@ fn run(ctx: &mut Ctx<'_>) {
         for proto_name in ["round_robin", "wakeup_with_s"] {
             let mut base_mean = f64::NAN;
             let mut prev_crashes = 0u64;
-            for &ppm in &rates {
+            for ppm in CRASH_PPM {
                 let churn = ChurnScript::random(RandomChurn {
                     crash_ppm: ppm,
                     lifetime,
@@ -169,6 +156,7 @@ fn run(ctx: &mut Ctx<'_>) {
             // Permanent-leave arm: the top rate with no re-wake. Some runs
             // may genuinely lose every contender before a success — those
             // are censored, counted, and excluded from latency statistics.
+            let top_ppm = CRASH_PPM[CRASH_PPM.len() - 1];
             let churn = ChurnScript::random(RandomChurn {
                 crash_ppm: top_ppm,
                 lifetime,

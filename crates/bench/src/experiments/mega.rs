@@ -64,7 +64,7 @@ const CONCRETE_CEILING: u32 = 1 << 16;
 
 fn run(ctx: &mut Ctx<'_>) {
     let runs = ctx.runs();
-    // lint: allow(env-discipline) — opt-in CI assertion knob, read-only; documented in EXPERIMENTS.md
+    // lint: allow(env-discipline) — opt-in CI assertion knob, read-only; documented in README.md
     let assert_classes = std::env::var("WAKEUP_ASSERT_CLASSES").is_ok();
     let cache = ConstructionCache::new();
     let mut table = Table::new([

@@ -69,17 +69,6 @@ fn run(ctx: &mut Ctx<'_>) {
     let runs = ctx.runs();
     // lint: allow(env-discipline) — opt-in CI assertion knob, read-only; documented in README.md
     let assert_classes = std::env::var("WAKEUP_ASSERT_CLASSES").is_ok();
-    // lint: allow(env-discipline) — opt-in exploration knob (extra erasure rate, ppm), read-only; documented in README.md
-    let extra_ppm: Option<u32> = std::env::var("WAKEUP_NOISE_PPM")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let mut rates: Vec<u32> = ERASURE_PPM.to_vec();
-    if let Some(ppm) = extra_ppm {
-        ctx.note(format!("WAKEUP_NOISE_PPM: extra erasure rate {ppm} ppm"));
-        rates.push(ppm.min(999_999));
-        rates.sort_unstable();
-        rates.dedup();
-    }
 
     // --- erasure sweep ---------------------------------------------------
     let mut table = Table::new([
@@ -90,7 +79,7 @@ fn run(ctx: &mut Ctx<'_>) {
         for proto_name in ["round_robin", "wakeup_with_s"] {
             let mut baseline: Option<EnsembleSummary> = None;
             let mut prev_mean = f64::NEG_INFINITY;
-            for &ppm in &rates {
+            for ppm in ERASURE_PPM {
                 let p = ppm as f64 / 1e6;
                 let label = format!("EXP-NOISE {proto_name} n={n} p={ppm}ppm");
                 let channel = ChannelModel::ideal().with_erasure_ppm(ppm);

@@ -36,12 +36,6 @@ pub const EXP: Experiment = Experiment {
 
 fn run(ctx: &mut Ctx<'_>) {
     let runs = ctx.runs();
-    // `--family-pool F` reduces the family seed modulo F, so each cell
-    // builds at most F distinct selective families (amortized through the
-    // per-cell construction cache) instead of one per run. Without the
-    // flag every run keeps its own realization — the historical behavior,
-    // bit-identical through the cached constructor.
-    let pool = ctx.family_pool();
     let mut table = Table::new(["n", "k", "mean", "ci95", "max", "2n envelope", "censored"]);
     let mut points = Vec::new();
     let mut meter = TableMeter::new();
@@ -49,21 +43,14 @@ fn run(ctx: &mut Ctx<'_>) {
     for &n in &ctx.ns() {
         for &k in &ctx.ks(n) {
             let spec = ctx.spec(n, runs, 1000, &format!("EXP-A n={n} k={k}"));
-            let cell_cache = ConstructionCache::new();
-            let res = run_ensemble_stream_cached(
+            let res = run_ensemble_stream(
                 &spec,
-                &cell_cache,
-                |cache, seed| -> Box<dyn Protocol> {
+                |seed| -> Box<dyn Protocol> {
                     let s = (seed % 97) * 13;
-                    let family_seed = pool.map_or(seed, |f| seed % f);
-                    Box::new(WakeupWithS::cached(
+                    Box::new(WakeupWithS::new(
                         n,
                         s,
-                        &FamilyProvider::Random {
-                            seed: family_seed,
-                            delta: 1e-4,
-                        },
-                        cache,
+                        FamilyProvider::Random { seed, delta: 1e-4 },
                     ))
                 },
                 |seed| {

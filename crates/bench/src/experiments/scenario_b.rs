@@ -35,9 +35,6 @@ fn staggered_pattern(n: u32, k: usize, seed: u64) -> WakePattern {
 
 fn run(ctx: &mut Ctx<'_>) {
     let runs = ctx.runs();
-    // `--family-pool F`: at most F distinct wait-and-go families per cell,
-    // amortized through the per-cell construction cache (see EXP-A).
-    let pool = ctx.family_pool();
     type PatternFn = fn(u32, usize, u64) -> WakePattern;
     let patterns: [(&str, PatternFn); 3] = [
         ("uniform-window", |n, k, seed| {
@@ -57,20 +54,13 @@ fn run(ctx: &mut Ctx<'_>) {
         for &k in &ctx.ks(n) {
             for (pname, pfn) in &patterns {
                 let spec = ctx.spec(n, runs, 2000, &format!("EXP-B {pname} n={n} k={k}"));
-                let cell_cache = ConstructionCache::new();
-                let res = run_ensemble_stream_cached(
+                let res = run_ensemble_stream(
                     &spec,
-                    &cell_cache,
-                    |cache, seed| -> Box<dyn Protocol> {
-                        let family_seed = pool.map_or(seed, |f| seed % f);
-                        Box::new(WakeupWithK::cached(
+                    |seed| -> Box<dyn Protocol> {
+                        Box::new(WakeupWithK::new(
                             n,
                             k,
-                            &FamilyProvider::Random {
-                                seed: family_seed,
-                                delta: 1e-4,
-                            },
-                            cache,
+                            FamilyProvider::Random { seed, delta: 1e-4 },
                         ))
                     },
                     |seed| pfn(n, k as usize, seed),

@@ -18,6 +18,7 @@
 
 use crate::sink::{ExperimentHead, Sink};
 use crate::Scale;
+use mac_sim::TraceKind;
 use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -40,7 +41,7 @@ pub struct TraceReport {
     /// count when every ensemble ran the same number of runs.
     pub run_tags: u64,
     /// Events per kind (`ev` value → count), alphabetical.
-    pub kind_counts: BTreeMap<String, u64>,
+    pub kind_counts: BTreeMap<&'static str, u64>,
     /// Slots spent silent (summed `Silence.slots`).
     pub silent_slots: u64,
     /// Slots won by exactly one transmitter.
@@ -77,25 +78,27 @@ fn get_u64(rec: &Record, name: &str) -> Option<u64> {
 }
 
 impl TraceReport {
-    /// Fold one parsed trace line.
+    /// Fold one parsed trace line; an `ev` that names no [`TraceKind`]
+    /// is damage.
     fn fold(&mut self, rec: &Record) -> Result<(), String> {
         let Some(Value::Str(ev)) = rec.get("ev") else {
             return Err("line has no \"ev\" field".into());
         };
+        let kind = TraceKind::parse(ev).ok_or_else(|| format!("unknown event kind \"{ev}\""))?;
         self.lines += 1;
         if let Some(run) = get_u64(rec, "run") {
             self.run_tags = self.run_tags.max(run + 1);
         }
-        *self.kind_counts.entry(ev.clone()).or_insert(0) += 1;
-        match ev.as_str() {
-            "silence" => self.silent_slots += get_u64(rec, "slots").unwrap_or(0),
-            "success" => self.success_slots += 1,
-            "collision" => {
+        *self.kind_counts.entry(kind.name()).or_insert(0) += 1;
+        match kind {
+            TraceKind::Silence => self.silent_slots += get_u64(rec, "slots").unwrap_or(0),
+            TraceKind::Success => self.success_slots += 1,
+            TraceKind::Collision => {
                 self.collision_slots += 1;
                 let c = get_u64(rec, "contenders").unwrap_or(0);
                 *self.contention.entry(c).or_insert(0) += 1;
             }
-            "mode_switch" => {
+            TraceKind::ModeSwitch => {
                 let dense = matches!(rec.get("dense"), Some(Value::Bool(true)));
                 self.mode_switches.push((
                     get_u64(rec, "run").unwrap_or(0),
@@ -103,17 +106,17 @@ impl TraceReport {
                     dense,
                 ));
             }
-            "hint_requery" => {
+            TraceKind::HintRequery => {
                 self.requeries += 1;
                 self.queries += get_u64(rec, "queries").unwrap_or(0);
             }
-            "burst_open" => self.bursts_opened += 1,
-            "class_split" => self.classes_born += get_u64(rec, "born").unwrap_or(0),
-            "watermark" => {
+            TraceKind::BurstOpen => self.bursts_opened += 1,
+            TraceKind::ClassSplit => self.classes_born += get_u64(rec, "born").unwrap_or(0),
+            TraceKind::Watermark => {
                 self.max_heap = self.max_heap.max(get_u64(rec, "heap").unwrap_or(0));
                 self.max_units = self.max_units.max(get_u64(rec, "units").unwrap_or(0));
             }
-            "run_end" => {
+            TraceKind::RunEnd => {
                 self.runs += 1;
                 self.total_slots += get_u64(rec, "slots").unwrap_or(0);
                 if matches!(rec.get("first_success"), Some(Value::U64(_))) {
@@ -205,12 +208,9 @@ pub fn render_report(
     // Per-event-kind counts.
     sink.note("\nevents by kind:");
     let mut kinds = Table::new(["event", "count"]);
-    for (ev, count) in &report.kind_counts {
-        kinds.push_row([ev.clone(), count.to_string()]);
-        sink.row(
-            "kinds",
-            &Record::new().with("ev", ev.as_str()).with("count", *count),
-        );
+    for (&ev, count) in &report.kind_counts {
+        kinds.push_row([ev.to_string(), count.to_string()]);
+        sink.row("kinds", &Record::new().with("ev", ev).with("count", *count));
     }
     sink.table("kinds", &kinds);
 
@@ -219,9 +219,9 @@ pub fn render_report(
     let covered = report.total_slots;
     let mut classes = Table::new(["class", "slots", "share"]);
     for (class, slots) in [
-        ("silence", report.silent_slots),
-        ("success", report.success_slots),
-        ("collision", report.collision_slots),
+        (TraceKind::Silence.name(), report.silent_slots),
+        (TraceKind::Success.name(), report.success_slots),
+        (TraceKind::Collision.name(), report.collision_slots),
     ] {
         classes.push_row([class.into(), slots.to_string(), pct(slots, covered)]);
         sink.row(
@@ -255,7 +255,7 @@ pub fn render_report(
             let to = if dense { "dense" } else { "sparse" };
             timeline.push_row([run.to_string(), slot.to_string(), to.to_string()]);
             sink.row(
-                "mode_switch",
+                TraceKind::ModeSwitch.name(),
                 &Record::new()
                     .with("run", run)
                     .with("slot", slot)
@@ -432,6 +432,16 @@ mod tests {
     fn fold_trace_rejects_damage() {
         assert!(fold_trace(Cursor::new("not json\n")).is_err());
         assert!(fold_trace(Cursor::new("{\"slot\":4}\n")).is_err());
+        // An `ev` that names no trace kind fails the fold, line numbered.
+        let err = fold_trace(Cursor::new(
+            "{\"run\":0,\"ev\":\"wake\",\"slot\":0,\"stations\":1}\n\
+             {\"run\":0,\"ev\":\"bogus_kind\",\"slot\":1}\n",
+        ))
+        .unwrap_err();
+        assert!(
+            err.contains("line 2") && err.contains("bogus_kind"),
+            "{err}"
+        );
         // Blank lines are fine.
         let r = fold_trace(Cursor::new("\n\n")).unwrap();
         assert_eq!(r.lines, 0);

@@ -1,24 +1,20 @@
 //! The `wakeup lint` driver, shared between the `wakeup` CLI subcommand and
 //! the standalone `wakeup-lint` binary (the CI entry point).
 //!
-//! Exit codes: `0` clean (no deny findings, warn tier within baseline),
-//! `1` gate failure (deny findings or warn-tier regression), `2` usage or
-//! I/O error.
+//! Exit codes: `0` no findings, `1` any finding, `2` usage or I/O error.
 
 use crate::rules::RULES;
-use crate::{baseline, report, workspace_root};
+use crate::{report, workspace_root};
 use std::path::PathBuf;
 
 const USAGE: &str = "\
 usage: wakeup lint [options]
 
-Statically checks the workspace's determinism & architecture invariants.
+Statically checks the workspace's determinism invariants; any finding
+fails the run.
 
 options:
   --out table|csv|json     output format (default: table)
-  --baseline FILE          warn-tier baseline to ratchet against
-                           (default: ci/lint-baseline.jsonl if present)
-  --write-baseline FILE    write the current warn counts to FILE and use it
   --root DIR               workspace root (default: autodetected)
   --rules                  list the rules and exit
   -h, --help               this help
@@ -36,8 +32,6 @@ enum Out {
 /// the process exit code.
 pub fn run(args: &[String]) -> i32 {
     let mut out = Out::Table;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut root_arg: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -50,21 +44,13 @@ pub fn run(args: &[String]) -> i32 {
                     return usage_error(&format!("--out expects table|csv|json, got {other:?}"))
                 }
             },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage_error("--baseline expects a file path"),
-            },
-            "--write-baseline" => match it.next() {
-                Some(p) => write_baseline = Some(PathBuf::from(p)),
-                None => return usage_error("--write-baseline expects a file path"),
-            },
             "--root" => match it.next() {
                 Some(p) => root_arg = Some(PathBuf::from(p)),
                 None => return usage_error("--root expects a directory"),
             },
             "--rules" => {
                 for r in RULES {
-                    println!("{:<22} {:<5} {}", r.id, r.tier.name(), r.summary);
+                    println!("{:<22} {}", r.id, r.summary);
                 }
                 return 0;
             }
@@ -87,104 +73,23 @@ pub fn run(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let counts = baseline::warn_counts(&rep.findings);
-
-    if let Some(path) = &write_baseline {
-        let path = if path.is_relative() {
-            root.join(path)
-        } else {
-            path.clone()
-        };
-        if let Err(e) = std::fs::write(&path, baseline::render(&counts)) {
-            eprintln!("wakeup lint: writing baseline {}: {e}", path.display());
-            return 2;
-        }
-        eprintln!("wakeup lint: wrote warn baseline to {}", path.display());
-        baseline_path = Some(path);
-    }
-
-    let base = match resolve_baseline(&root, baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("wakeup lint: {e}");
-            return 2;
-        }
-    };
-    let diff = baseline::diff(&counts, &base.counts);
 
     match out {
         Out::Table => print!("{}", report::render_table(&rep)),
         Out::Csv => print!("{}", report::render_csv(&rep)),
         Out::Json => print!("{}", report::render_json(&rep)),
     }
-
-    let deny = rep.deny_count();
     eprintln!(
-        "wakeup lint: {} files, {} deny, {} warn ({}), {} suppressed",
+        "wakeup lint: {} files, {} findings, {} suppressed",
         rep.files,
-        deny,
-        rep.warn_count(),
-        base.describe(&diff),
+        rep.findings.len(),
         rep.suppressed,
     );
-    for (rule, file, was, now) in &diff.regressions {
-        eprintln!(
-            "wakeup lint: REGRESSION {rule} in {file}: {was} -> {now} (ratchet only goes down)"
-        );
-    }
-    if !diff.improvements.is_empty() && diff.regressions.is_empty() {
-        eprintln!(
-            "wakeup lint: warn tier improved at {} site(s) — re-run with --write-baseline to tighten the ratchet",
-            diff.improvements.len()
-        );
-    }
-    if deny > 0 || !diff.regressions.is_empty() {
-        1
-    } else {
+    if rep.findings.is_empty() {
         0
+    } else {
+        1
     }
-}
-
-/// A resolved baseline: counts plus where they came from (for messages).
-struct Baseline {
-    counts: baseline::Counts,
-    source: Option<String>,
-}
-
-impl Baseline {
-    fn describe(&self, diff: &baseline::Diff) -> String {
-        match &self.source {
-            Some(src) => format!("{} regressions vs {}", diff.regressions.len(), src),
-            None => "no baseline".to_string(),
-        }
-    }
-}
-
-fn resolve_baseline(root: &std::path::Path, explicit: Option<PathBuf>) -> Result<Baseline, String> {
-    if let Some(path) = explicit {
-        let path = if path.is_relative() {
-            root.join(path)
-        } else {
-            path
-        };
-        let counts = baseline::load(&path).map_err(|e| format!("baseline: {e}"))?;
-        return Ok(Baseline {
-            counts,
-            source: Some(path.display().to_string()),
-        });
-    }
-    let default = root.join("ci/lint-baseline.jsonl");
-    if default.is_file() {
-        let counts = baseline::load(&default).map_err(|e| format!("baseline: {e}"))?;
-        return Ok(Baseline {
-            counts,
-            source: Some("ci/lint-baseline.jsonl".to_string()),
-        });
-    }
-    Ok(Baseline {
-        counts: baseline::Counts::new(),
-        source: None,
-    })
 }
 
 fn usage_error(msg: &str) -> i32 {

@@ -1,8 +1,5 @@
-//! The workspace policy: which crate a file belongs to, which tier it sits
-//! in, and the crate-layering DAG. This is data, not mechanism — the rule
-//! engine consults it, and it mirrors the dependency declarations in the
-//! crates' `Cargo.toml`s (the layering rule is what keeps source-level
-//! `use`s honest against that DAG).
+//! The workspace policy: which crate a file belongs to and which tier it
+//! sits in. This is data, not mechanism — the rule engine consults it.
 
 /// Where in a crate a file lives — rules treat test-ish contexts (tests,
 /// benches, examples) more leniently than library sources.
@@ -82,18 +79,9 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/mac-sim/src/tracer.rs",
 ];
 
-/// The three artifacts whose trace schemas must agree (code, docs, CI).
-pub const TRACE_SCHEMA_FILES: (&str, &str, &str) = (
-    "crates/mac-sim/src/tracer.rs",
-    "README.md",
-    ".github/workflows/ci.yml",
-);
-
 /// Is wall-clock (`Instant::now` / `SystemTime`) acceptable here without a
 /// pragma? The wall-clock tier: the runner (phase timers, progress), the
-/// CLI/bench layer, the compat shims, and all test-ish contexts. The
-/// deterministic-tier exception — the adaptive policy's calibration probe
-/// loops — is pragma-annotated at its two sites instead.
+/// CLI/bench layer, the compat shims, and all test-ish contexts.
 pub fn wall_clock_allowed(class: &FileClass) -> bool {
     class.krate == "runner" || class.krate == "bench" || class.is_compat() || class.ctx.is_testish()
 }
@@ -121,79 +109,6 @@ pub fn env_allowed(class: &FileClass, rel: &str) -> bool {
         || class.ctx == Ctx::Bin
 }
 
-/// Map a `use`/`extern crate` root identifier to the crate directory it
-/// names, if it is a workspace crate.
-pub fn crate_of_ident(ident: &str) -> Option<&'static str> {
-    Some(match ident {
-        "mac_sim" => "mac-sim",
-        "selectors" => "selectors",
-        "wakeup_core" => "core",
-        "wakeup_analysis" => "analysis",
-        "wakeup_runner" => "runner",
-        "wakeup_lint" => "lint",
-        "wakeup_bench" => "bench",
-        "mac_wakeup" => "root",
-        "rand" => "compat/rand",
-        "rand_chacha" => "compat/rand_chacha",
-        "proptest" => "compat/proptest",
-        "criterion" => "compat/criterion",
-        _ => return None,
-    })
-}
-
-/// The workspace dependency DAG, mirroring the `Cargo.toml` declarations:
-/// for each crate, the workspace crates its `src/` may `use`. Test-ish
-/// contexts may additionally use the compat dev-dependencies and the
-/// crate's own name.
-pub fn allowed_deps(krate: &str) -> &'static [&'static str] {
-    match krate {
-        "selectors" => &["compat/rand", "compat/rand_chacha"],
-        "mac-sim" => &["compat/rand", "selectors"],
-        "core" => &["mac-sim", "selectors", "compat/rand", "compat/rand_chacha"],
-        "runner" => &[],
-        "analysis" => &["mac-sim", "core", "runner"],
-        "lint" => &["analysis"],
-        "bench" => &[
-            "mac-sim",
-            "selectors",
-            "core",
-            "analysis",
-            "runner",
-            "lint",
-            "compat/rand",
-            "compat/rand_chacha",
-        ],
-        "root" => &[
-            "mac-sim",
-            "selectors",
-            "core",
-            "analysis",
-            "runner",
-            "lint",
-            "bench",
-            "compat/rand",
-            "compat/rand_chacha",
-            "compat/proptest",
-            "compat/criterion",
-        ],
-        "compat/rand_chacha" => &["compat/rand"],
-        _ => &[], // compat/rand, compat/proptest, compat/criterion: leaves
-    }
-}
-
-/// May `krate` (in context `ctx`) use `dep`? Own-crate references
-/// (integration tests and binaries importing their library) are always
-/// fine; test-ish contexts may also use the compat shims (dev-deps).
-pub fn dep_allowed(krate: &str, ctx: Ctx, dep: &str) -> bool {
-    if krate == dep {
-        return true;
-    }
-    if allowed_deps(krate).contains(&dep) {
-        return true;
-    }
-    ctx.is_testish() && dep.starts_with("compat/")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,24 +130,5 @@ mod tests {
         assert_eq!(classify("src/lib.rs").krate, "root");
         assert_eq!(classify("tests/theory.rs").ctx, Ctx::Tests);
         assert_eq!(classify("examples/quickstart.rs").ctx, Ctx::Examples);
-    }
-
-    #[test]
-    fn dag_is_acyclic_and_matches_the_layering() {
-        // Upward edges must be rejected.
-        assert!(!dep_allowed("selectors", Ctx::Src, "mac-sim"));
-        assert!(!dep_allowed("mac-sim", Ctx::Src, "core"));
-        assert!(!dep_allowed("core", Ctx::Src, "analysis"));
-        assert!(!dep_allowed("runner", Ctx::Src, "mac-sim"));
-        assert!(!dep_allowed("analysis", Ctx::Src, "bench"));
-        // Declared edges pass.
-        assert!(dep_allowed("core", Ctx::Src, "mac-sim"));
-        assert!(dep_allowed("analysis", Ctx::Src, "runner"));
-        assert!(dep_allowed("bench", Ctx::Src, "lint"));
-        // Dev-deps only in test-ish contexts.
-        assert!(!dep_allowed("mac-sim", Ctx::Src, "compat/proptest"));
-        assert!(dep_allowed("mac-sim", Ctx::Tests, "compat/proptest"));
-        // Own-crate references always pass.
-        assert!(dep_allowed("bench", Ctx::Tests, "bench"));
     }
 }

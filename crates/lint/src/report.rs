@@ -14,8 +14,6 @@ pub fn summary_record(report: &LintReport) -> Record {
         .with("record", "summary")
         .with("files", report.files)
         .with("findings", report.findings.len())
-        .with("deny", report.deny_count())
-        .with("warn", report.warn_count())
         .with("suppressed", report.suppressed)
 }
 
@@ -33,7 +31,7 @@ pub fn render_json(report: &LintReport) -> String {
 
 /// CSV with a header row; the summary goes to stderr, not the data stream.
 pub fn render_csv(report: &LintReport) -> String {
-    let mut out = String::from("rule,tier,file,line,message\n");
+    let mut out = String::from("rule,file,line,message\n");
     for f in &report.findings {
         out.push_str(&f.record().to_csv_line());
         out.push('\n');
@@ -46,11 +44,10 @@ pub fn render_table(report: &LintReport) -> String {
     if report.findings.is_empty() {
         return String::from("no findings\n");
     }
-    let mut table = Table::new(["rule", "tier", "location", "message"]);
+    let mut table = Table::new(["rule", "location", "message"]);
     for f in &report.findings {
         table.push_row([
             f.rule.to_string(),
-            f.tier.name().to_string(),
             format!("{}:{}", f.file, f.line),
             f.message.clone(),
         ]);
@@ -61,13 +58,12 @@ pub fn render_table(report: &LintReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{Finding, Tier};
+    use crate::rules::Finding;
 
     fn sample() -> LintReport {
         LintReport {
             findings: vec![Finding {
                 rule: "wall-clock",
-                tier: Tier::Deny,
                 file: "crates/core/src/x.rs".into(),
                 line: 12,
                 message: "Instant::now in deterministic code".into(),
@@ -83,10 +79,9 @@ mod tests {
         let json = render_json(&r);
         assert_eq!(
             json,
-            "{\"rule\":\"wall-clock\",\"tier\":\"deny\",\"file\":\"crates/core/src/x.rs\",\
+            "{\"rule\":\"wall-clock\",\"file\":\"crates/core/src/x.rs\",\
              \"line\":12,\"message\":\"Instant::now in deterministic code\"}\n\
-             {\"record\":\"summary\",\"files\":3,\"findings\":1,\"deny\":1,\"warn\":0,\
-             \"suppressed\":1}\n"
+             {\"record\":\"summary\",\"files\":3,\"findings\":1,\"suppressed\":1}\n"
         );
         assert_eq!(
             json,
@@ -98,7 +93,7 @@ mod tests {
     #[test]
     fn csv_and_table_render() {
         let r = sample();
-        assert!(render_csv(&r).starts_with("rule,tier,file,line,message\n"));
+        assert!(render_csv(&r).starts_with("rule,file,line,message\n"));
         assert!(render_table(&r).contains("crates/core/src/x.rs:12"));
         assert_eq!(render_table(&LintReport::default()), "no findings\n");
     }

@@ -1,38 +1,16 @@
 //! The rule engine: each rule is one pass over a [`SourceFile`]'s token
-//! stream (the trace-schema rule, which cross-checks three artifacts, lives
-//! in [`crate::schema`]).
+//! stream, and every finding fails the gate.
 
 use crate::lexer::Tok;
 use crate::policy::{self, Ctx, FileClass};
 use crate::source::SourceFile;
 use wakeup_analysis::serial::Record;
 
-/// Finding severity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Tier {
-    /// Fails the build outright.
-    Deny,
-    /// Diffed against the committed baseline (ratchet-down).
-    Warn,
-}
-
-impl Tier {
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Tier::Deny => "deny",
-            Tier::Warn => "warn",
-        }
-    }
-}
-
 /// One lint finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
     /// Rule id (kebab-case).
     pub rule: &'static str,
-    /// Severity tier.
-    pub tier: Tier,
     /// Workspace-relative path (forward slashes).
     pub file: String,
     /// 1-based line.
@@ -46,7 +24,6 @@ impl Finding {
     pub fn record(&self) -> Record {
         Record::new()
             .with("rule", self.rule)
-            .with("tier", self.tier.name())
             .with("file", self.file.as_str())
             .with("line", u64::from(self.line))
             .with("message", self.message.as_str())
@@ -66,11 +43,7 @@ pub const SINK_DISCIPLINE: &str = "sink-discipline";
 /// See [`DEFAULT_HASH_STATE`].
 pub const ENV_DISCIPLINE: &str = "env-discipline";
 /// See [`DEFAULT_HASH_STATE`].
-pub const LAYERING: &str = "layering";
-/// See [`DEFAULT_HASH_STATE`].
 pub const PANIC_FREE_HOT_PATH: &str = "panic-free-hot-path";
-/// See [`DEFAULT_HASH_STATE`].
-pub const TRACE_SCHEMA_SYNC: &str = "trace-schema-sync";
 /// Meta-rule: malformed / reason-less allow pragmas.
 pub const LINT_PRAGMA: &str = "lint-pragma";
 
@@ -79,8 +52,6 @@ pub const LINT_PRAGMA: &str = "lint-pragma";
 pub struct RuleInfo {
     /// Rule id.
     pub id: &'static str,
-    /// Severity tier.
-    pub tier: Tier,
     /// One-line rationale.
     pub summary: &'static str,
 }
@@ -89,65 +60,40 @@ pub struct RuleInfo {
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: DEFAULT_HASH_STATE,
-        tier: Tier::Deny,
         summary: "HashMap/HashSet with the default RandomState in deterministic crates — \
                   iteration order can leak into transcripts/traces/artifacts",
     },
     RuleInfo {
         id: WALL_CLOCK,
-        tier: Tier::Deny,
         summary: "Instant::now/SystemTime outside the wall-clock tier \
                   (runner timers, progress, calibration, benches)",
     },
     RuleInfo {
         id: AMBIENT_RNG,
-        tier: Tier::Deny,
         summary: "thread_rng/from_entropy/OsRng anywhere outside the compat shims — \
                   all randomness must be seeded",
     },
     RuleInfo {
         id: UNSAFE_NEEDS_SAFETY,
-        tier: Tier::Deny,
         summary: "every unsafe block/impl/fn must carry a // SAFETY: comment",
     },
     RuleInfo {
         id: SINK_DISCIPLINE,
-        tier: Tier::Deny,
         summary: "stray println!/eprintln! outside Sink/ProgressSink implementations and bins",
     },
     RuleInfo {
         id: ENV_DISCIPLINE,
-        tier: Tier::Deny,
         summary: "std::env reads outside the CLI env-wiring modules",
     },
     RuleInfo {
-        id: LAYERING,
-        tier: Tier::Deny,
-        summary: "use/extern declarations must respect the workspace crate DAG",
-    },
-    RuleInfo {
         id: PANIC_FREE_HOT_PATH,
-        tier: Tier::Warn,
-        summary: "unwrap/expect/panic!/indexing in the engine slot loop and tracer emit paths \
-                  (baseline-ratcheted)",
-    },
-    RuleInfo {
-        id: TRACE_SCHEMA_SYNC,
-        tier: Tier::Deny,
-        summary: "TraceEvent kinds/fields in tracer.rs must match README §Observability \
-                  and the CI validator",
+        summary: "unwrap/expect/panic!/indexing in the engine slot loop and tracer emit paths",
     },
     RuleInfo {
         id: LINT_PRAGMA,
-        tier: Tier::Deny,
         summary: "lint: allow(...) pragmas must name a known rule and give a reason",
     },
 ];
-
-/// Look up a rule's tier by id.
-pub fn tier_of(rule: &str) -> Option<Tier> {
-    RULES.iter().find(|r| r.id == rule).map(|r| r.tier)
-}
 
 /// The outcome of linting one file.
 #[derive(Clone, Debug, Default)]
@@ -168,7 +114,6 @@ pub fn lint_tokens(rel: &str, class: &FileClass, sf: &SourceFile) -> FileOutcome
     unsafe_needs_safety(rel, sf, &mut out);
     sink_discipline(rel, class, sf, &mut out);
     env_discipline(rel, class, sf, &mut out);
-    layering(rel, class, sf, &mut out);
     panic_free_hot_path(rel, class, sf, &mut out);
     out
 }
@@ -179,7 +124,6 @@ fn push(
     out: &mut FileOutcome,
     sf: &SourceFile,
     rule: &'static str,
-    tier: Tier,
     rel: &str,
     line: u32,
     message: String,
@@ -190,7 +134,6 @@ fn push(
     }
     out.findings.push(Finding {
         rule,
-        tier,
         file: rel.to_string(),
         line,
         message,
@@ -201,10 +144,9 @@ fn push(
 /// must exist (a typo would otherwise silently suppress nothing).
 fn pragma_hygiene(rel: &str, sf: &SourceFile, out: &mut FileOutcome) {
     for p in &sf.pragmas {
-        if tier_of(&p.rule).is_none() {
+        if !RULES.iter().any(|r| r.id == p.rule) {
             out.findings.push(Finding {
                 rule: LINT_PRAGMA,
-                tier: Tier::Deny,
                 file: rel.to_string(),
                 line: p.line,
                 message: format!("allow pragma names unknown rule '{}'", p.rule),
@@ -212,7 +154,6 @@ fn pragma_hygiene(rel: &str, sf: &SourceFile, out: &mut FileOutcome) {
         } else if !p.has_reason {
             out.findings.push(Finding {
                 rule: LINT_PRAGMA,
-                tier: Tier::Deny,
                 file: rel.to_string(),
                 line: p.line,
                 message: format!(
@@ -249,7 +190,6 @@ fn default_hash_state(rel: &str, class: &FileClass, sf: &SourceFile, out: &mut F
                 out,
                 sf,
                 DEFAULT_HASH_STATE,
-                Tier::Deny,
                 rel,
                 t.line,
                 format!(
@@ -273,7 +213,6 @@ fn wall_clock(rel: &str, class: &FileClass, sf: &SourceFile, out: &mut FileOutco
                 out,
                 sf,
                 WALL_CLOCK,
-                Tier::Deny,
                 rel,
                 t.line,
                 format!(
@@ -296,7 +235,6 @@ fn ambient_rng(rel: &str, class: &FileClass, sf: &SourceFile, out: &mut FileOutc
                 out,
                 sf,
                 AMBIENT_RNG,
-                Tier::Deny,
                 rel,
                 t.line,
                 format!("ambient RNG `{id}` — all randomness must flow from an explicit seed"),
@@ -312,7 +250,6 @@ fn unsafe_needs_safety(rel: &str, sf: &SourceFile, out: &mut FileOutcome) {
                 out,
                 sf,
                 UNSAFE_NEEDS_SAFETY,
-                Tier::Deny,
                 rel,
                 t.line,
                 "unsafe without a // SAFETY: comment on or directly above it".to_string(),
@@ -336,7 +273,6 @@ fn sink_discipline(rel: &str, class: &FileClass, sf: &SourceFile, out: &mut File
                 out,
                 sf,
                 SINK_DISCIPLINE,
-                Tier::Deny,
                 rel,
                 t.line,
                 format!("stray {id}! — library crates report through Sink/ProgressSink"),
@@ -365,61 +301,15 @@ fn env_discipline(rel: &str, class: &FileClass, sf: &SourceFile, out: &mut FileO
                         out,
                         sf,
                         ENV_DISCIPLINE,
-                        Tier::Deny,
                         rel,
                         t.line,
                         format!(
                             "std::env::{what} outside the CLI env-wiring modules — thread \
-                             configuration through Config/Knobs instead"
+                             configuration through Config instead"
                         ),
                     );
                 }
             }
-        }
-    }
-}
-
-fn layering(rel: &str, class: &FileClass, sf: &SourceFile, out: &mut FileOutcome) {
-    let toks = &sf.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        let Tok::Ident(id) = &t.tok else { continue };
-        let root = if id == "use" {
-            // First path segment: skip a possible leading `::`.
-            let mut j = i + 1;
-            while punct_at(sf, j) == Some(':') {
-                j += 1;
-            }
-            ident_at(sf, j)
-        } else if id == "extern" && ident_at(sf, i + 1) == Some("crate") {
-            ident_at(sf, i + 2)
-        } else {
-            None
-        };
-        let Some(root) = root else { continue };
-        let Some(dep) = policy::crate_of_ident(root) else {
-            continue;
-        };
-        // A `#[cfg(test)]` region inside `src/` is dev-dependency territory,
-        // same as an integration test file.
-        let ctx = if sf.flags[i].is_test {
-            Ctx::Tests
-        } else {
-            class.ctx
-        };
-        if !policy::dep_allowed(&class.krate, ctx, dep) {
-            push(
-                out,
-                sf,
-                LAYERING,
-                Tier::Deny,
-                rel,
-                t.line,
-                format!(
-                    "crate '{}' must not depend on '{dep}' — the workspace DAG is \
-                     selectors/runner → mac-sim → core → analysis → lint → bench",
-                    class.krate
-                ),
-            );
         }
     }
 }
@@ -457,7 +347,6 @@ fn panic_free_hot_path(rel: &str, class: &FileClass, sf: &SourceFile, out: &mut 
                 out,
                 sf,
                 PANIC_FREE_HOT_PATH,
-                Tier::Warn,
                 rel,
                 t.line,
                 format!("{what} in a hot path — prefer total code in the slot loop / tracer emit"),
@@ -520,30 +409,11 @@ mod tests {
     }
 
     #[test]
-    fn layering_rejects_upward_edges() {
-        let out = run("crates/selectors/src/x.rs", "use mac_sim::Engine;\n");
-        assert_eq!(out.findings.len(), 1);
-        assert_eq!(out.findings[0].rule, LAYERING);
-        assert!(run("crates/core/src/x.rs", "use mac_sim::Engine;\n")
-            .findings
-            .is_empty());
-        // extern crate form.
-        let out = run("crates/runner/src/x.rs", "extern crate mac_sim;\n");
-        assert_eq!(out.findings.len(), 1);
-        // Own crate from an integration test is fine.
-        assert!(
-            run("crates/runner/tests/t.rs", "use wakeup_runner::Runner;\n")
-                .findings
-                .is_empty()
-        );
-    }
-
-    #[test]
-    fn hot_path_rule_is_warn_tier_and_scoped() {
+    fn hot_path_rule_is_scoped() {
         let src = "fn f(v: &[u32]) { let x = v[0]; let y = v.first().unwrap(); panic!(\"no\"); }";
         let out = run("crates/mac-sim/src/engine.rs", src);
         assert_eq!(out.findings.len(), 3, "{:?}", out.findings);
-        assert!(out.findings.iter().all(|f| f.tier == Tier::Warn));
+        assert!(out.findings.iter().all(|f| f.rule == PANIC_FREE_HOT_PATH));
         // Same code outside the hot-path files: silent.
         assert!(run("crates/mac-sim/src/pattern.rs", src)
             .findings

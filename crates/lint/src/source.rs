@@ -8,8 +8,7 @@ use crate::lexer::{lex, Lexed, Tok, Token};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Flags {
     /// Inside a `use …;` / `extern crate …;` item (imports are declared
-    /// once; rules flag *use sites*, and the layering rule handles the
-    /// declarations themselves).
+    /// once; rules flag *use sites*).
     pub in_use: bool,
     /// Inside a `#[cfg(test)]` module/item or a `#[test]` function. Most
     /// determinism rules skip test-only code: a `HashSet` membership assert

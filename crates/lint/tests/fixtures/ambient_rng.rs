@@ -1,6 +1,5 @@
 // Fixture: fires exactly `ambient-rng` when linted as
-// crates/selectors/src/bad.rs (the compat `rand` dep itself is a legal
-// edge for selectors, so layering stays quiet).
+// crates/selectors/src/bad.rs.
 
 pub fn roll() {
     let _rng = rand::thread_rng();

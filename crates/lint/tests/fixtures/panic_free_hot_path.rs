@@ -1,4 +1,4 @@
-// Fixture: fires exactly `panic-free-hot-path` (warn tier) when linted as
+// Fixture: fires exactly `panic-free-hot-path` when linted as
 // crates/mac-sim/src/engine.rs — slice indexing in the hot path.
 
 pub fn head(v: &[u64]) -> u64 {

@@ -100,8 +100,7 @@ pub use population::{
 pub use station::{Action, Protocol, Station, TxHint, TxWord, Until};
 pub use trace::Transcript;
 pub use tracer::{
-    BufferTracer, NoopTracer, RecordingTracer, RingTracer, StreamTracer, TraceEvent, TraceFilter,
-    TraceKind, Tracer,
+    BufferTracer, NoopTracer, RecordingTracer, TraceEvent, TraceFilter, TraceKind, Tracer,
 };
 
 /// Convenient glob import for downstream crates and examples.
@@ -122,7 +121,6 @@ pub mod prelude {
     pub use crate::station::{Action, Protocol, Station, TxHint, TxWord, Until};
     pub use crate::trace::Transcript;
     pub use crate::tracer::{
-        BufferTracer, NoopTracer, RecordingTracer, RingTracer, StreamTracer, TraceEvent,
-        TraceFilter, TraceKind, Tracer,
+        BufferTracer, NoopTracer, RecordingTracer, TraceEvent, TraceFilter, TraceKind, Tracer,
     };
 }

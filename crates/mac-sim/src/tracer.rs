@@ -35,7 +35,6 @@
 //! unsampled one.
 
 use crate::ids::{Slot, StationId};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// The kind of a [`TraceEvent`] — the unit of filtering and sampling.
@@ -61,9 +60,6 @@ pub enum TraceKind {
     BurstClose,
     /// An equivalence class split off new units (engine-specific).
     ClassSplit,
-    /// Reserved: class merges. The current engine only fragments classes,
-    /// so this kind is never emitted, but writers and filters handle it.
-    ClassMerge,
     /// Heap size / live-unit high-water advanced (engine-specific).
     Watermark,
     /// The channel erased a successful transmission to silence
@@ -80,7 +76,7 @@ pub enum TraceKind {
 }
 
 /// Number of distinct [`TraceKind`]s.
-pub const KIND_COUNT: usize = 16;
+pub const KIND_COUNT: usize = 15;
 
 impl TraceKind {
     /// Every kind, in index order.
@@ -95,7 +91,6 @@ impl TraceKind {
         TraceKind::BurstOpen,
         TraceKind::BurstClose,
         TraceKind::ClassSplit,
-        TraceKind::ClassMerge,
         TraceKind::Watermark,
         TraceKind::FaultErasure,
         TraceKind::FaultCapture,
@@ -122,7 +117,6 @@ impl TraceKind {
             TraceKind::BurstOpen => "burst_open",
             TraceKind::BurstClose => "burst_close",
             TraceKind::ClassSplit => "class_split",
-            TraceKind::ClassMerge => "class_merge",
             TraceKind::Watermark => "watermark",
             TraceKind::FaultErasure => "fault_erasure",
             TraceKind::FaultCapture => "fault_capture",
@@ -233,13 +227,6 @@ pub enum TraceEvent {
         /// Number of newly created units.
         born: u64,
     },
-    /// Reserved (never emitted): classes re-merged at `slot`.
-    ClassMerge {
-        /// The merge slot.
-        slot: Slot,
-        /// Number of units retired by the merge.
-        merged: u64,
-    },
     /// A memory high-water advanced at `slot`.
     Watermark {
         /// The slot of the new high-water.
@@ -297,7 +284,6 @@ impl TraceEvent {
             TraceEvent::BurstOpen { .. } => TraceKind::BurstOpen,
             TraceEvent::BurstClose { .. } => TraceKind::BurstClose,
             TraceEvent::ClassSplit { .. } => TraceKind::ClassSplit,
-            TraceEvent::ClassMerge { .. } => TraceKind::ClassMerge,
             TraceEvent::Watermark { .. } => TraceKind::Watermark,
             TraceEvent::FaultErasure { .. } => TraceKind::FaultErasure,
             TraceEvent::FaultCapture { .. } => TraceKind::FaultCapture,
@@ -319,7 +305,6 @@ impl TraceEvent {
             | TraceEvent::BurstOpen { slot, .. }
             | TraceEvent::BurstClose { slot }
             | TraceEvent::ClassSplit { slot, .. }
-            | TraceEvent::ClassMerge { slot, .. }
             | TraceEvent::Watermark { slot, .. }
             | TraceEvent::FaultErasure { slot, .. }
             | TraceEvent::FaultCapture { slot, .. }
@@ -373,9 +358,6 @@ impl TraceEvent {
             }
             TraceEvent::ClassSplit { slot, born } => {
                 let _ = write!(s, ",\"slot\":{slot},\"born\":{born}");
-            }
-            TraceEvent::ClassMerge { slot, merged } => {
-                let _ = write!(s, ",\"slot\":{slot},\"merged\":{merged}");
             }
             TraceEvent::Watermark { slot, heap, units } => {
                 let _ = write!(s, ",\"slot\":{slot},\"heap\":{heap},\"units\":{units}");
@@ -481,9 +463,11 @@ impl SampleState {
     /// Count an event of `kind`; `true` iff it survives `filter`'s stride.
     #[inline]
     fn keep(&mut self, filter: &TraceFilter, kind: TraceKind) -> bool {
-        let i = kind.index();
-        let n = self.seen[i];
-        self.seen[i] += 1;
+        let Some(seen) = self.seen.get_mut(kind.index()) else {
+            return true;
+        };
+        let n = *seen;
+        *seen += 1;
         n.is_multiple_of(filter.every)
     }
 }
@@ -528,81 +512,6 @@ impl Tracer for NoopTracer {
 
     #[inline(always)]
     fn record(&mut self, _ev: &TraceEvent) {}
-}
-
-/// A bounded in-memory tracer: keeps the **last** `capacity` admitted
-/// events (a flight recorder), while per-kind totals count everything —
-/// useful to inspect the end of a long run without holding its whole trace.
-#[derive(Clone, Debug)]
-pub struct RingTracer {
-    filter: TraceFilter,
-    sample: SampleState,
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    counts: [u64; KIND_COUNT],
-}
-
-impl RingTracer {
-    /// A ring of `capacity` events admitting every kind.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_filter(capacity, TraceFilter::all())
-    }
-
-    /// A ring of `capacity` events with an explicit filter.
-    pub fn with_filter(capacity: usize, filter: TraceFilter) -> Self {
-        RingTracer {
-            filter,
-            sample: SampleState::default(),
-            capacity: capacity.max(1),
-            events: VecDeque::with_capacity(capacity.max(1)),
-            counts: [0; KIND_COUNT],
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Total admitted events of `kind` over the whole run (including those
-    /// that have since rotated out of the ring or were sampled away).
-    pub fn count(&self, kind: TraceKind) -> u64 {
-        self.counts[kind.index()]
-    }
-
-    /// Total admitted events over all kinds.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl Tracer for RingTracer {
-    #[inline]
-    fn wants(&self, kind: TraceKind) -> bool {
-        self.filter.admits(kind)
-    }
-
-    fn record(&mut self, ev: &TraceEvent) {
-        let kind = ev.kind();
-        self.counts[kind.index()] += 1;
-        if !self.sample.keep(&self.filter, kind) {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(*ev);
-    }
 }
 
 /// An unbounded collecting tracer: every admitted (and sampled-in) event in
@@ -715,89 +624,6 @@ impl<T: Tracer + ?Sized> Tracer for BufferTracer<'_, T> {
 
     fn record(&mut self, ev: &TraceEvent) {
         self.events.push(*ev);
-    }
-}
-
-/// A JSONL streaming tracer: one flat JSON object per admitted event,
-/// written to `out` as it happens. An optional run index is prepended to
-/// every line (`{"run":3,"ev":…}`) so multi-run streams stay
-/// self-describing.
-///
-/// Write errors latch: the first error stops all further output and is
-/// retrievable via [`io_error`](StreamTracer::io_error) — the engine run
-/// itself is never failed by a full disk.
-#[derive(Debug)]
-pub struct StreamTracer<W: std::io::Write> {
-    filter: TraceFilter,
-    sample: SampleState,
-    out: W,
-    run: Option<u64>,
-    lines: u64,
-    error: Option<std::io::Error>,
-}
-
-impl<W: std::io::Write> StreamTracer<W> {
-    /// Stream every kind, unsampled, to `out`.
-    pub fn new(out: W) -> Self {
-        Self::with_filter(out, TraceFilter::all())
-    }
-
-    /// Stream under an explicit filter.
-    pub fn with_filter(out: W, filter: TraceFilter) -> Self {
-        StreamTracer {
-            filter,
-            sample: SampleState::default(),
-            out,
-            run: None,
-            lines: 0,
-            error: None,
-        }
-    }
-
-    /// Tag subsequent lines with a run index and reset the per-kind
-    /// sampling counters (each run samples independently, so a stream is
-    /// the concatenation of its runs' individual streams).
-    pub fn set_run(&mut self, run: u64) {
-        self.run = Some(run);
-        self.sample = SampleState::default();
-    }
-
-    /// Lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// The first write error, if any occurred.
-    pub fn io_error(&self) -> Option<&std::io::Error> {
-        self.error.as_ref()
-    }
-
-    /// Flush and return the writer.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.out.flush();
-        self.out
-    }
-}
-
-impl<W: std::io::Write> Tracer for StreamTracer<W> {
-    #[inline]
-    fn wants(&self, kind: TraceKind) -> bool {
-        self.error.is_none() && self.filter.admits(kind)
-    }
-
-    fn record(&mut self, ev: &TraceEvent) {
-        if self.error.is_some() || !self.sample.keep(&self.filter, ev.kind()) {
-            return;
-        }
-        let line = match self.run {
-            Some(run) => format!("{{\"run\":{run},{}}}\n", ev.json_fields()),
-            None => format!("{}\n", ev.to_json()),
-        };
-        if let Err(e) = self.out.write_all(line.as_bytes()) {
-            self.error = Some(e);
-        } else {
-            self.lines += 1;
-        }
     }
 }
 
@@ -931,21 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_tracer_keeps_the_tail_and_counts_everything() {
-        let mut ring = RingTracer::new(2);
-        for ev in sample_events() {
-            if ring.wants(ev.kind()) {
-                ring.record(&ev);
-            }
-        }
-        assert_eq!(ring.total(), 6);
-        assert_eq!(ring.count(TraceKind::Silence), 1);
-        assert_eq!(ring.len(), 2);
-        let tail: Vec<TraceKind> = ring.events().map(|e| e.kind()).collect();
-        assert_eq!(tail, vec![TraceKind::Success, TraceKind::RunEnd]);
-    }
-
-    #[test]
     fn sampling_is_a_strict_subsequence_per_kind() {
         let mut full = RecordingTracer::new();
         let mut sampled = RecordingTracer::with_filter(TraceFilter::all().sample_every(2));
@@ -971,22 +782,6 @@ mod tests {
         for s in sampled.events() {
             assert!(it.any(|f| f == s), "sampled event not in order in full");
         }
-    }
-
-    #[test]
-    fn stream_tracer_writes_jsonl_with_run_tags() {
-        let mut st = StreamTracer::new(Vec::new());
-        st.set_run(3);
-        st.record(&TraceEvent::Wake {
-            slot: 0,
-            stations: 4,
-        });
-        assert_eq!(st.lines(), 1);
-        let bytes = st.into_inner();
-        assert_eq!(
-            String::from_utf8(bytes).unwrap(),
-            "{\"run\":3,\"ev\":\"wake\",\"slot\":0,\"stations\":4}\n"
-        );
     }
 
     #[test]
