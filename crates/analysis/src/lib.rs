@@ -1,6 +1,7 @@
 //! # wakeup-analysis — measurement harness for the reproduction experiments
 //!
-//! Tools to turn simulator runs into the tables of `EXPERIMENTS.md`:
+//! Tools to turn simulator runs into the tables of the experiment registry
+//! (README, "Experiments: the `wakeup` driver"):
 //!
 //! * [`ensemble`] — a multi-seed experiment runner pairing a protocol
 //!   factory with a wake-pattern generator, executed on the

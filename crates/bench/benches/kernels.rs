@@ -29,7 +29,9 @@
 //!   wake of half the universe at n = 2^24: the guard asserts a ≥ 100×
 //!   memory reduction (stations represented per live simulation unit) for
 //!   round-robin, with a bit-identity pin against the concrete engine at a
-//!   size it can still afford;
+//!   size it can still afford; plus the cost of one selective slot (a
+//!   `wakeup_with_s` block at odd `s`, in ns per swept member) with its
+//!   counters pinned against the concrete engine at n = 2^16;
 //! * `trace_overhead` — the tracing subsystem's zero-cost contract: the
 //!   `NoopTracer` path must stay within 5% of the plain `run` on the
 //!   emission-dense round-robin block row, with a recording-tracer cost
@@ -761,6 +763,56 @@ fn mega_station(_c: &mut Criterion) {
             concrete_t * 1e6
         ),
     );
+
+    // The cost of a selective slot. A wakeup_with_s block wake at odd s
+    // opens on a selective slot: the exact transmitter count is an
+    // observable, so every member of the half-universe class is tested
+    // against one family row (a collision) before round-robin wins at
+    // s + 1. Reported per swept member; no timing bound.
+    let s = 601;
+    let provider = FamilyProvider::default();
+    let wws = WakeupWithS::new(n, s, provider);
+    let block = WakePattern::range(1, k + 1, s).unwrap();
+    let first = classed_sim.run(&wws, &block, 0).unwrap();
+    assert_eq!(
+        first.first_success,
+        Some(s + 1),
+        "odd s: round-robin wins at s + 1"
+    );
+    assert_eq!(first.collisions, 1, "odd s: the selective slot collides");
+    let iters = if std::env::var_os("BENCH_QUICK").is_some() {
+        2
+    } else {
+        20
+    };
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        black_box(classed_sim.run(&wws, &block, 0).unwrap());
+    }
+    let per_run = t0.elapsed().as_secs_f64() / f64::from(iters);
+    println!(
+        "mega_station/wws_odd_s_n2^24_k2^23         {:.0}us per run, {:.2} ns per swept member ({} transmitters)",
+        per_run * 1e6,
+        per_run * 1e9 / f64::from(k),
+        first.transmissions,
+    );
+
+    // The class sweep counts transmitters per id run; the concrete engine
+    // polls each station. Same block shape at n = 2^16, same counters.
+    let small_wws = WakeupWithS::new(small_n, s, provider);
+    let small_block = WakePattern::range(1, small_k + 1, s).unwrap();
+    let lean = SimConfig::new(small_n).without_per_station_detail();
+    let concrete = Simulator::new(lean.clone())
+        .run(&small_wws, &small_block, 0)
+        .unwrap();
+    let classed = Simulator::new(lean.with_classes())
+        .run(&small_wws, &small_block, 0)
+        .unwrap();
+    assert_eq!(classed.first_success, concrete.first_success);
+    assert_eq!(classed.winner, concrete.winner);
+    assert_eq!(classed.transmissions, concrete.transmissions);
+    assert_eq!(classed.collisions, concrete.collisions);
+    assert_eq!(classed.peak_units, 1);
 }
 
 fn trace_overhead(_c: &mut Criterion) {

@@ -1,4 +1,4 @@
-//! EXP-ABL — ablations of the paper's design choices (DESIGN.md §6).
+//! EXP-ABL — ablations of the paper's design choices.
 //!
 //! * **ABL-CD** — collision detection: the paper's protocols are oblivious,
 //!   so granting the stronger CD feedback changes nothing for them (measured

@@ -134,8 +134,7 @@ fn run(ctx: &mut Ctx<'_>) {
     // containment within the horizon (checked per row above) plus a strong
     // fit of the bound shape. On plain bursts the measured latency actually
     // grows like Θ(k·log log n) — the effective per-k constant is
-    // L·W/2^W ≈ log log n — comfortably below the worst-case bound; see
-    // EXPERIMENTS.md.
+    // L·W/2^W ≈ log log n — comfortably below the worst-case bound.
     if claim.r2 >= 0.85 {
         ctx.note(format!(
             "UPPER BOUND CONFIRMED: every run within the Theorem 5.3 horizon; \

@@ -3,9 +3,9 @@
 //! synchronous model given by Chlebus et al. \[9\]" (`O(k log² n)`).
 //!
 //! Head-to-head: `wakeup(n)` vs the locally-synchronized doubling stand-in
-//! (`LocalDoubling`, see DESIGN.md §4 substitution 3) on simultaneous
-//! bursts, sweeping `n` at fixed `k`. The expected ratio grows like
-//! `log n / (c·log log n)`. Streaming ensembles on the work-stealing
+//! (`LocalDoubling`; `wakeup_core::baselines` says what it keeps of the
+//! original) on simultaneous bursts, sweeping `n` at fixed `k`. The
+//! expected ratio grows like `log n / (c·log log n)`. Streaming ensembles on the work-stealing
 //! runner; the footer reports per-table `WorkStats`.
 
 use crate::experiment::{Check, Ctx, Experiment};

@@ -1,9 +1,10 @@
 //! # wakeup-bench — the declarative experiment layer and `wakeup` driver
 //!
-//! Every experiment of `DESIGN.md` §3 / `EXPERIMENTS.md` is a **registry
-//! entry** ([`experiments::registry`]): a name, a banner, a per-scale sweep
-//! [`Grid`], and a body that reports through a pluggable [`sink::Sink`]
-//! instead of printing. One driver binary runs them all:
+//! Every experiment of the reproduction (README, "Experiments: the `wakeup`
+//! driver") is a **registry entry** ([`experiments::registry`]): a name, a
+//! banner, a per-scale sweep [`Grid`], and a body that reports through a
+//! pluggable [`sink::Sink`] instead of printing. One driver binary runs
+//! them all:
 //!
 //! ```text
 //! wakeup list                         # the registry, one line per experiment
@@ -65,7 +66,8 @@ use wakeup_analysis::fit::{Metric, SweepPoint};
 pub enum Scale {
     /// Seconds-scale sweeps (CI-friendly). The default.
     Quick,
-    /// Minutes-scale sweeps matching EXPERIMENTS.md's recorded tables.
+    /// Minutes-scale sweeps; each registry entry declares its measured
+    /// `full_budget_secs`.
     Full,
 }
 

@@ -8,7 +8,7 @@
 //! synchronizers) is a paper of its own; what EXP-CHL needs is a faithful
 //! *shape*: a deterministic protocol that uses only the station's **local**
 //! clock (slots since its own wake-up) and runs doubling
-//! strongly-selective structures. See DESIGN.md §4 (substitution 3).
+//! strongly-selective structures.
 //!
 //! Structure: on local position `p`, the station is in *epoch*
 //! `i = 1, 2, …` (epoch `i` lasts `c·2^i·log²n` positions); within epoch `i`

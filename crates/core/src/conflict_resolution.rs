@@ -19,7 +19,7 @@
 //! resolved within `O(k)` passes of length `O(k log(n/k))` in the worst
 //! case — and empirically in a small constant number of passes (EXP-KG
 //! regenerates the measured shape; the optimal KG construction itself is
-//! existential, see DESIGN.md §4).
+//! existential, so it runs as a seeded sample, see `selectors::random`).
 //!
 //! Run under [`StopRule::AllResolved`](mac_sim::engine::StopRule) — e.g.
 //! `SimConfig::new(n).until_all_resolved()` — and read

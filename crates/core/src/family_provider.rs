@@ -16,8 +16,9 @@
 //! implements [`selectors::Schedule`] so it can be composed with the schedule
 //! algebra.
 
-use selectors::kautz_singleton::KautzSingleton;
-use selectors::random::{OracleFamily, RandomFamilyBuilder};
+use mac_sim::TxRow;
+use selectors::kautz_singleton::{KautzSingleton, KsRow};
+use selectors::random::{OracleFamily, OracleRow, RandomFamilyBuilder};
 use selectors::schedule::Schedule;
 
 /// A strategy for realizing `(n,k)`-selective families.
@@ -132,13 +133,23 @@ impl DynFamily {
         self.len() == 0
     }
 
+    /// Transmission set `j`, resolved once for testing many stations
+    /// against it (the empty set past the family's end).
+    #[inline]
+    pub fn row(&self, j: u64) -> DynRow<'_> {
+        match &self.inner {
+            DynFamilyInner::Oracle(o) if (j as usize) < o.len() => {
+                DynRow::Oracle(o.row(j as usize))
+            }
+            DynFamilyInner::Ks(ks) if (j as usize) < ks.len() => DynRow::Ks(ks.row(j as usize)),
+            _ => DynRow::Empty,
+        }
+    }
+
     /// Does station `u` belong to transmission set `j`?
     #[inline]
     pub fn member(&self, u: u32, j: u64) -> bool {
-        match &self.inner {
-            DynFamilyInner::Oracle(o) => (j as usize) < o.len() && o.transmits(u, j as usize),
-            DynFamilyInner::Ks(ks) => (j as usize) < ks.len() && ks.transmits(u, j as usize),
-        }
+        self.row(j).contains(u)
     }
 
     /// Materialize into an explicit family for verification.
@@ -146,6 +157,37 @@ impl DynFamily {
         match &self.inner {
             DynFamilyInner::Oracle(o) => o.materialize(),
             DynFamilyInner::Ks(ks) => ks.materialize(),
+        }
+    }
+}
+
+/// One transmission set of a [`DynFamily`] (see [`DynFamily::row`]).
+#[derive(Clone, Copy, Debug)]
+pub enum DynRow<'a> {
+    /// A set of the randomized construction.
+    Oracle(OracleRow),
+    /// A set of the Kautz–Singleton code.
+    Ks(KsRow<'a>),
+    /// A position past the family's end: nobody transmits.
+    Empty,
+}
+
+impl TxRow for DynRow<'_> {
+    #[inline]
+    fn contains(&self, u: u32) -> bool {
+        match self {
+            DynRow::Oracle(r) => r.contains(u),
+            DynRow::Ks(r) => r.contains(u),
+            DynRow::Empty => false,
+        }
+    }
+
+    #[inline]
+    fn count_in(&self, lo: u32, hi: u32) -> (u64, Option<u32>) {
+        match self {
+            DynRow::Oracle(r) => r.count_in(lo, hi),
+            DynRow::Ks(r) => TxRow::count_in(r, lo, hi),
+            DynRow::Empty => (0, None),
         }
     }
 }

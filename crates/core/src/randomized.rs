@@ -17,7 +17,7 @@
 //!   paper's channel offers no such feedback. We grant BEB the
 //!   transmitter-side detection it classically assumes (a transmitter that
 //!   does not hear its own message back knows it collided) — see the module
-//!   tests and DESIGN.md; this makes BEB an *optimistic* baseline.
+//!   tests; this makes BEB an *optimistic* baseline.
 
 use mac_sim::{Action, Feedback, Protocol, Slot, Station, StationId};
 use rand::{Rng, SeedableRng};

@@ -19,10 +19,10 @@
 //! `k > n/c`). [`WakeupWithS`](crate::wakeup_with_s::WakeupWithS)
 //! interleaves it with round-robin to cover the large-`k` regime.
 
-use crate::family_provider::{DynFamily, FamilyProvider};
+use crate::family_provider::{DynFamily, DynRow, FamilyProvider};
 use mac_sim::{
     Action, ClassStation, MemberRemoval, Members, Protocol, Slot, Station, StationId, TxHint,
-    TxTally, TxWord, Until,
+    TxRow, TxTally, TxWord, Until,
 };
 use selectors::math::log_n;
 use std::sync::Arc;
@@ -73,10 +73,21 @@ impl DoublingSchedule {
         self.cycle.inner().offsets()
     }
 
+    /// The transmission set at position `p` (taken mod the period),
+    /// resolved once: one modulo and one family lookup for any number of
+    /// stations tested against it.
+    #[inline]
+    pub fn row(&self, p: u64) -> DynRow<'_> {
+        match self.cycle.inner().locate(p % self.period()) {
+            Some((i, local)) => self.families()[i].row(local),
+            None => DynRow::Empty,
+        }
+    }
+
     /// Does station `u` transmit at position `p` (taken mod the period)?
+    #[inline]
     pub fn transmits(&self, u: u32, p: u64) -> bool {
-        use selectors::Schedule;
-        self.cycle.transmits(u, p)
+        self.row(p).contains(u)
     }
 
     /// The families in order.
@@ -307,11 +318,12 @@ impl AnyMemberScan {
             if tests >= budget && p > start {
                 return Scan::SilentBelow(p);
             }
+            let row = schedule.row(p);
             let mut any = false;
             'runs: for &(lo, hi) in members.runs() {
                 for u in lo..hi {
                     tests += 1;
-                    if schedule.transmits(u, p) {
+                    if row.contains(u) {
                         any = true;
                         break 'runs;
                     }
@@ -457,8 +469,7 @@ impl ClassStation for SafClass {
         if !self.participates || t < self.s {
             return;
         }
-        let (schedule, p) = (&self.schedule, t - self.s);
-        tally.record_members(&self.members, |u| schedule.transmits(u, p));
+        tally.record_members(&self.members, self.schedule.row(t - self.s));
     }
 
     fn next_transmission(&mut self, after: Slot) -> TxHint {
@@ -747,6 +758,42 @@ mod tests {
             assert_eq!(concrete.transcript, classed.transcript);
             // 3 wake slots ⇒ at most 3 class units ever live.
             assert!(classed.peak_units <= 3);
+        }
+    }
+
+    #[test]
+    fn lean_class_block_matches_concrete() {
+        // Without per-station detail the class tallies each slot as one
+        // count per id run. A block of three runs waking at s collides
+        // through the sparse families until one isolates a member; every
+        // counter must match the concrete engine's.
+        let n = 256u32;
+        let ids: Vec<StationId> = (0..40)
+            .chain(100..140)
+            .chain(200..n)
+            .map(StationId)
+            .collect();
+        let pattern = WakePattern::simultaneous(&ids, 9).unwrap();
+        for provider in [
+            FamilyProvider::random_with_seed(4),
+            FamilyProvider::KautzSingleton,
+        ] {
+            let p = SelectAmongFirst::new(n, 9, provider);
+            let cfg = SimConfig::new(n)
+                .with_max_slots(50_000)
+                .without_per_station_detail();
+            let concrete = Simulator::new(cfg.clone()).run(&p, &pattern, 0).unwrap();
+            let classed = Simulator::new(cfg.with_classes())
+                .run(&p, &pattern, 0)
+                .unwrap();
+            assert!(concrete.solved());
+            assert!(concrete.collisions > 0);
+            assert_eq!(concrete.first_success, classed.first_success);
+            assert_eq!(concrete.winner, classed.winner);
+            assert_eq!(concrete.transmissions, classed.transmissions);
+            assert_eq!(concrete.collisions, classed.collisions);
+            assert_eq!(concrete.silent_slots, classed.silent_slots);
+            assert_eq!(classed.peak_units, 1);
         }
     }
 }

@@ -31,7 +31,7 @@ use crate::select_among_first::CLASS_SCAN_BUDGET;
 use crate::waking_matrix::{MatrixParams, WakingMatrix};
 use mac_sim::{
     Action, ClassStation, MemberRemoval, Members, Protocol, Slot, Station, StationId, TxHint,
-    TxTally, TxWord, Until,
+    TxRow, TxTally, TxWord, Until,
 };
 use selectors::prf::GapScanner;
 use std::sync::Arc;
@@ -284,8 +284,7 @@ impl ClassStation for WakeupNClass {
             self.row += 1;
             self.row_end += self.matrix.dwell(self.row);
         }
-        let (m, row) = (&self.matrix, self.row);
-        tally.record_members(&self.members, |u| m.member(row, t, u));
+        tally.record_members(&self.members, self.matrix.row(self.row, t));
     }
 
     fn next_transmission(&mut self, after: Slot) -> TxHint {
@@ -323,11 +322,12 @@ impl ClassStation for WakeupNClass {
                 self.proven = t;
                 return TxHint::Never(Until::Slot(t));
             }
+            let entry = m.row(row, t);
             let mut any = false;
             'runs: for &(lo, hi) in self.members.runs() {
                 for u in lo..hi {
                     budget = budget.saturating_sub(1);
-                    if m.member(row, t, u) {
+                    if entry.contains(u) {
                         any = true;
                         break 'runs;
                     }

@@ -207,9 +207,8 @@ impl ClassStation for WwsClass {
                 tally.push(StationId(owner));
             }
         } else if self.participates_saf && t >= self.s {
-            let first_odd = self.first_odd();
-            let (schedule, p) = (&self.schedule, (t - first_odd) / 2);
-            tally.record_members(&self.members, |u| schedule.transmits(u, p));
+            let p = (t - self.first_odd()) / 2;
+            tally.record_members(&self.members, self.schedule.row(p));
         }
     }
 
@@ -395,19 +394,37 @@ mod tests {
     #[test]
     fn class_block_wake_floor_is_one_unit() {
         // A contiguous simultaneous floor — the mega-sweep shape — is a
-        // single class unit regardless of k.
+        // single class unit regardless of k. At even s the round-robin owner
+        // of slot s wins alone; at odd s the first slot is selective, so the
+        // whole class is swept against one family row (a collision) before
+        // round-robin wins at s + 1. Both tally regimes: IDs collected for
+        // the transcript, and counted per id run without per-station detail.
         let n = 256u32;
-        let p = WakeupWithS::new(n, 4, FamilyProvider::random_with_seed(3));
-        let pattern = WakePattern::range(0, n, 4).unwrap();
-        let cfg = SimConfig::new(n).with_max_slots(4_000);
-        let concrete = Simulator::new(cfg.clone()).run(&p, &pattern, 0).unwrap();
-        let classed = Simulator::new(cfg.with_classes())
-            .run(&p, &pattern, 0)
-            .unwrap();
-        assert_eq!(concrete.first_success, classed.first_success);
-        assert_eq!(concrete.winner, classed.winner);
-        assert_eq!(concrete.transmissions, classed.transmissions);
-        assert_eq!(classed.peak_units, 1);
+        for s in [4u64, 5] {
+            let p = WakeupWithS::new(n, s, FamilyProvider::random_with_seed(3));
+            let pattern = WakePattern::range(0, n, s).unwrap();
+            let base = SimConfig::new(n).with_max_slots(4_000);
+            for cfg in [
+                base.clone().with_transcript(),
+                base.without_per_station_detail(),
+            ] {
+                let concrete = Simulator::new(cfg.clone()).run(&p, &pattern, 0).unwrap();
+                let classed = Simulator::new(cfg.with_classes())
+                    .run(&p, &pattern, 0)
+                    .unwrap();
+                assert_eq!(concrete.first_success, classed.first_success, "s={s}");
+                assert_eq!(concrete.winner, classed.winner, "s={s}");
+                assert_eq!(concrete.transmissions, classed.transmissions, "s={s}");
+                assert_eq!(concrete.collisions, classed.collisions, "s={s}");
+                assert_eq!(concrete.transcript, classed.transcript, "s={s}");
+                assert_eq!(classed.peak_units, 1, "s={s}");
+                if s % 2 == 1 {
+                    assert_eq!(classed.first_success, Some(s + 1), "s={s}");
+                    assert_eq!(classed.collisions, 1, "slot {s} must collide");
+                    assert!(classed.transmissions > 2, "s={s}");
+                }
+            }
+        }
     }
 
     #[test]

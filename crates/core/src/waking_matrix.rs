@@ -14,7 +14,9 @@
 //! wake-up pattern. An explicit construction is left open (§7); we realize
 //! the same ensemble through a seeded PRF (`selectors::prf`), so every
 //! station evaluates `u ∈ M_{i,j}` in O(1) and all stations agree on the
-//! matrix without storing it. See DESIGN.md §4 (substitution 1).
+//! matrix without storing it. The sample is not certified at scale:
+//! [`certify`](mod@crate::certify) checks it on small universes, and a run
+//! that exhausts the scan surfaces as a censored sample.
 //!
 //! The density sweep `ρ(j)` is the key trick: within each **window** of
 //! `log log n` consecutive slots, the membership probability of every row is
@@ -29,9 +31,9 @@
 //! Figures 1 and 2. The protocol driving stations over the matrix is
 //! [`WakeupN`](crate::wakeup_n::WakeupN).
 
-use mac_sim::{Slot, WakePattern};
+use mac_sim::{Slot, TxRow, WakePattern};
 use selectors::math::{log_log_n, log_n};
-use selectors::prf::{coin_pow2, GapScanner};
+use selectors::prf::{GapScanner, RowPrefix};
 
 /// Parameters of a waking matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,8 +42,8 @@ pub struct MatrixParams {
     pub n: u32,
     /// The paper's "sufficiently large constant" `c ≥ 1` scaling both the
     /// row dwell times `m_i = c·2^i·log n·log log n` and the length
-    /// `ℓ = 2c·n·log n·log log n`. Default 2 (calibrated empirically; see
-    /// EXPERIMENTS.md).
+    /// `ℓ = 2c·n·log n·log log n`. Default 2 (calibrated empirically;
+    /// EXP-ABL's ABL-C table measures the sensitivity to `c`).
     pub c: u32,
     /// PRF seed selecting the concrete matrix from the random ensemble.
     pub seed: u64,
@@ -207,22 +209,33 @@ impl WakingMatrix {
         sigma.div_ceil(w) * w
     }
 
-    /// Membership test `u ∈ M_{i,j}` (`i` 1-based; `j` any slot — reduced
-    /// mod `ℓ` internally, matching the circular scan).
+    /// The entry `M_{i,j}` (`i` 1-based; `j` any slot — reduced mod `ℓ`
+    /// internally, matching the circular scan), resolved once: the PRF
+    /// prefix over `(seed, i)` with the column and the density exponent
+    /// `i + ρ(j)` fixed, so a whole class is tested against one slot at 3 of
+    /// the 5 mixing rounds per station.
+    #[inline]
+    pub fn row(&self, i: u32, j: Slot) -> MatrixRow {
+        debug_assert!((1..=self.rows).contains(&i));
+        let col = j % self.ell;
+        MatrixRow {
+            prefix: RowPrefix::new(self.seed, u64::from(i)),
+            col,
+            d: i + self.rho(col),
+            n: self.n,
+        }
+    }
+
+    /// Membership test `u ∈ M_{i,j}` (`i` 1-based; `j` any slot).
     ///
     /// Probability over the ensemble: `2^{-(i + ρ(j))}`. The PRF arguments
     /// are ordered `(row, station, column)` so that the per-`(row, station)`
     /// mixing prefix can be hoisted out of column scans — see
-    /// [`next_member`](Self::next_member) and [`selectors::prf::GapScanner`].
+    /// [`next_member`](Self::next_member) and [`selectors::prf::GapScanner`]
+    /// — and the per-row prefix out of station sweeps ([`row`](Self::row)).
     #[inline]
     pub fn member(&self, i: u32, j: Slot, u: u32) -> bool {
-        debug_assert!((1..=self.rows).contains(&i));
-        if u >= self.n {
-            return false;
-        }
-        let col = j % self.ell;
-        let d = i + self.rho(col);
-        coin_pow2(self.seed, u64::from(i), u64::from(u), col, d)
+        self.row(i, j).contains(u)
     }
 
     /// The first slot `t ∈ [from, to)` with `u ∈ M_{i, t mod ℓ}` — the
@@ -341,6 +354,23 @@ impl WakingMatrix {
     #[inline]
     pub fn window_index(&self, j: Slot) -> u64 {
         j / u64::from(self.window)
+    }
+}
+
+/// One entry `M_{i,j}` of a [`WakingMatrix`] (see [`WakingMatrix::row`]).
+#[derive(Clone, Copy, Debug)]
+pub struct MatrixRow {
+    prefix: RowPrefix,
+    col: u64,
+    d: u32,
+    n: u32,
+}
+
+impl TxRow for MatrixRow {
+    /// Is station `u` in `M_{i,j}`?
+    #[inline]
+    fn contains(&self, u: u32) -> bool {
+        u < self.n && self.prefix.scanner(u64::from(u)).coin(self.col, self.d)
     }
 }
 

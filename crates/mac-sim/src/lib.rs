@@ -95,7 +95,7 @@ pub use engine::{EngineMode, Outcome, SimConfig, SimError, Simulator};
 pub use ids::{Slot, StationId};
 pub use pattern::{ChurnEntry, ChurnError, ChurnScript, RandomChurn, WakeBlock, WakePattern};
 pub use population::{
-    ClassStation, DeadClass, MemberRemoval, Members, PopulationMode, SingletonClass, TxTally,
+    ClassStation, DeadClass, MemberRemoval, Members, PopulationMode, SingletonClass, TxRow, TxTally,
 };
 pub use station::{Action, Protocol, Station, TxHint, TxWord, Until};
 pub use trace::Transcript;
@@ -116,7 +116,8 @@ pub mod prelude {
         ChurnEntry, ChurnError, ChurnScript, IdChoice, RandomChurn, WakeBlock, WakePattern,
     };
     pub use crate::population::{
-        ClassStation, DeadClass, MemberRemoval, Members, PopulationMode, SingletonClass, TxTally,
+        ClassStation, DeadClass, MemberRemoval, Members, PopulationMode, SingletonClass, TxRow,
+        TxTally,
     };
     pub use crate::station::{Action, Protocol, Station, TxHint, TxWord, Until};
     pub use crate::trace::Transcript;

@@ -281,32 +281,63 @@ impl TxTally {
         }
     }
 
-    /// Record every member of `members` for which `transmits` holds — the
-    /// standard body of a class's [`ClassStation::act`]: exact IDs in the
-    /// collecting regime, a weighted count otherwise (with the sole
-    /// transmitter's ID preserved, as a potential winner must carry it).
-    pub fn record_members(&mut self, members: &Members, mut transmits: impl FnMut(u32) -> bool) {
+    /// Record every member of `members` that `row` contains — the standard
+    /// body of a class's [`ClassStation::act`]: exact IDs in the collecting
+    /// regime, a weighted count otherwise (one [`TxRow::count_in`] per run,
+    /// with the sole transmitter's ID preserved, as a potential winner must
+    /// carry it).
+    pub fn record_members(&mut self, members: &Members, row: impl TxRow) {
         if self.collect_ids() {
             for id in members.iter() {
-                if transmits(id.0) {
+                if row.contains(id.0) {
                     self.push(id);
                 }
             }
         } else {
             let mut count = 0u64;
             let mut witness = None;
-            for id in members.iter() {
-                if transmits(id.0) {
-                    count += 1;
-                    witness = Some(id);
-                }
+            for &(lo, hi) in members.runs() {
+                let (c, last) = row.count_in(lo, hi);
+                count += c;
+                witness = last.or(witness);
             }
             match count {
                 0 => {}
-                1 => self.push(witness.expect("count == 1 has a witness")),
+                1 => self.push(StationId(witness.expect("count == 1 has a witness"))),
                 _ => self.add_anonymous(count),
             }
         }
+    }
+}
+
+/// Who transmits in one slot, as a membership rule over station IDs that is
+/// resolved once per slot — a schedule row with its PRF prefix hoisted, say
+/// — and then tested against every member of a class
+/// ([`TxTally::record_members`]).
+pub trait TxRow {
+    /// Does station `id` transmit?
+    fn contains(&self, id: u32) -> bool;
+
+    /// The number of transmitters in `[lo, hi)` and the largest of them.
+    /// The loop does not branch on the answers, so consecutive tests
+    /// overlap in the pipeline.
+    #[inline]
+    fn count_in(&self, lo: u32, hi: u32) -> (u64, Option<u32>) {
+        let mut count = 0u64;
+        let mut last = 0u32;
+        for id in lo..hi {
+            let hit = self.contains(id);
+            count += u64::from(hit);
+            last = if hit { id } else { last };
+        }
+        (count, (count > 0).then_some(last))
+    }
+}
+
+impl TxRow for selectors::kautz_singleton::KsRow<'_> {
+    #[inline]
+    fn contains(&self, id: u32) -> bool {
+        self.contains(id)
     }
 }
 

@@ -121,16 +121,22 @@ impl KautzSingleton {
         acc as u32
     }
 
+    /// Set `j`, resolved once: `j = a·q + v` decoded into its
+    /// `(point, value)` pair.
+    #[inline]
+    pub fn row(&self, j: usize) -> KsRow<'_> {
+        KsRow {
+            code: self,
+            a: (j / self.q as usize) as u32,
+            v: (j % self.q as usize) as u32,
+        }
+    }
+
     /// Does station `u` belong to set `j` (where `j = a·q + v` encodes the
     /// `(point, value)` pair)?
     #[inline]
     pub fn transmits(&self, u: u32, j: usize) -> bool {
-        if u >= self.n {
-            return false;
-        }
-        let a = (j / self.q as usize) as u32;
-        let v = (j % self.q as usize) as u32;
-        self.eval(u, a) == v
+        self.row(j).contains(u)
     }
 
     /// Materialize into an explicit [`SelectiveFamily`] (it is strongly
@@ -142,6 +148,23 @@ impl KautzSingleton {
             })
             .collect();
         SelectiveFamily::new(self.n, self.k, sets)
+    }
+}
+
+/// One set `F_{a,v}` of a [`KautzSingleton`] family (see
+/// [`KautzSingleton::row`]).
+#[derive(Clone, Copy, Debug)]
+pub struct KsRow<'a> {
+    code: &'a KautzSingleton,
+    a: u32,
+    v: u32,
+}
+
+impl KsRow<'_> {
+    /// Does station `u` belong to this set, i.e. `p_u(a) = v`?
+    #[inline]
+    pub fn contains(&self, u: u32) -> bool {
+        u < self.code.n && self.code.eval(u, self.a) == self.v
     }
 }
 

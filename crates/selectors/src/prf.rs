@@ -29,11 +29,11 @@ fn mix(mut z: u64) -> u64 {
 ///
 /// Used as the source of "independent" coins: distinct argument tuples give
 /// decorrelated outputs; equal tuples always give equal outputs. Defined as
-/// the [`GapScanner`] prefix over `(seed, a, b)` finalized with `c` — there
-/// is exactly one copy of the mixing cascade.
+/// the [`RowPrefix`] over `(seed, a)` finalized with `b` and `c` — there is
+/// exactly one copy of the mixing cascade.
 #[inline]
 pub fn hash4(seed: u64, a: u64, b: u64, c: u64) -> u64 {
-    GapScanner::new(seed, a, b).hash(c)
+    RowPrefix::new(seed, a).hash(b, c)
 }
 
 /// A Bernoulli coin with probability exactly `2^{-d}`:
@@ -47,6 +47,47 @@ pub fn coin_pow2(seed: u64, a: u64, b: u64, c: u64, d: u32) -> bool {
     GapScanner::new(seed, a, b).coin(c, d)
 }
 
+/// The mixing state after folding `seed` and `a` — the part of the cascade
+/// that every coin of one *row* shares.
+///
+/// A sweep that tests many `b` against one row (the stations of a class
+/// against one transmission set, say) computes the prefix once and then
+/// pays 3 of the 5 mixing rounds per coin. [`RowPrefix::hash`] is
+/// **bit-identical** to [`hash4`], which is defined through it.
+#[derive(Clone, Copy, Debug)]
+pub struct RowPrefix {
+    /// Mixing state after folding `seed` and `a`.
+    state: u64,
+}
+
+impl RowPrefix {
+    /// Fold `seed` and `a`. Each input is folded with a distinct additive
+    /// constant so that permutations of the arguments yield unrelated
+    /// outputs.
+    #[inline]
+    pub fn new(seed: u64, a: u64) -> Self {
+        let h = mix(seed ^ 0x243F_6A88_85A3_08D3);
+        RowPrefix {
+            state: mix(h ^ a ^ 0x1319_8A2E_0370_7344),
+        }
+    }
+
+    /// Fold `b` as well: the [`GapScanner`] for coins of the form
+    /// `coin_pow2(seed, a, b, ·, ·)`.
+    #[inline]
+    pub fn scanner(&self, b: u64) -> GapScanner {
+        GapScanner {
+            prefix: mix(self.state ^ b ^ 0xA409_3822_299F_31D0),
+        }
+    }
+
+    /// The full hash — equals `hash4(seed, a, b, c)` bit for bit.
+    #[inline]
+    pub fn hash(&self, b: u64, c: u64) -> u64 {
+        self.scanner(b).hash(c)
+    }
+}
+
 /// An amortized evaluator for runs of coins sharing a `(seed, a, b)`
 /// prefix: jump to the next *set* position of a pseudorandom row in
 /// O(expected gap) with a fraction of the per-coin hashing cost.
@@ -55,11 +96,11 @@ pub fn coin_pow2(seed: u64, a: u64, b: u64, c: u64, d: u32) -> bool {
 /// after folding `seed`, `a` and `b` can be computed once and reused for
 /// every `c`. [`GapScanner::coin`] is **bit-identical** to
 /// [`coin_pow2`]`(seed, a, b, c, d)` — [`hash4`] and [`coin_pow2`] are
-/// defined *in terms of* the scanner, so there is a single copy of the
-/// round constants — but amortized use performs 2 of the 5 mixing rounds
-/// per evaluation instead of all 5: the difference between a structure-
-/// aware `next_transmission` scan over a PRF row and simply replaying the
-/// dense per-slot work.
+/// defined *in terms of* the scanner and its [`RowPrefix`], so there is a
+/// single copy of the round constants — but amortized use performs 2 of the
+/// 5 mixing rounds per evaluation instead of all 5: the difference between
+/// a structure-aware `next_transmission` scan over a PRF row and simply
+/// replaying the dense per-slot work.
 ///
 /// The intended layout therefore puts the *scan variable* (the column /
 /// slot) in the `c` position and the quantities fixed per scan (row index,
@@ -72,15 +113,10 @@ pub struct GapScanner {
 
 impl GapScanner {
     /// Precompute the mixing prefix for coins of the form
-    /// `coin_pow2(seed, a, b, ·, ·)`. Each input is folded with a distinct
-    /// additive constant so that permutations of the arguments yield
-    /// unrelated outputs.
+    /// `coin_pow2(seed, a, b, ·, ·)`.
     #[inline]
     pub fn new(seed: u64, a: u64, b: u64) -> Self {
-        let mut h = mix(seed ^ 0x243F_6A88_85A3_08D3);
-        h = mix(h ^ a ^ 0x1319_8A2E_0370_7344);
-        h = mix(h ^ b ^ 0xA409_3822_299F_31D0);
-        GapScanner { prefix: h }
+        RowPrefix::new(seed, a).scanner(b)
     }
 
     /// The full hash — equals `hash4(seed, a, b, c)` bit for bit (it *is*

@@ -23,8 +23,10 @@
 //!
 //! matching the Komlós–Greenberg `O(k + k log(n/k))` bound with explicit
 //! constants. This is the same existence argument as the paper's §3 citation
-//! of \[25\]; see `DESIGN.md` §4 for why a seeded sample of the ensemble is the
-//! faithful executable form of an existential combinatorial object.
+//! of \[25\]. A seeded sample of the ensemble is the executable form of that
+//! existential object: with truly random coins it fails with probability at
+//! most `δ`, every station evaluates the same sample from the shared seed,
+//! and [`verify`](crate::verify) checks small instances exhaustively.
 //!
 //! ## Evaluating the length
 //!
@@ -46,7 +48,7 @@
 use crate::bitset::BitSet;
 use crate::family::SelectiveFamily;
 use crate::math::LnChooseRow;
-use crate::prf::coin;
+use crate::prf::RowPrefix;
 use crate::verify::selective_size_range;
 use std::ops::RangeInclusive;
 
@@ -117,22 +119,9 @@ impl RandomFamilyBuilder {
         1.0 / f64::from(self.k)
     }
 
-    /// Build the explicit (materialized) family.
+    /// Build the explicit (materialized) family: the oracle's sets, stored.
     pub fn build_explicit(&self) -> SelectiveFamily {
-        let m = self.prescribed_length();
-        if self.k == 1 {
-            return SelectiveFamily::new(self.n, 1, vec![BitSet::full(self.n)]);
-        }
-        let p = self.density();
-        let sets = (0..m)
-            .map(|j| {
-                BitSet::from_iter_members(
-                    self.n,
-                    (0..self.n).filter(|&u| coin(self.seed, j as u64, u64::from(u), 0, p)),
-                )
-            })
-            .collect();
-        SelectiveFamily::new(self.n, self.k, sets)
+        self.build_oracle().materialize()
     }
 
     /// Build the oracle (on-demand) family. Membership answers are
@@ -143,7 +132,7 @@ impl RandomFamilyBuilder {
             k: self.k,
             seed: self.seed,
             len: self.prescribed_length(),
-            p: self.density(),
+            threshold: (self.density() * (u64::MAX as f64)) as u64,
         }
     }
 }
@@ -184,13 +173,17 @@ fn ln_sum_choose(n: u32, range: RangeInclusive<u32>) -> f64 {
 
 /// An `(n,k)`-selective family represented as a PRF oracle: membership is
 /// computed on demand, nothing is materialized.
+///
+/// Station `u < n` belongs to set `j` iff `hash4(seed, j, u, 0) ≤ threshold`,
+/// where `threshold` is the f64 product `p · u64::MAX` cast to `u64` for
+/// `p = 1/k`; for `k = 1` the single set is full.
 #[derive(Clone, Copy, Debug)]
 pub struct OracleFamily {
     n: u32,
     k: u32,
     seed: u64,
     len: usize,
-    p: f64,
+    threshold: u64,
 }
 
 impl OracleFamily {
@@ -218,24 +211,77 @@ impl OracleFamily {
         self.len == 0
     }
 
+    /// Transmission set `j`, resolved once: the PRF prefix over
+    /// `(seed, j)` plus the threshold, against which any number of stations
+    /// are then tested at 3 of the 5 mixing rounds each.
+    #[inline]
+    pub fn row(&self, j: usize) -> OracleRow {
+        debug_assert!(j < self.len);
+        OracleRow {
+            prefix: RowPrefix::new(self.seed, j as u64),
+            threshold: self.threshold,
+            n: self.n,
+            full: self.k == 1,
+        }
+    }
+
     /// Does station `id` belong to transmission set `j`?
     #[inline]
     pub fn transmits(&self, id: u32, j: usize) -> bool {
-        debug_assert!(j < self.len);
-        if self.k == 1 {
-            return true; // the single full set
-        }
-        id < self.n && coin(self.seed, j as u64, u64::from(id), 0, self.p)
+        self.row(j).contains(id)
     }
 
     /// Materialize into an explicit family (for verification).
     pub fn materialize(&self) -> SelectiveFamily {
         let sets = (0..self.len)
             .map(|j| {
-                BitSet::from_iter_members(self.n, (0..self.n).filter(|&u| self.transmits(u, j)))
+                let row = self.row(j);
+                BitSet::from_iter_members(self.n, (0..self.n).filter(|&u| row.contains(u)))
             })
             .collect();
         SelectiveFamily::new(self.n, self.k, sets)
+    }
+}
+
+/// One transmission set of an [`OracleFamily`] (see [`OracleFamily::row`]).
+#[derive(Clone, Copy, Debug)]
+pub struct OracleRow {
+    prefix: RowPrefix,
+    threshold: u64,
+    n: u32,
+    /// The `k = 1` family's single set, which holds every station.
+    full: bool,
+}
+
+impl OracleRow {
+    /// Does station `id` belong to this set?
+    #[inline]
+    pub fn contains(&self, id: u32) -> bool {
+        self.full || (id < self.n && self.hit(id))
+    }
+
+    /// The number of members in `[lo, hi)` and the largest of them. The
+    /// range is clipped to the universe once, and the loop does not branch
+    /// on the coins, so consecutive hashes overlap in the pipeline.
+    #[inline]
+    pub fn count_in(&self, lo: u32, hi: u32) -> (u64, Option<u32>) {
+        if self.full {
+            return (u64::from(hi.saturating_sub(lo)), (lo < hi).then(|| hi - 1));
+        }
+        let mut count = 0u64;
+        let mut last = 0u32;
+        for id in lo..hi.min(self.n) {
+            let hit = self.hit(id);
+            count += u64::from(hit);
+            last = if hit { id } else { last };
+        }
+        (count, (count > 0).then_some(last))
+    }
+
+    /// The coin of station `id` (inside the universe).
+    #[inline]
+    fn hit(&self, id: u32) -> bool {
+        self.prefix.hash(u64::from(id), 0) <= self.threshold
     }
 }
 

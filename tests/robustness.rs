@@ -1,6 +1,6 @@
 //! Robustness: behaviour under broken promises and hostile configurations.
 //!
-//! DESIGN.md §5 pins the policy: a violated promise (wrong `k`, wrong `s`)
+//! The policy these tests pin: a violated promise (wrong `k`, wrong `s`)
 //! degrades to the interleaved round-robin guarantee instead of failing.
 
 use mac_wakeup::prelude::*;
