@@ -19,7 +19,8 @@
 //! * `bitslab_burst` — the bit-parallel word kernel (`EngineMode::Bitslab`
 //!   and the Auto engine's burst windows) vs scalar dense stepping on
 //!   burst-shaped runs: ≥ 10× asserted on the block-burst rows outside
-//!   `BENCH_QUICK` (the eval-bound and no-skip rows pin parity bounds),
+//!   `BENCH_QUICK` (the eval-bound rows — a long `wakeup_n` burst and a
+//!   near-n `wait_and_go` block — and the no-skip row pin parity bounds),
 //!   bit-identity pinned, and the summary written to `BENCH_kernels.json`
 //!   when `BENCH_KERNELS_JSON` is set;
 //! * `construction_cache` — a whole ensemble with and without the
@@ -558,6 +559,26 @@ fn bitslab_burst(_c: &mut Criterion) {
         &wn,
         &c_pattern,
         0.4,
+        &mut rows,
+    );
+
+    // Row 5 — the near-n wait_and_go block (§4 with k = n − 16 stations
+    // waking together): every awake station walks the doubling schedule
+    // through ~1,170 slots of collisions until a family isolates one.
+    // Scalar dense asks each station every slot, answered from its memoized
+    // walk; the kernel fills each tile with one bounded walk per station.
+    // Both are bound by the PRF walk, so the floor is parity. n = 256 keeps
+    // a run under 10 ms; burst-resolve's n = 4096 cell is the same shape at
+    // ~13,400 slots.
+    let wag_n = 256u32;
+    let wag_k = wag_n - 16;
+    let wag_pattern = WakePattern::range(wag_n - wag_k, wag_n, 0).unwrap();
+    row(
+        "wait_and_go_near_n_block_n256_k240",
+        SimConfig::new(wag_n),
+        &WaitAndGo::new(wag_n, wag_k, FamilyProvider::default()),
+        &wag_pattern,
+        1.0,
         &mut rows,
     );
 

@@ -96,8 +96,8 @@ struct FullResolutionStation {
     done: bool,
     go_slot: Slot,
     schedule: Arc<DoublingSchedule>,
-    /// Memoized schedule `next_position` answer — the schedule part of the
-    /// hint is oblivious, so a computed hit survives success re-queries.
+    /// Memoized schedule walk behind both `act` and the hint — the schedule
+    /// part is oblivious, so a computed hit survives success re-queries.
     cache: NextPositionCache,
 }
 
@@ -112,7 +112,7 @@ impl Station for FullResolutionStation {
         if self.done || t < self.go_slot {
             return Action::Listen;
         }
-        Action::from_bool(self.schedule.transmits(self.id.0, t))
+        Action::from_bool(self.cache.transmits_at(&self.schedule, self.id.0, t))
     }
 
     fn feedback(&mut self, _t: Slot, fb: Feedback) {

@@ -152,6 +152,21 @@ impl DynFamily {
         self.row(j).contains(u)
     }
 
+    /// The first set `j ∈ [from, end)` that holds station `u` (`end` is
+    /// clipped to the family length), or `None`. The randomized family walks
+    /// its sets with the seed folded once ([`OracleFamily::next_member`]);
+    /// the Kautz–Singleton code tests one set after the other.
+    #[inline]
+    pub fn next_member(&self, u: u32, from: u64, end: u64) -> Option<u64> {
+        let end = end.min(self.len());
+        match &self.inner {
+            DynFamilyInner::Oracle(o) => o
+                .next_member(u, from as usize, end as usize)
+                .map(|j| j as u64),
+            DynFamilyInner::Ks(ks) => (from..end).find(|&j| ks.transmits(u, j as usize)),
+        }
+    }
+
     /// Materialize into an explicit family for verification.
     pub fn materialize(&self) -> selectors::SelectiveFamily {
         match &self.inner {

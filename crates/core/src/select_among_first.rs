@@ -31,9 +31,12 @@ use std::sync::Arc;
 /// Scenario A and Scenario B algorithms: family `Fᵢ` is `(n, 2^i)`-selective.
 ///
 /// Internally this is the schedule algebra's cyclic concatenation
-/// `cycle(⟨F₁, …, F_top⟩)`, so position lookup (`transmits`) and sparse
-/// evaluation (`next_position`) reuse the `Schedule`/`NextOne` combinators
-/// rather than duplicating their arithmetic.
+/// `cycle(⟨F₁, …, F_top⟩)`: position lookup ([`row`](Self::row)) reuses
+/// its period and family offsets. Every per-station question — the next
+/// transmission, a tile of transmit bits, a period's position index — is
+/// one bounded walk, [`next_position_in`](Self::next_position_in), which
+/// walks each family in a tight loop instead of looking up one position
+/// at a time.
 #[derive(Debug)]
 pub struct DoublingSchedule {
     cycle: selectors::schedule::CycleSchedule<selectors::schedule::ConcatSchedule<DynFamily>>,
@@ -107,31 +110,65 @@ impl DoublingSchedule {
         p + (self.period() - r)
     }
 
+    /// Smallest position `q ∈ [from, end)` at which station `u` transmits
+    /// (positions taken mod the period), or `None` if `u` is silent on the
+    /// whole range. The one walk behind every per-station question: it
+    /// crosses family boundaries and period wraps, and hands each family's
+    /// stretch of the range to [`DynFamily::next_member`], which folds the
+    /// family seed once and then pays 4 mixing rounds per position.
+    pub fn next_position_in(&self, u: u32, from: u64, end: u64) -> Option<u64> {
+        let period = self.period();
+        let mut pass = from - from % period;
+        let mut r = from - pass;
+        while pass + r < end {
+            let stop = (end - pass).min(period);
+            for (fam, &off) in self.families().iter().zip(self.offsets()) {
+                let fam_end = off + fam.len();
+                if fam_end <= r {
+                    continue;
+                }
+                if off >= stop {
+                    break;
+                }
+                if let Some(j) = fam.next_member(u, r.max(off) - off, stop.min(fam_end) - off) {
+                    return Some(pass + off + j);
+                }
+            }
+            pass += period;
+            r = 0;
+        }
+        None
+    }
+
+    /// Every position in `[from, end)` at which station `u` transmits, in
+    /// increasing order — [`next_position_in`](Self::next_position_in)
+    /// resumed past each hit.
+    pub fn positions_in(&self, u: u32, from: u64, end: u64) -> impl Iterator<Item = u64> + '_ {
+        std::iter::successors(self.next_position_in(u, from, end), move |&q| {
+            self.next_position_in(u, q + 1, end)
+        })
+    }
+
     /// Smallest position `p' ≥ p` at which station `u` transmits, or `None`
     /// if `u` is in no transmission set of any family (then the cyclic
-    /// schedule never selects it). Delegates to the schedule algebra's
-    /// [`next_one`](selectors::Schedule::next_one), which covers at most one
-    /// full period; successive queries over a run scan disjoint stretches,
-    /// so the amortized cost matches one dense pass.
+    /// schedule never selects it): the bounded walk over the rest of `p`'s
+    /// pass plus one full pass. Successive queries over a run walk disjoint
+    /// stretches, so the amortized cost matches one dense pass.
     pub fn next_position(&self, u: u32, p: u64) -> Option<u64> {
-        use selectors::{NextOne, Schedule};
-        match self.cycle.next_one(u, p) {
-            NextOne::At(q) => Some(q),
-            NextOne::Never => None,
-            // Concat-of-finite-families under cycle always answers exactly.
-            NextOne::Unknown => unreachable!("cycled concat schedules answer next_one exactly"),
-        }
+        let period = self.period();
+        self.next_position_in(u, p, p - p % period + 2 * period)
     }
 
     /// Build station `u`'s [`PositionIndex`]: every position of one period at
-    /// which `u` transmits, collected in a single O(period) scan. Queries
-    /// against the index are then O(log) each (binary search + cyclic wrap),
-    /// instead of [`next_position`](Self::next_position)'s linear walk —
-    /// the win for runs that outlive one schedule period, such as the
-    /// conflict-resolution resolvers that are re-queried after every success.
+    /// which `u` transmits, collected by the bounded walk over `[0, period)`.
+    /// Queries against the index are then O(log) each (binary search +
+    /// cyclic wrap), instead of [`next_position`](Self::next_position)'s
+    /// linear walk — the win for runs that outlive one schedule period, such
+    /// as the conflict-resolution resolvers that are re-queried after every
+    /// success.
     pub fn position_index(&self, u: u32) -> PositionIndex {
         let period = self.period();
-        let positions = (0..period).filter(|&p| self.transmits(u, p)).collect();
+        let positions = self.positions_in(u, 0, period).collect();
         PositionIndex { positions, period }
     }
 
@@ -192,33 +229,39 @@ impl PositionIndex {
     }
 }
 
-/// Memoizing wrapper around [`DoublingSchedule::next_position`] for stations
-/// whose hints are re-queried at slots scheduled by a *different* component
-/// (the interleaved round-robin turns) or by success feedback (the
-/// conflict-resolution resolvers). The schedule is oblivious, so a computed
-/// hit stays the answer until the query point passes it; without the memo
-/// each re-query would re-scan toward the same far-off family hit.
+/// A station's memoized walk of a [`DoublingSchedule`]: the one source of
+/// both its per-slot answer (`act`, via [`transmits_at`](Self::transmits_at))
+/// and its hint (`next_transmission`, via [`query`](Self::query)). The
+/// schedule is oblivious, so a computed hit stays the answer until the query
+/// point passes it: a hinted slot is never evaluated a second time, a
+/// re-query scheduled by a *different* component (the interleaved
+/// round-robin turns) or by success feedback (the conflict-resolution
+/// resolvers) does not re-walk toward the same far-off family hit, and dense
+/// stepping pays one walk per hit instead of one membership test per slot.
 ///
-/// Queries inside the first period scan linearly (no worse than the hint-free
-/// engine, and cheap for stations that succeed early). The first query
-/// *past* one period builds the station's [`PositionIndex`] — linear rescans
-/// would otherwise repeat a full-period walk every cycle, which made the
-/// selective resolver schedule-scan-bound — and every query thereafter is
-/// O(log) per the index.
+/// Queries inside the first period walk linearly
+/// ([`DoublingSchedule::next_position`]). The first query *past* one period
+/// builds the station's [`PositionIndex`] — linear rescans would otherwise
+/// repeat a full-period walk every cycle, which made the selective resolver
+/// schedule-walk-bound — and every query thereafter is O(log) per the index.
+///
+/// Query points must be non-decreasing across **all** calls, `act` and hint
+/// alike (the engine's clock is). A tile fill (`fill_tx_word`) must not go
+/// through the memo: after a success closes a tile early, the next fill
+/// starts inside the old tile, behind a memo the fill would have advanced.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NextPositionCache {
-    /// Last linear-scan answer (`Some(None)` = provably never).
+    /// Last linear-walk answer (`Some(None)` = provably never).
     memo: Option<Option<u64>>,
     /// Per-station index handle, adopted lazily once the run outlives one
     /// period — from the schedule's shared memo, so across runs of a
-    /// cache-shared schedule only the first run pays the `O(period)` scan.
+    /// cache-shared schedule only the first run pays the `O(period)` walk.
     index: Option<Arc<PositionIndex>>,
 }
 
 impl NextPositionCache {
     /// The smallest position `q ≥ q0` where `u` transmits in `schedule`,
-    /// reusing the previous answer when still valid. Query points must be
-    /// non-decreasing across calls (the engine's `after` clock is).
+    /// reusing the previous answer when still valid.
     pub(crate) fn query(&mut self, schedule: &DoublingSchedule, u: u32, q0: u64) -> Option<u64> {
         if let Some(idx) = &self.index {
             return idx.next_position(q0);
@@ -226,7 +269,7 @@ impl NextPositionCache {
         match self.memo {
             // A definitive "never in any period" is permanent.
             Some(None) => None,
-            // A hit not yet passed: the earlier scan proved silence up to it.
+            // A hit not yet passed: the earlier walk proved silence up to it.
             Some(Some(q)) if q >= q0 => Some(q),
             _ if q0 >= schedule.period() => {
                 let idx = self.index.insert(schedule.shared_index(u));
@@ -238,6 +281,12 @@ impl NextPositionCache {
                 q
             }
         }
+    }
+
+    /// Does `u` transmit at position `q`? The [`query`](Self::query) from
+    /// `q`, so it advances the memo exactly as a hint query would.
+    pub(crate) fn transmits_at(&mut self, schedule: &DoublingSchedule, u: u32, q: u64) -> bool {
+        self.query(schedule, u, q) == Some(q)
     }
 }
 
@@ -398,6 +447,9 @@ struct SafStation {
     s: Slot,
     participates: bool,
     schedule: Arc<DoublingSchedule>,
+    /// Memoized schedule walk behind both `act` and the hint (see
+    /// [`NextPositionCache`]).
+    cache: NextPositionCache,
 }
 
 impl Station for SafStation {
@@ -410,7 +462,10 @@ impl Station for SafStation {
         if !self.participates || t < self.s {
             return Action::Listen;
         }
-        Action::from_bool(self.schedule.transmits(self.id.0, t - self.s))
+        Action::from_bool(
+            self.cache
+                .transmits_at(&self.schedule, self.id.0, t - self.s),
+        )
     }
 
     fn next_transmission(&mut self, after: Slot) -> TxHint {
@@ -418,7 +473,7 @@ impl Station for SafStation {
             return TxHint::never();
         }
         let from = after.max(self.s);
-        match self.schedule.next_position(self.id.0, from - self.s) {
+        match self.cache.query(&self.schedule, self.id.0, from - self.s) {
             Some(p) => TxHint::at(self.s + p),
             None => TxHint::never(),
         }
@@ -426,17 +481,18 @@ impl Station for SafStation {
 
     fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
         // The schedule is oblivious and participation is fixed at wake, so
-        // the whole tile is an unconditional fact: one position lookup per
-        // slot, instead of one linear `next_position` walk per event.
+        // the whole tile is an unconditional fact: one bounded walk over
+        // the tile's positions, kept off the memo (a refill after an early
+        // success starts inside this tile).
         if !self.participates {
             return Some(TxWord::forever(0));
         }
+        // Slot t ≥ s is position t − s.
+        let from = base.saturating_sub(self.s);
+        let end = (base + u64::from(width)).saturating_sub(self.s);
         let mut bits = 0u64;
-        for j in 0..u64::from(width) {
-            let t = base + j;
-            if t >= self.s && self.schedule.transmits(self.id.0, t - self.s) {
-                bits |= 1u64 << j;
-            }
+        for q in self.schedule.positions_in(self.id.0, from, end) {
+            bits |= 1u64 << (self.s + q - base);
         }
         Some(TxWord::forever(bits))
     }
@@ -514,6 +570,7 @@ impl Protocol for SelectAmongFirst {
             s: self.s,
             participates: false,
             schedule: Arc::clone(&self.schedule),
+            cache: NextPositionCache::default(),
         })
     }
 

@@ -21,8 +21,8 @@
 //! most another pass ⇒ `O(k log(n/k) + k)` from `s`.
 
 use crate::family_provider::FamilyProvider;
-use crate::select_among_first::DoublingSchedule;
-use mac_sim::{Action, Protocol, Slot, Station, StationId, TxHint};
+use crate::select_among_first::{DoublingSchedule, NextPositionCache};
+use mac_sim::{Action, Protocol, Slot, Station, StationId, TxHint, TxWord};
 use selectors::math::log_n;
 use std::sync::Arc;
 
@@ -99,6 +99,9 @@ struct WagStation {
     /// `σ ≥ j` of the paper); set at wake-up.
     go_slot: Slot,
     schedule: Arc<DoublingSchedule>,
+    /// Memoized schedule walk behind both `act` and the hint (see
+    /// [`NextPositionCache`]).
+    cache: NextPositionCache,
 }
 
 impl Station for WagStation {
@@ -112,16 +115,32 @@ impl Station for WagStation {
         if t < self.go_slot {
             return Action::Listen;
         }
-        Action::from_bool(self.schedule.transmits(self.id.0, t))
+        Action::from_bool(self.cache.transmits_at(&self.schedule, self.id.0, t))
     }
 
     fn next_transmission(&mut self, after: Slot) -> TxHint {
         // Positions coincide with global slots for the stand-alone component.
         let from = after.max(self.go_slot);
-        match self.schedule.next_position(self.id.0, from) {
+        match self.cache.query(&self.schedule, self.id.0, from) {
             Some(p) => TxHint::at(p),
             None => TxHint::never(),
         }
+    }
+
+    fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
+        // The schedule is oblivious and the boundary wait is fixed at wake,
+        // so the tile is an unconditional fact: one bounded walk over its
+        // slots, kept off the memo (a refill after an early success starts
+        // inside this tile).
+        let mut bits = 0u64;
+        let from = base.max(self.go_slot);
+        for p in self
+            .schedule
+            .positions_in(self.id.0, from, base + u64::from(width))
+        {
+            bits |= 1u64 << (p - base);
+        }
+        Some(TxWord::forever(bits))
     }
 }
 
@@ -131,6 +150,7 @@ impl Protocol for WaitAndGo {
             id,
             go_slot: 0,
             schedule: Arc::clone(&self.schedule),
+            cache: NextPositionCache::default(),
         })
     }
 

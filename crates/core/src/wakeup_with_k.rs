@@ -74,7 +74,7 @@ struct WwkStation {
     /// First wait-and-go *position* at which this station may transmit.
     go_position: u64,
     schedule: Arc<DoublingSchedule>,
-    /// Memoized wait-and-go `next_position` answer (see
+    /// Memoized wait-and-go walk behind both `act` and the hint (see
     /// [`NextPositionCache`]).
     wag_cache: NextPositionCache,
 }
@@ -92,7 +92,9 @@ impl Station for WwkStation {
             Action::from_bool((t / 2) % u64::from(self.n) == u64::from(self.id.0))
         } else {
             let p = (t - 1) / 2;
-            Action::from_bool(p >= self.go_position && self.schedule.transmits(self.id.0, p))
+            Action::from_bool(
+                p >= self.go_position && self.wag_cache.transmits_at(&self.schedule, self.id.0, p),
+            )
         }
     }
 

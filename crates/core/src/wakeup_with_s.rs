@@ -69,7 +69,8 @@ struct WwsStation {
     s: Slot,
     participates_saf: bool,
     schedule: Arc<DoublingSchedule>,
-    /// Memoized SAF `next_position` answer (see [`NextPositionCache`]).
+    /// Memoized SAF walk behind both `act` and the hint (see
+    /// [`NextPositionCache`]).
     saf_cache: NextPositionCache,
 }
 
@@ -95,7 +96,8 @@ impl Station for WwsStation {
             // Even slots: round-robin on position t/2.
             Action::from_bool((t / 2) % u64::from(self.n) == u64::from(self.id.0))
         } else if self.participates_saf && t >= self.s {
-            Action::from_bool(self.schedule.transmits(self.id.0, self.saf_position(t)))
+            let q = self.saf_position(t);
+            Action::from_bool(self.saf_cache.transmits_at(&self.schedule, self.id.0, q))
         } else {
             Action::Listen
         }
@@ -129,21 +131,25 @@ impl Station for WwsStation {
     fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
         // Both components are oblivious (participation fixed at wake), so
         // the interleaved tile is an unconditional fact: round-robin parity
-        // arithmetic on even slots, one schedule lookup per odd slot.
+        // arithmetic on even slots, one bounded walk over the odd slots'
+        // SAF positions — kept off the memo (a refill after an early
+        // success starts inside this tile).
         let n = u64::from(self.n);
         let id = u64::from(self.id.0);
+        let end = base + u64::from(width);
         let mut bits = 0u64;
-        for j in 0..u64::from(width) {
-            let t = base + j;
-            let tx = if t.is_multiple_of(2) {
-                (t / 2) % n == id
-            } else if self.participates_saf && t >= self.s {
-                self.schedule.transmits(self.id.0, self.saf_position(t))
-            } else {
-                false
-            };
-            if tx {
-                bits |= 1u64 << j;
+        for t in (base.next_multiple_of(2)..end).step_by(2) {
+            if (t / 2) % n == id {
+                bits |= 1u64 << (t - base);
+            }
+        }
+        if self.participates_saf {
+            let first_odd = self.s + (self.s + 1) % 2;
+            // SAF positions of the odd slots in [max(base, first_odd), end).
+            let q0 = (base.max(first_odd) - first_odd).div_ceil(2);
+            let q_end = end.saturating_sub(first_odd).div_ceil(2);
+            for q in self.schedule.positions_in(self.id.0, q0, q_end) {
+                bits |= 1u64 << (first_odd + 2 * q - base);
             }
         }
         Some(TxWord::forever(bits))

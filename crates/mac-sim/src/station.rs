@@ -256,11 +256,20 @@ pub trait Station {
     /// sparse engine does, and [`Until::NextSuccess`] words are re-queried
     /// after it.
     ///
+    /// **Refills.** `base` never decreases across calls, but tiles may
+    /// overlap: a success closes the current tile early (the engine settles
+    /// slots in order and stops at the success), and the next fill starts
+    /// at the slot after it — inside the old tile. Later `act` and
+    /// `next_transmission` calls may likewise look from slots the word
+    /// already covered. A fill must therefore not advance any state those
+    /// calls rely on (a memoized next transmission, a scan cursor): compute
+    /// the word beside that state, not through it.
+    ///
     /// The default `None` routes the station through the kernel's generic
     /// fill, which assembles the word from `next_transmission` hints — so
     /// every hint-giving station runs under the kernel without implementing
     /// this, and protocol-specific implementations are purely an
-    /// optimization (one schedule lookup per tile instead of one hint query
+    /// optimization (one schedule walk per tile instead of one hint query
     /// per event).
     fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
         let _ = (base, width);

@@ -47,6 +47,37 @@ pub fn coin_pow2(seed: u64, a: u64, b: u64, c: u64, d: u32) -> bool {
     GapScanner::new(seed, a, b).coin(c, d)
 }
 
+/// The mixing state after folding `seed` alone — the part of the cascade
+/// that every coin under one seed shares.
+///
+/// A walk that tests one `b` against many rows `a` (a station against the
+/// successive transmission sets of a family, say) folds the seed once and
+/// then pays 4 of the 5 mixing rounds per coin. [`SeedPrefix::row`] is the
+/// only way to a [`RowPrefix`], so the round constants exist once.
+#[derive(Clone, Copy, Debug)]
+pub struct SeedPrefix {
+    /// Mixing state after folding `seed`.
+    state: u64,
+}
+
+impl SeedPrefix {
+    /// Fold `seed`.
+    #[inline]
+    pub fn new(seed: u64) -> Self {
+        SeedPrefix {
+            state: mix(seed ^ 0x243F_6A88_85A3_08D3),
+        }
+    }
+
+    /// Fold `a` as well: the [`RowPrefix`] over `(seed, a)`.
+    #[inline]
+    pub fn row(&self, a: u64) -> RowPrefix {
+        RowPrefix {
+            state: mix(self.state ^ a ^ 0x1319_8A2E_0370_7344),
+        }
+    }
+}
+
 /// The mixing state after folding `seed` and `a` — the part of the cascade
 /// that every coin of one *row* shares.
 ///
@@ -61,15 +92,12 @@ pub struct RowPrefix {
 }
 
 impl RowPrefix {
-    /// Fold `seed` and `a`. Each input is folded with a distinct additive
-    /// constant so that permutations of the arguments yield unrelated
-    /// outputs.
+    /// Fold `seed` and `a` — [`SeedPrefix::new`]`(seed).row(a)`. Each input
+    /// is folded with a distinct additive constant so that permutations of
+    /// the arguments yield unrelated outputs.
     #[inline]
     pub fn new(seed: u64, a: u64) -> Self {
-        let h = mix(seed ^ 0x243F_6A88_85A3_08D3);
-        RowPrefix {
-            state: mix(h ^ a ^ 0x1319_8A2E_0370_7344),
-        }
+        SeedPrefix::new(seed).row(a)
     }
 
     /// Fold `b` as well: the [`GapScanner`] for coins of the form

@@ -376,6 +376,50 @@ fn bitslab_equals_scalar_on_staggered_retirement() {
 }
 
 #[test]
+fn bitslab_equals_scalar_for_oblivious_schedules_past_the_first_success() {
+    // Under AllResolved the oblivious doubling-schedule protocols keep
+    // running after each success, and every success closes the tile early:
+    // the next fill starts inside the old tile. A bespoke fill that moved
+    // state which later `act` or hint calls rely on diverges here.
+    for n in [32u32, 64] {
+        let ids: Vec<StationId> = (0..6).map(|i| StationId(i * (n / 8) + 1)).collect();
+        let patterns = [
+            WakePattern::simultaneous(&ids, 7).unwrap(),
+            WakePattern::staggered(&ids, 5, 9).unwrap(),
+            WakePattern::range(0, n / 2, 3).unwrap(),
+        ];
+        for pattern in patterns.iter() {
+            for seed in [0u64, 7] {
+                let provider = FamilyProvider::random_with_seed(seed);
+                let k = pattern.k() as u32;
+                let protocols: [Box<dyn Protocol>; 4] = [
+                    Box::new(WaitAndGo::new(n, k, provider)),
+                    Box::new(SelectAmongFirst::new(n, pattern.s(), provider)),
+                    Box::new(WakeupWithS::new(n, pattern.s(), provider)),
+                    Box::new(WakeupWithK::new(n, k, provider)),
+                ];
+                for fb in [
+                    FeedbackModel::NoCollisionDetection,
+                    FeedbackModel::CollisionDetection,
+                ] {
+                    for protocol in protocols.iter() {
+                        assert_bitslab_equivalent_under(
+                            n,
+                            protocol.as_ref(),
+                            pattern,
+                            seed,
+                            Some(3_000),
+                            StopRule::AllResolved,
+                            fb,
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn bitslab_engages_the_word_kernel_on_bursts() {
     // Guard against the kernel silently never running: on a dense burst the
     // forced-kernel engine must resolve (nearly) everything by words, and

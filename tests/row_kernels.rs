@@ -1,21 +1,27 @@
-//! Row kernels against the per-coin formulas they replace.
+//! Row kernels and schedule walks against the per-coin formulas they
+//! replace.
 //!
 //! A class sweep resolves one schedule row per slot — the PRF prefix over
 //! `(seed, row)`, the integer coin threshold, the family or matrix entry —
 //! and tests every member against it, counting each contiguous id run with
-//! a branchless loop. Outcomes stay bit-identical only if every row answers
+//! a branchless loop. A station walks the other way: one id against the
+//! successive sets of each family, with the seed folded once per family
+//! (`OracleFamily::next_member`, `DoublingSchedule::next_position_in`).
+//! Outcomes stay bit-identical only if every row and every walk answers
 //! exactly like the whole per-coin path did. The oracles below are those
-//! paths as they stood before rows existed, kept verbatim: the five-round
-//! cascade `hash4`, the float-threshold `coin`, the matrix's `coin_pow2`
-//! and `KautzSingleton::transmits`.
+//! paths as they stood before rows and walks existed, kept verbatim: the
+//! five-round cascade `hash4`, the float-threshold `coin`, the matrix's
+//! `coin_pow2` and `KautzSingleton::transmits`; walks are checked against a
+//! scan that tests one position at a time.
 //!
-//! The `#[ignore]`d extended grid sweeps about 2^20 ids per row; run it with
+//! The `#[ignore]`d extended grid sweeps about 2^20 ids per row and walks
+//! 45 stations of a near-n schedule over a whole period; run it with
 //! `cargo test --release --test row_kernels -- --ignored`.
 
 use mac_sim::rng::derive_seed;
 use mac_sim::TxRow;
 use selectors::kautz_singleton::KautzSingleton;
-use selectors::prf::{GapScanner, RowPrefix};
+use selectors::prf::{GapScanner, RowPrefix, SeedPrefix};
 use selectors::random::RandomFamilyBuilder;
 use wakeup_core::family_provider::FamilyProvider;
 use wakeup_core::select_among_first::DoublingSchedule;
@@ -163,6 +169,112 @@ fn check_matrix_rows(m: &WakingMatrix, entries: &[(u32, u64)], ids: (u32, u32)) 
     }
 }
 
+/// The first set in `[from, end)` of the `(n, k)` oracle family under
+/// `seed` that holds `id`, and every set in the family that does, against
+/// the per-coin scan.
+fn check_oracle_walks(n: u32, k: u32, seed: u64, ids: impl Iterator<Item = u32>) {
+    let fam = RandomFamilyBuilder::new(n, k).seed(seed).build_oracle();
+    let len = fam.len();
+    let mid = len / 2;
+    let walks = [
+        (0, len),
+        (0, 0),
+        (3, 3),
+        (9, 2),
+        (mid, mid + 17),
+        (len.saturating_sub(5), len + 10),
+        (len + 1, len + 5),
+    ];
+    for id in ids {
+        let member = |j: usize| oracle_transmits(n, k, seed, id, j);
+        for (from, end) in walks {
+            assert_eq!(
+                fam.next_member(id, from, end),
+                (from..end.min(len)).find(|&j| member(j)),
+                "n={n} k={k} seed={seed} id={id} [{from}, {end})"
+            );
+        }
+        let walked: Vec<usize> = std::iter::successors(fam.next_member(id, 0, len), |&j| {
+            fam.next_member(id, j + 1, len)
+        })
+        .collect();
+        let scanned: Vec<usize> = (0..len).filter(|&j| member(j)).collect();
+        assert_eq!(walked, scanned, "n={n} k={k} seed={seed} id={id}");
+    }
+}
+
+/// Does `u` transmit at position `p` of the doubling schedule built from
+/// `provider`, per the per-coin formulas: the family holding `p mod period`,
+/// its per-`k` PRF seed, and the float coin (or the Kautz–Singleton code)?
+fn schedule_member(sched: &DoublingSchedule, provider: &FamilyProvider, u: u32, p: u64) -> bool {
+    let r = p % sched.period();
+    let i = sched.offsets().iter().rposition(|&off| off <= r).unwrap();
+    let fam = &sched.families()[i];
+    let j = (r - sched.offsets()[i]) as usize;
+    match *provider {
+        FamilyProvider::Random { seed, .. } => oracle_transmits(
+            fam.n(),
+            fam.k(),
+            derive_seed(seed, u64::from(fam.k())),
+            u,
+            j,
+        ),
+        FamilyProvider::KautzSingleton => {
+            ks_transmits(&KautzSingleton::new(fam.n(), fam.k()), fam.n(), u, j)
+        }
+    }
+}
+
+/// The doubling schedule's bounded walk, `next_position` and position index
+/// for station `u`, against the per-position scan: over empty and inverted
+/// ranges, across each family boundary and the period wrap, and far past
+/// the first pass.
+fn check_schedule_walks(sched: &DoublingSchedule, provider: &FamilyProvider, u: u32) {
+    let period = sched.period();
+    let member = |p: u64| schedule_member(sched, provider, u, p);
+    let scan = |from: u64, end: u64| (from..end).find(|&p| member(p));
+    let mut walks = vec![
+        (0, 0),
+        (5, 5),
+        (9, 3),
+        (0, period),
+        (period - 1, period + 2),
+        (period / 2, 2 * period + 1),
+        (7 * period + 1, 7 * period + 40),
+    ];
+    for &off in sched.offsets() {
+        walks.push((off.saturating_sub(2), off + 3));
+        walks.push((period + off, period + off + 1));
+    }
+    for (from, end) in walks {
+        assert_eq!(
+            sched.next_position_in(u, from, end),
+            scan(from, end),
+            "u={u} [{from}, {end}) (period {period})"
+        );
+    }
+    for p in [0, 1, period - 1, period, 3 * period + period / 3] {
+        // A station transmits somewhere in every window of one period, or
+        // nowhere at all.
+        assert_eq!(
+            sched.next_position(u, p),
+            scan(p, p + period),
+            "u={u} p={p}"
+        );
+    }
+    let index = sched.position_index(u);
+    let indexed: Vec<u64> = (0..period)
+        .filter(|&p| index.next_position(p) == Some(p))
+        .collect();
+    let scanned: Vec<u64> = (0..period).filter(|&p| member(p)).collect();
+    assert_eq!(indexed, scanned, "u={u} index (period {period})");
+    assert_eq!(
+        sched.positions_in(u, 0, period).collect::<Vec<_>>(),
+        scanned,
+        "u={u}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Quick grid.
 // ---------------------------------------------------------------------------
@@ -176,6 +288,7 @@ fn row_prefix_hash_is_the_cascade() {
         for (a, b, c) in [(a, b, c), (x % 64, x, x / 7)] {
             let h = hash4(seed, a, b, c);
             assert_eq!(RowPrefix::new(seed, a).hash(b, c), h, "x={x}");
+            assert_eq!(SeedPrefix::new(seed).row(a).hash(b, c), h, "x={x}");
             assert_eq!(RowPrefix::new(seed, a).scanner(b).hash(c), h, "x={x}");
             assert_eq!(GapScanner::new(seed, a, b).hash(c), h, "x={x}");
             assert_eq!(selectors::prf::hash4(seed, a, b, c), h, "x={x}");
@@ -283,6 +396,36 @@ fn doubling_schedule_rows_locate_the_family_set() {
 }
 
 #[test]
+fn oracle_walks_match_the_float_coin() {
+    for (n, k, seed) in [
+        (1u32, 1u32, 0u64),
+        (40, 1, 7),
+        (40, 2, 7),
+        (64, 8, 99),
+        (257, 3, 0xDEAD_BEEF),
+        (1024, 1024, 5),
+    ] {
+        // Every id of the small universes, and ids past `n`.
+        check_oracle_walks(n, k, seed, (0..n.min(80)).chain(n..n + 3));
+    }
+}
+
+#[test]
+fn schedule_walks_match_the_per_position_scan() {
+    for (provider, n, top) in [
+        (FamilyProvider::random_with_seed(5), 48u32, 3u32),
+        (FamilyProvider::random_with_seed(5), 16, 0),
+        (FamilyProvider::random_with_seed(17), 100, 6),
+        (FamilyProvider::KautzSingleton, 20, 2),
+    ] {
+        let sched = DoublingSchedule::new(&provider, n, top);
+        for u in (0..n).chain([n, n + 5]) {
+            check_schedule_walks(&sched, &provider, u);
+        }
+    }
+}
+
+#[test]
 fn matrix_rows_match_the_pow2_coin() {
     for params in [
         MatrixParams::new(1),
@@ -333,6 +476,9 @@ fn row_kernels_match_on_extended_grid() {
         let len = RandomFamilyBuilder::new(n, k).prescribed_length();
         check_oracle_rows(n, k, seed, &[0, 1, len / 3, len - 1], (0, n));
     }
+    for (k, seed) in [(2u32, 1u64), (64, 7), (1 << 12, 3), (n, 11)] {
+        check_oracle_walks(n, k, seed, [0, 1, n / 3, n - 1, n].into_iter());
+    }
     // A universe that is not a power of two, swept past its end.
     let odd = n - 3;
     check_oracle_rows(odd, 5, 21, &[0, 17], (0, odd + 3));
@@ -348,5 +494,17 @@ fn row_kernels_match_on_extended_grid() {
             (m.rows(), 12_345),
         ];
         check_matrix_rows(&m, &entries, (0, m.n()));
+    }
+}
+
+#[test]
+#[ignore = "slow: walks 45 stations of a near-n schedule over a whole period; run with --release"]
+fn schedule_walks_match_on_extended_grid() {
+    // The near-n wait_and_go schedule (n = 4096, families up to k = 4096):
+    // twelve families and a period of about 65 000 positions.
+    let provider = FamilyProvider::random_with_seed(3);
+    let sched = DoublingSchedule::new(&provider, 4096, 12);
+    for u in (0..4096).step_by(97).chain([4095, 4096]) {
+        check_schedule_walks(&sched, &provider, u);
     }
 }
