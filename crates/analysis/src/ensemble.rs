@@ -1,31 +1,30 @@
 //! Multi-seed, multi-threaded experiment ensembles.
 //!
 //! An ensemble pairs a *protocol factory* with a *pattern generator*, both
-//! keyed by a run seed, and executes `runs` independent simulations. Since
-//! the sparse engine made single runs cheap, scheduling is the bottleneck,
-//! so execution rides on [`wakeup_runner`]'s work-stealing pool: short runs
-//! are batched per worker (batch size auto-calibrated), idle workers steal,
-//! and per-run results are folded **in seed order** on the caller's thread —
-//! so every aggregate is bit-identical across thread counts.
+//! keyed by a run seed, and executes `runs` independent simulations of one
+//! [`SimConfig`]. [`run_ensemble_stream`] is the one entry point
+//! ([`run_ensemble_stream_cached`] adapts it to a shared
+//! [`ConstructionCache`]). Since the sparse engine made single runs cheap,
+//! scheduling is the bottleneck, so execution rides on [`wakeup_runner`]'s
+//! work-stealing pool: short runs are batched per worker (batch size
+//! auto-calibrated), idle workers steal, and per-run results are folded
+//! **in seed order** on the caller's thread — so every aggregate is
+//! bit-identical across thread counts. Aggregation is streaming only
+//! ([`EnsembleSummary`]: Welford stats, P² quantile sketches, energy and
+//! work counters), so million-run sweeps never hold per-run results —
+//! transient memory is the reorder buffer, O(threads·batch) digests.
 //!
-//! Two aggregation styles:
-//!
-//! * [`run_ensemble`] — materializes one [`LatencySample`] per run
-//!   ([`EnsembleResult`]), for experiments that post-process samples;
-//! * [`run_ensemble_stream`] — streaming accumulators only
-//!   ([`EnsembleSummary`]: Welford stats, P² quantile sketches, energy and
-//!   work counters), so million-run sweeps never hold per-run results —
-//!   transient memory is the reorder buffer, O(threads·batch) digests.
-//!
-//! [`run_ensemble_chunked`] preserves the pre-runner chunk-per-thread
-//! scheduling as a reference: tests pin the runner's output to it
-//! bit-for-bit and the `runner_throughput` bench measures the speedup
-//! against it.
+//! A run's latency is measured to the configuration's [`StopRule`]: the
+//! first success under [`StopRule::FirstSuccess`] (the wake-up problem),
+//! the slot by which every pattern station has transmitted alone under
+//! [`StopRule::AllResolved`] (full conflict resolution). A run that hits
+//! the slot cap first is censored.
 //!
 //! Factories are indexed rather than shared so that deterministic protocols
 //! can vary their combinatorial seed per run (a fixed deterministic protocol
 //! on a fixed pattern would measure the same run `R` times).
 
+use mac_sim::engine::StopRule;
 use mac_sim::metrics::{EnergyStats, LatencySample, OutcomeDigest};
 use mac_sim::tracer::{RecordingTracer, TraceFilter};
 use mac_sim::{
@@ -35,7 +34,6 @@ use mac_sim::{
 use std::fmt;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 use wakeup_core::ConstructionCache;
 use wakeup_runner::collect::from_fn;
 use wakeup_runner::{OnlineStats, P2Quantile, Progress, RunStats, Runner};
@@ -109,71 +107,49 @@ impl fmt::Debug for TraceSpec {
 /// Parameters of an ensemble run.
 #[derive(Clone, Debug)]
 pub struct EnsembleSpec {
-    /// Universe size.
-    pub n: u32,
+    /// The simulator configuration of every run: universe size, slot cap,
+    /// feedback, channel faults, churn, engine path, population,
+    /// per-station detail, and the [`StopRule`] that ends a run and defines
+    /// its latency sample.
+    pub sim: SimConfig,
     /// Number of independent runs.
     pub runs: u64,
-    /// Slot cap per run (`None`: the simulator default for `n`).
-    pub max_slots: Option<u64>,
-    /// Channel feedback model.
-    pub feedback: FeedbackModel,
-    /// Channel fault model (default [`ChannelModel::ideal`] — no faults,
-    /// bit-identical to a spec built before fault injection existed).
-    pub channel: ChannelModel,
-    /// Station churn script (default [`ChurnScript::none`]).
-    pub churn: ChurnScript,
     /// Base seed; run `i` uses seed `base_seed.wrapping_add(i)` (wrapping,
     /// so a base seed near `u64::MAX` is valid and cannot overflow).
     pub base_seed: u64,
     /// Worker threads (default: available parallelism). Zero is treated as
     /// one — the run path clamps, not just [`with_threads`](Self::with_threads).
     pub threads: usize,
-    /// Engine path ([`EngineMode::Auto`] skips silent slots when the
-    /// protocol allows; [`EngineMode::Dense`] forces per-slot polling, e.g.
-    /// for speedup measurements).
-    pub engine: EngineMode,
-    /// Station representation ([`PopulationMode::Concrete`] boxes one
-    /// station per id; [`PopulationMode::Classes`] aggregates wake batches
-    /// into equivalence classes — memory O(classes), the mega-n path).
-    pub population: PopulationMode,
-    /// Materialize per-station transmission counts (`Outcome::per_station_tx`).
-    /// Off for mega-n sweeps where an O(n) vector per run defeats the
-    /// class engine's O(classes) memory.
-    pub per_station_detail: bool,
     /// Live progress reporting for long sweeps (`None`: silent).
     pub progress: Option<Progress>,
     /// Structured-trace capture (`None`: untraced — the zero-cost
-    /// [`NoopTracer`](mac_sim::tracer::NoopTracer) path). Honored by
-    /// [`run_ensemble`] and [`run_ensemble_stream`]; the chunked reference
-    /// scheduler ignores it.
+    /// [`NoopTracer`](mac_sim::tracer::NoopTracer) path).
     pub trace: Option<TraceSpec>,
+    /// The ensemble's name on its execution record in the trace sidecar
+    /// (see [`TraceSpec::exec`]); empty by default.
+    pub label: String,
 }
 
 impl EnsembleSpec {
-    /// A spec with `runs` runs on `n` stations and sensible defaults.
+    /// A spec with `runs` runs on `n` stations and sensible defaults
+    /// ([`SimConfig::new`]: first success, no faults).
     pub fn new(n: u32, runs: u64) -> Self {
         EnsembleSpec {
-            n,
+            sim: SimConfig::new(n),
             runs,
-            max_slots: None,
-            feedback: FeedbackModel::NoCollisionDetection,
-            channel: ChannelModel::ideal(),
-            churn: ChurnScript::none(),
             base_seed: 0,
             threads: std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(4),
-            engine: EngineMode::Auto,
-            population: PopulationMode::default(),
-            per_station_detail: true,
             progress: None,
             trace: None,
+            label: String::new(),
         }
     }
 
     /// Override the per-run slot cap.
     pub fn with_max_slots(mut self, cap: u64) -> Self {
-        self.max_slots = Some(cap);
+        self.sim.max_slots = cap;
         self
     }
 
@@ -185,19 +161,19 @@ impl EnsembleSpec {
 
     /// Override the feedback model.
     pub fn with_feedback(mut self, fb: FeedbackModel) -> Self {
-        self.feedback = fb;
+        self.sim.feedback = fb;
         self
     }
 
     /// Inject channel faults (erasure / false collision / capture).
     pub fn with_channel(mut self, channel: ChannelModel) -> Self {
-        self.channel = channel;
+        self.sim.channel = channel;
         self
     }
 
     /// Inject station churn (crashes and re-wakes).
     pub fn with_churn(mut self, churn: ChurnScript) -> Self {
-        self.churn = churn;
+        self.sim.churn = churn;
         self
     }
 
@@ -207,41 +183,37 @@ impl EnsembleSpec {
         self
     }
 
-    /// Override the engine path.
+    /// Override the engine path ([`EngineMode::Auto`] skips silent slots
+    /// when the protocol allows; [`EngineMode::Dense`] forces per-slot
+    /// polling, e.g. for speedup measurements).
     pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
+        self.sim.engine = engine;
         self
     }
 
-    /// Override the station representation.
+    /// Override the station representation ([`PopulationMode::Classes`]
+    /// aggregates wake batches into equivalence classes — memory
+    /// O(classes), the mega-n path).
     pub fn with_population(mut self, population: PopulationMode) -> Self {
-        self.population = population;
+        self.sim.population = population;
         self
     }
 
     /// Aggregate wake batches into equivalence classes
     /// ([`PopulationMode::Classes`]).
     pub fn with_classes(mut self) -> Self {
-        self.population = PopulationMode::Classes;
+        self.sim.population = PopulationMode::Classes;
         self
     }
 
     /// Skip per-station transmission counts — required for mega-n class
     /// sweeps to keep per-run memory O(classes).
     pub fn without_per_station_detail(mut self) -> Self {
-        self.per_station_detail = false;
+        self.sim.per_station_detail = false;
         self
     }
 
-    /// Report progress (runs/s, steals) to stderr roughly every `every`.
-    pub fn with_progress(mut self, every: Duration, label: impl Into<String>) -> Self {
-        self.progress = Some(Progress::new(every, label));
-        self
-    }
-
-    /// Attach a fully-built [`Progress`] spec — the way to keep a custom
-    /// [`ProgressSink`](wakeup_runner::ProgressSink) routing (plain
-    /// [`with_progress`](Self::with_progress) reports to stderr).
+    /// Report live progress (runs/s, steals) through `progress`.
     pub fn with_progress_spec(mut self, progress: Progress) -> Self {
         self.progress = Some(progress);
         self
@@ -257,22 +229,6 @@ impl EnsembleSpec {
     /// The seed of run `i` (wrapping — see [`base_seed`](Self::base_seed)).
     pub fn seed_of(&self, i: u64) -> u64 {
         self.base_seed.wrapping_add(i)
-    }
-
-    fn sim_config(&self) -> SimConfig {
-        let mut cfg = SimConfig::new(self.n)
-            .with_feedback(self.feedback)
-            .with_engine(self.engine)
-            .with_population(self.population)
-            .with_channel(self.channel)
-            .with_churn(self.churn.clone());
-        if let Some(cap) = self.max_slots {
-            cfg = cfg.with_max_slots(cap);
-        }
-        if !self.per_station_detail {
-            cfg = cfg.without_per_station_detail();
-        }
-        cfg
     }
 
     fn runner(&self) -> Runner {
@@ -315,17 +271,6 @@ pub struct WorkStats {
 }
 
 impl WorkStats {
-    /// Fold one outcome into the counters.
-    pub fn absorb(&mut self, out: &mac_sim::Outcome) {
-        self.slots += out.slots_simulated;
-        self.polls += out.polls;
-        self.skipped += out.skipped_slots;
-        self.dense_steps += out.dense_steps;
-        self.word_slots += out.word_slots;
-        self.mode_switches += out.mode_switches;
-        self.peak_units = self.peak_units.max(out.peak_units);
-    }
-
     /// Fold one outcome digest into the counters.
     pub fn absorb_digest(&mut self, d: &OutcomeDigest) {
         self.slots += d.slots;
@@ -400,56 +345,19 @@ impl WorkStats {
     }
 }
 
-/// Aggregated results of an ensemble.
-#[derive(Clone, Debug)]
-pub struct EnsembleResult {
-    /// One latency sample per run, in run order.
-    pub samples: Vec<LatencySample>,
-    /// Energy (transmission) statistics over all runs.
-    pub energy: EnergyStats,
-    /// Engine-work counters (slots vs polls vs skipped) over all runs.
-    pub work: WorkStats,
-}
-
-impl EnsembleResult {
-    /// Latencies of the solved runs.
-    pub fn solved_latencies(&self) -> Vec<u64> {
-        self.samples.iter().filter_map(|s| s.solved()).collect()
-    }
-
-    /// Number of censored (cap-hit) runs.
-    pub fn censored(&self) -> usize {
-        self.samples.len() - self.solved_latencies().len()
-    }
-
-    /// Worst observed latency, counting censored runs pessimistically.
-    pub fn worst(&self) -> u64 {
-        self.samples
-            .iter()
-            .map(|s| s.pessimistic())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Summary statistics of the solved latencies.
-    pub fn summary(&self) -> Option<crate::stats::Summary> {
-        crate::stats::Summary::of_u64(&self.solved_latencies())
-    }
-}
-
 /// Streaming aggregate of an ensemble: everything the experiment tables
 /// report, with no per-run sample vector — the only per-ensemble memory
 /// is the runner's O(threads·batch) reorder buffer.
 ///
-/// Latency statistics cover **solved** runs (matching
-/// [`EnsembleResult::summary`]); [`worst`](Self::worst) additionally counts
-/// censored runs pessimistically. Median/p90/p99 come from P² sketches:
+/// Latency statistics cover **solved** runs, those that met the stop rule
+/// within the slot cap; [`worst`](Self::worst) additionally counts censored
+/// runs pessimistically. Median/p90/p99 come from P² sketches:
 /// exact below five solved runs, a tightly-tracking estimate above.
 #[derive(Clone, Debug)]
 pub struct EnsembleSummary {
     /// Number of runs executed.
     pub runs: u64,
-    /// Number of runs that solved wake-up within the cap.
+    /// Number of runs that met the stop rule within the cap.
     pub solved: u64,
     /// Streaming statistics (mean/sd/min/max/CI) of the solved latencies.
     pub latency: OnlineStats,
@@ -586,7 +494,8 @@ impl EnsembleSummary {
 
 /// Execute one run, serializing its trace (if any) into run-tagged JSONL
 /// bytes on the worker. Serialization is the parallel part; only the final
-/// ordered append to the shared sink is left to the reducer.
+/// ordered append to the shared sink is left to the reducer. The digest's
+/// latency sample is measured to the configuration's stop rule.
 fn run_one(
     sim: &Simulator,
     trace: Option<&TraceSpec>,
@@ -595,22 +504,28 @@ fn run_one(
     protocol: &dyn Protocol,
     pattern: &WakePattern,
 ) -> (OutcomeDigest, Vec<u8>) {
-    let Some(ts) = trace else {
-        let outcome = sim
-            .run(protocol, pattern, seed)
-            .expect("ensemble run failed validation");
-        return (OutcomeDigest::of(&outcome), Vec::new());
-    };
-    let mut rec = RecordingTracer::with_filter(ts.filter);
-    let outcome = sim
-        .run_traced(protocol, pattern, seed, &mut rec)
-        .expect("ensemble run failed validation");
     let mut buf = Vec::new();
-    for ev in rec.events() {
-        writeln!(buf, "{{\"run\":{i},{}}}", ev.json_fields())
-            .expect("writing to a Vec cannot fail");
+    let outcome = match trace {
+        None => sim.run(protocol, pattern, seed),
+        Some(ts) => {
+            let mut rec = RecordingTracer::with_filter(ts.filter);
+            let outcome = sim.run_traced(protocol, pattern, seed, &mut rec);
+            for ev in rec.events() {
+                writeln!(buf, "{{\"run\":{i},{}}}", ev.json_fields())
+                    .expect("writing to a Vec cannot fail");
+            }
+            outcome
+        }
     }
-    (OutcomeDigest::of(&outcome), buf)
+    .expect("ensemble run failed validation");
+    let mut digest = OutcomeDigest::of(&outcome);
+    if sim.config().stop == StopRule::AllResolved {
+        digest.sample = match outcome.full_resolution_latency() {
+            Some(l) => LatencySample::Solved(l),
+            None => LatencySample::Censored(outcome.slots_simulated),
+        };
+    }
+    (digest, buf)
 }
 
 /// Append one run's serialized trace lines to the shared sink. Called only
@@ -636,17 +551,12 @@ fn flush_exec(spec: &EnsembleSpec, stats: &RunStats) {
     let Some(ts) = &spec.trace else { return };
     let Some(exec) = &ts.exec else { return };
     let seq = ts.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let label = spec
-        .progress
-        .as_ref()
-        .map(|p| p.label.as_str())
-        .unwrap_or("");
     let mut buf = Vec::new();
     let head = crate::serial::Record::new()
         .with("record", "ensemble")
         .with("ensemble", seq)
-        .with("label", label)
-        .with("n", spec.n)
+        .with("label", spec.label.as_str())
+        .with("n", spec.sim.n)
         .with("runs", stats.runs)
         .with("threads", stats.threads as u64)
         .with("batch", stats.batch)
@@ -681,60 +591,6 @@ fn flush_exec(spec: &EnsembleSpec, stats: &RunStats) {
         .expect("exec sidecar poisoned")
         .write_all(&buf)
         .expect("exec sidecar write failed");
-}
-
-/// Execute the ensemble's runs on the work-stealing pool, folding digests
-/// into `fold` in seed order.
-fn execute<P, G, F>(spec: &EnsembleSpec, protocol_for: P, pattern_for: G, mut fold: F) -> RunStats
-where
-    P: Fn(u64) -> Box<dyn Protocol> + Sync,
-    G: Fn(u64) -> WakePattern + Sync,
-    F: FnMut(u64, OutcomeDigest),
-{
-    let sim = Simulator::new(spec.sim_config());
-    let trace = spec.trace.as_ref();
-    let stats = spec.runner().run(
-        spec.runs,
-        |i| {
-            let seed = spec.seed_of(i);
-            let protocol = protocol_for(seed);
-            let pattern = pattern_for(seed);
-            run_one(&sim, trace, i, seed, protocol.as_ref(), &pattern)
-        },
-        from_fn(|i, (d, bytes): (OutcomeDigest, Vec<u8>)| {
-            flush_trace(trace, &bytes);
-            fold(i, d);
-        }),
-    );
-    flush_exec(spec, &stats);
-    stats
-}
-
-/// Run an ensemble: run `i ∈ [0, spec.runs)` simulates
-/// `protocol_for(seed)` against `pattern_for(seed)` where
-/// `seed = spec.base_seed.wrapping_add(i)`, materializing one latency
-/// sample per run.
-///
-/// Panics if any run fails validation (a bug in the generator, not a
-/// measurement outcome).
-pub fn run_ensemble<P, G>(spec: &EnsembleSpec, protocol_for: P, pattern_for: G) -> EnsembleResult
-where
-    P: Fn(u64) -> Box<dyn Protocol> + Sync,
-    G: Fn(u64) -> WakePattern + Sync,
-{
-    let mut samples = Vec::with_capacity(usize::try_from(spec.runs).unwrap_or(0));
-    let mut energy = EnergyStats::new();
-    let mut work = WorkStats::default();
-    execute(spec, protocol_for, pattern_for, |_, d| {
-        samples.push(d.sample);
-        energy.absorb_digest(&d);
-        work.absorb_digest(&d);
-    });
-    EnsembleResult {
-        samples,
-        energy,
-        work,
-    }
 }
 
 /// Worker-side pre-fold of one batch of digests (the payload of
@@ -773,14 +629,18 @@ impl StreamPartial {
     }
 }
 
-/// Run an ensemble with streaming aggregation only: no per-run results
-/// are materialized, suitable
-/// for million-run sweeps. Same execution and seed derivation as
-/// [`run_ensemble`], but reduction is **pipelined**: each worker pre-folds
-/// its batch into a partial fold ([`Runner::run_folded`]), and this
-/// thread merges the partials in seed order — associatively for the integer
-/// counters, by in-order replay for the floating-point latency statistics.
-/// Aggregates are bit-identical across thread counts and batch boundaries.
+/// Run an ensemble: run `i ∈ [0, spec.runs)` simulates
+/// `protocol_for(seed)` against `pattern_for(seed)` under `spec.sim`, where
+/// `seed = spec.base_seed.wrapping_add(i)`. Aggregation is streaming only —
+/// no per-run results are materialized, so million-run sweeps fit — and
+/// **pipelined**: each worker pre-folds its batch into a partial fold
+/// ([`Runner::run_folded`]), and this thread merges the partials in seed
+/// order — associatively for the integer counters, by in-order replay for
+/// the floating-point latency statistics. Aggregates are bit-identical
+/// across thread counts and batch boundaries.
+///
+/// Panics if any run fails validation (a bug in the generator, not a
+/// measurement outcome).
 pub fn run_ensemble_stream<P, G>(
     spec: &EnsembleSpec,
     protocol_for: P,
@@ -791,55 +651,35 @@ where
     G: Fn(u64) -> WakePattern + Sync,
 {
     let mut summary = EnsembleSummary::empty();
-    // `summary` is only borrowed inside the fold, so aggregate into a local
-    // and move the stats in afterwards.
-    let exec = {
-        let s = &mut summary;
-        let sim = Simulator::new(spec.sim_config());
-        let trace = spec.trace.as_ref();
-        spec.runner().run_folded(
-            spec.runs,
-            |i| {
-                let seed = spec.seed_of(i);
-                let protocol = protocol_for(seed);
-                let pattern = pattern_for(seed);
-                run_one(&sim, trace, i, seed, protocol.as_ref(), &pattern)
-            },
-            StreamPartial::default,
-            |p, _i, (d, bytes): (OutcomeDigest, Vec<u8>)| p.absorb(&d, &bytes),
-            from_fn(|_start, p: StreamPartial| {
-                flush_trace(trace, &p.trace);
-                s.absorb_partial(p);
-            }),
-        )
-    };
+    let sim = Simulator::new(spec.sim.clone());
+    let trace = spec.trace.as_ref();
+    let exec = spec.runner().run_folded(
+        spec.runs,
+        |i| {
+            let seed = spec.seed_of(i);
+            let protocol = protocol_for(seed);
+            let pattern = pattern_for(seed);
+            run_one(&sim, trace, i, seed, protocol.as_ref(), &pattern)
+        },
+        StreamPartial::default,
+        |p, _i, (d, bytes): (OutcomeDigest, Vec<u8>)| p.absorb(&d, &bytes),
+        from_fn(|_start, p: StreamPartial| {
+            flush_trace(trace, &p.trace);
+            summary.absorb_partial(p);
+        }),
+    );
     flush_exec(spec, &exec);
     summary.exec = exec;
     summary
 }
 
-/// [`run_ensemble`] with an ensemble-wide [`ConstructionCache`]: the
-/// factory receives the cache next to the run seed, so seed-independent
+/// [`run_ensemble_stream`] with an ensemble-wide [`ConstructionCache`]:
+/// the factory receives the cache next to the run seed, so seed-independent
 /// structure (selective families, doubling schedules and their per-station
 /// position indices, waking matrices) is built **once per ensemble** and
 /// shared read-only across runs and work-stealing workers, while per-run
 /// state stays in the stations. Outcomes are bit-identical to the uncached
 /// path — the cache holds only immutable structure.
-pub fn run_ensemble_cached<P, G>(
-    spec: &EnsembleSpec,
-    cache: &ConstructionCache,
-    protocol_for: P,
-    pattern_for: G,
-) -> EnsembleResult
-where
-    P: Fn(&ConstructionCache, u64) -> Box<dyn Protocol> + Sync,
-    G: Fn(u64) -> WakePattern + Sync,
-{
-    run_ensemble(spec, |seed| protocol_for(cache, seed), pattern_for)
-}
-
-/// [`run_ensemble_stream`] with an ensemble-wide [`ConstructionCache`] —
-/// see [`run_ensemble_cached`] for the sharing contract.
 pub fn run_ensemble_stream_cached<P, G>(
     spec: &EnsembleSpec,
     cache: &ConstructionCache,
@@ -853,62 +693,6 @@ where
     run_ensemble_stream(spec, |seed| protocol_for(cache, seed), pattern_for)
 }
 
-/// The pre-runner scheduling: split the seed range into one static
-/// contiguous chunk per thread (`std::thread::scope`, no stealing, full
-/// result materialization). Kept as the baseline the work-stealing runner
-/// is benchmarked against (`benches/runner.rs`) and as an independent
-/// reference implementation for determinism tests. Produces exactly the
-/// same [`EnsembleResult`] as [`run_ensemble`].
-pub fn run_ensemble_chunked<P, G>(
-    spec: &EnsembleSpec,
-    protocol_for: P,
-    pattern_for: G,
-) -> EnsembleResult
-where
-    P: Fn(u64) -> Box<dyn Protocol> + Sync,
-    G: Fn(u64) -> WakePattern + Sync,
-{
-    let cfg = spec.sim_config();
-    let runs: Vec<u64> = (0..spec.runs).map(|i| spec.seed_of(i)).collect();
-    let threads = spec.threads.max(1).min(runs.len().max(1));
-    let chunk = runs.len().div_ceil(threads);
-    let mut results: Vec<Option<(LatencySample, mac_sim::Outcome)>> = vec![None; runs.len()];
-
-    std::thread::scope(|scope| {
-        for (seeds, out_chunk) in runs.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            let cfg = cfg.clone();
-            let protocol_for = &protocol_for;
-            let pattern_for = &pattern_for;
-            scope.spawn(move || {
-                let sim = Simulator::new(cfg);
-                for (seed, slot) in seeds.iter().zip(out_chunk.iter_mut()) {
-                    let protocol = protocol_for(*seed);
-                    let pattern = pattern_for(*seed);
-                    let outcome = sim
-                        .run(protocol.as_ref(), &pattern, *seed)
-                        .expect("ensemble run failed validation");
-                    *slot = Some((LatencySample::from_outcome(&outcome), outcome));
-                }
-            });
-        }
-    });
-
-    let mut samples = Vec::with_capacity(runs.len());
-    let mut energy = EnergyStats::new();
-    let mut work = WorkStats::default();
-    for r in results.into_iter() {
-        let (sample, outcome) = r.expect("worker thread left a hole");
-        samples.push(sample);
-        energy.absorb(&outcome);
-        work.absorb(&outcome);
-    }
-    EnsembleResult {
-        samples,
-        energy,
-        work,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -917,6 +701,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use wakeup_core::prelude::*;
+    use wakeup_runner::OnlineStats;
 
     fn k_pattern(n: u32, k: usize, seed: u64) -> WakePattern {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -924,51 +709,124 @@ mod tests {
         WakePattern::uniform_window(&ids, 0, 16, &mut rng).unwrap()
     }
 
+    /// The independent reference the ensemble tests compare against: the
+    /// spec's runs one after another on this thread, each outcome's latency
+    /// taken to the stop rule, every counter summed straight from the
+    /// `Outcome`.
+    struct Sequential {
+        samples: Vec<LatencySample>,
+        energy: EnergyStats,
+        work: WorkStats,
+    }
+
+    fn sequential<P, G>(spec: &EnsembleSpec, protocol_for: P, pattern_for: G) -> Sequential
+    where
+        P: Fn(u64) -> Box<dyn Protocol>,
+        G: Fn(u64) -> WakePattern,
+    {
+        let sim = Simulator::new(spec.sim.clone());
+        let mut r = Sequential {
+            samples: Vec::new(),
+            energy: EnergyStats::new(),
+            work: WorkStats::default(),
+        };
+        for i in 0..spec.runs {
+            let seed = spec.base_seed.wrapping_add(i);
+            let out = sim
+                .run(protocol_for(seed).as_ref(), &pattern_for(seed), seed)
+                .unwrap();
+            let latency = match spec.sim.stop {
+                StopRule::FirstSuccess => out.latency(),
+                StopRule::AllResolved => out.full_resolution_latency(),
+            };
+            r.samples.push(match latency {
+                Some(l) => LatencySample::Solved(l),
+                None => LatencySample::Censored(out.slots_simulated),
+            });
+            r.energy.absorb(&out);
+            r.work.slots += out.slots_simulated;
+            r.work.polls += out.polls;
+            r.work.skipped += out.skipped_slots;
+            r.work.dense_steps += out.dense_steps;
+            r.work.word_slots += out.word_slots;
+            r.work.mode_switches += out.mode_switches;
+            r.work.peak_units = r.work.peak_units.max(out.peak_units);
+        }
+        r
+    }
+
+    impl Sequential {
+        fn solved(&self) -> Vec<u64> {
+            self.samples.iter().filter_map(|s| s.solved()).collect()
+        }
+
+        /// Assert `s` reports exactly this reference: counts, latency
+        /// statistics to the bit (the solved latencies replayed in seed
+        /// order), worst case, energy and work.
+        fn assert_matches(&self, s: &EnsembleSummary, what: &str) {
+            let solved = self.solved();
+            let mut latency = OnlineStats::new();
+            for &l in &solved {
+                latency.push(l as f64);
+            }
+            let worst = self.samples.iter().map(|s| s.pessimistic()).max();
+            assert_eq!(s.runs, self.samples.len() as u64, "{what}: runs");
+            assert_eq!(s.solved, solved.len() as u64, "{what}: solved");
+            assert_eq!(
+                s.censored(),
+                (self.samples.len() - solved.len()) as u64,
+                "{what}: censored"
+            );
+            assert_eq!(s.mean().to_bits(), latency.mean().to_bits(), "{what}: mean");
+            assert_eq!(s.max().to_bits(), latency.max().to_bits(), "{what}: max");
+            assert_eq!(s.worst, worst.unwrap_or(0), "{what}: worst");
+            assert_eq!(s.energy, self.energy, "{what}: energy");
+            assert_eq!(s.work, self.work, "{what}: work");
+        }
+    }
+
     #[test]
     fn ensemble_runs_and_aggregates() {
         let n = 64u32;
         let spec = EnsembleSpec::new(n, 16).with_threads(4);
-        let res = run_ensemble(
+        let res = run_ensemble_stream(
             &spec,
             |seed| Box::new(WakeupN::new(MatrixParams::new(n).with_seed(seed))),
             |seed| k_pattern(n, 4, seed),
         );
-        assert_eq!(res.samples.len(), 16);
+        assert_eq!(res.runs, 16);
         assert_eq!(res.censored(), 0, "wakeup(n) should solve all runs");
-        let summary = res.summary().unwrap();
-        assert_eq!(summary.count, 16);
-        assert!(summary.max >= summary.median);
+        assert_eq!(res.latency.count(), 16);
+        assert!(res.max() >= res.median());
         assert!(res.energy.runs == 16);
         assert!(res.energy.total_transmissions > 0);
     }
 
     #[test]
     fn class_population_ensemble_matches_concrete() {
-        // Ensemble plumbing for the class engine: same samples/energy, and
+        // Ensemble plumbing for the class engine: same latencies/energy, and
         // peak_units drops to the class count (one unit per wake batch here)
         // while the concrete path carries one unit per station.
         let n = 128u32;
         let spec = EnsembleSpec::new(n, 12).with_threads(3);
         let pattern = |seed: u64| WakePattern::range(0, n / 2, seed % 8).unwrap();
-        let concrete = run_ensemble(&spec, |_| Box::new(RoundRobin::new(n)), pattern);
-        let classed = run_ensemble(
-            &spec.clone().with_classes(),
-            |_| Box::new(RoundRobin::new(n)),
-            pattern,
-        );
-        assert_eq!(concrete.samples, classed.samples);
+        let run = |spec: &EnsembleSpec| {
+            run_ensemble_stream(spec, |_| Box::new(RoundRobin::new(n)), pattern)
+        };
+        let concrete = run(&spec);
+        let classed = run(&spec.clone().with_classes());
+        assert_eq!(concrete.solved, classed.solved);
+        assert_eq!(concrete.mean().to_bits(), classed.mean().to_bits());
+        assert_eq!(concrete.worst, classed.worst);
         assert_eq!(concrete.energy, classed.energy);
         assert_eq!(concrete.work.slots, classed.work.slots);
         assert_eq!(concrete.work.peak_units, u64::from(n) / 2);
         assert_eq!(classed.work.peak_units, 1);
         // And without per-station detail the aggregates still match, except
         // the per-station maximum that detail-off deliberately drops.
-        let lean = run_ensemble(
-            &spec.clone().with_classes().without_per_station_detail(),
-            |_| Box::new(RoundRobin::new(n)),
-            pattern,
-        );
-        assert_eq!(lean.samples, classed.samples);
+        let lean = run(&spec.clone().with_classes().without_per_station_detail());
+        assert_eq!(lean.mean().to_bits(), classed.mean().to_bits());
+        assert_eq!(lean.worst, classed.worst);
         assert_eq!(
             lean.energy.total_transmissions,
             classed.energy.total_transmissions
@@ -983,17 +841,22 @@ mod tests {
         use mac_sim::EngineMode;
         let n = 256u32;
         let spec = EnsembleSpec::new(n, 8).with_threads(2);
-        let sparse = run_ensemble(
+        let sparse = run_ensemble_stream(
             &spec,
             |_| Box::new(RoundRobin::new(n)),
             |seed| k_pattern(n, 6, seed),
         );
-        let dense = run_ensemble(
+        let dense = run_ensemble_stream(
             &spec.clone().with_engine(EngineMode::Dense),
             |_| Box::new(RoundRobin::new(n)),
             |seed| k_pattern(n, 6, seed),
         );
-        assert_eq!(sparse.samples, dense.samples, "outcomes must be identical");
+        assert_eq!(
+            sparse.mean().to_bits(),
+            dense.mean().to_bits(),
+            "outcomes must be identical"
+        );
+        assert_eq!(sparse.worst, dense.worst, "outcomes must be identical");
         assert_eq!(
             sparse.work.slots, dense.work.slots,
             "paths must cover the same slots"
@@ -1014,29 +877,26 @@ mod tests {
     fn ensemble_is_deterministic_given_base_seed() {
         let n = 32u32;
         let spec = EnsembleSpec::new(n, 8).with_base_seed(99).with_threads(2);
-        let run = || {
-            run_ensemble(
-                &spec,
-                |seed| {
-                    Box::new(WakeupWithK::new(
-                        n,
-                        4,
-                        FamilyProvider::random_with_seed(seed),
-                    ))
-                },
-                |seed| k_pattern(n, 4, seed),
-            )
+        let protocol_for = |seed| -> Box<dyn Protocol> {
+            Box::new(WakeupWithK::new(
+                n,
+                4,
+                FamilyProvider::random_with_seed(seed),
+            ))
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a.samples, b.samples);
+        let pattern_for = |seed| k_pattern(n, 4, seed);
+        let reference = sequential(&spec, protocol_for, pattern_for);
+        for _ in 0..2 {
+            let s = run_ensemble_stream(&spec, protocol_for, pattern_for);
+            reference.assert_matches(&s, "repeat");
+        }
     }
 
     #[test]
     fn different_base_seeds_differ() {
         let n = 32u32;
         let mk = |base: u64| {
-            run_ensemble(
+            run_ensemble_stream(
                 &EnsembleSpec::new(n, 8).with_base_seed(base),
                 |seed| Box::new(WakeupN::new(MatrixParams::new(n).with_seed(seed))),
                 |seed| k_pattern(n, 3, seed),
@@ -1045,7 +905,7 @@ mod tests {
         let a = mk(0);
         let b = mk(1_000_000);
         // Extremely likely to differ somewhere.
-        assert_ne!(a.samples, b.samples);
+        assert_ne!((a.mean().to_bits(), a.work), (b.mean().to_bits(), b.work));
     }
 
     #[test]
@@ -1068,11 +928,6 @@ mod tests {
             }
         }
         let spec = EnsembleSpec::new(8, 4).with_max_slots(50);
-        let res = run_ensemble(&spec, |_| Box::new(Silent), |seed| k_pattern(8, 2, seed));
-        assert_eq!(res.censored(), 4);
-        assert!(res.summary().is_none());
-        assert_eq!(res.worst(), 50);
-        // Streaming view agrees on censoring and the pessimistic worst.
         let s = run_ensemble_stream(&spec, |_| Box::new(Silent), |seed| k_pattern(8, 2, seed));
         assert_eq!(s.censored(), 4);
         assert_eq!(s.solved, 0);
@@ -1090,40 +945,97 @@ mod tests {
     fn single_thread_matches_multi_thread() {
         let n = 32u32;
         let mk = |threads: usize| {
-            run_ensemble(
+            run_ensemble_stream(
                 &EnsembleSpec::new(n, 10).with_threads(threads),
                 |seed| Box::new(WakeupN::new(MatrixParams::new(n).with_seed(seed))),
                 |seed| k_pattern(n, 3, seed),
             )
         };
-        assert_eq!(mk(1).samples, mk(8).samples);
+        let (a, b) = (mk(1), mk(8));
+        assert_eq!(a.mean().to_bits(), b.mean().to_bits());
+        assert_eq!(a.worst, b.worst);
+        assert_eq!(a.energy, b.energy);
+        assert_eq!(a.work, b.work);
     }
 
     #[test]
     fn runner_matches_chunked_reference_bit_for_bit() {
-        // The work-stealing path must reproduce the legacy chunked
-        // scheduler exactly — samples, energy and work counters — for any
-        // thread count.
+        // The work-stealing path must reproduce the sequential reference
+        // exactly — latencies, energy and work counters — for any thread
+        // count.
         let n = 64u32;
         let mk_spec = |threads: usize| {
             EnsembleSpec::new(n, 24)
                 .with_base_seed(42)
                 .with_threads(threads)
         };
-        let reference = run_ensemble_chunked(
-            &mk_spec(1),
-            |seed| Box::new(WakeupN::new(MatrixParams::new(n).with_seed(seed))),
-            |seed| k_pattern(n, 4, seed),
-        );
+        let protocol_for = |seed| -> Box<dyn Protocol> {
+            Box::new(WakeupN::new(MatrixParams::new(n).with_seed(seed)))
+        };
+        let pattern_for = |seed| k_pattern(n, 4, seed);
+        let reference = sequential(&mk_spec(1), protocol_for, pattern_for);
         for threads in [1usize, 2, 8] {
-            let stealing = run_ensemble(
-                &mk_spec(threads),
-                |seed| Box::new(WakeupN::new(MatrixParams::new(n).with_seed(seed))),
-                |seed| k_pattern(n, 4, seed),
+            let stealing = run_ensemble_stream(&mk_spec(threads), protocol_for, pattern_for);
+            reference.assert_matches(&stealing, &format!("threads={threads}"));
+        }
+    }
+
+    #[test]
+    fn all_resolved_ensemble_reports_full_resolution_latency() {
+        // Under `StopRule::AllResolved` each run's sample is its
+        // full-resolution latency, censored when the cap comes first —
+        // checked against the sequential reference at every thread count,
+        // for a feedback-driven resolver and the retiring baseline.
+        let (n, k) = (64u32, 6u32);
+        let mk_spec = |threads: usize, cap: u64| {
+            let mut spec = EnsembleSpec::new(n, 16)
+                .with_base_seed(21)
+                .with_threads(threads)
+                .with_max_slots(cap);
+            spec.sim.stop = StopRule::AllResolved;
+            spec
+        };
+        let pattern_for = |seed| k_pattern(n, k as usize, seed);
+        let selective = |seed| -> Box<dyn Protocol> {
+            Box::new(FullResolution::new(
+                n,
+                k,
+                FamilyProvider::Random { seed, delta: 1e-4 },
+            ))
+        };
+        let retiring = |_| -> Box<dyn Protocol> { Box::new(RetiringRoundRobin::new(n)) };
+        type Factory<'a> = &'a (dyn Fn(u64) -> Box<dyn Protocol> + Sync);
+        let protocols: [(&str, Factory); 2] =
+            [("selective", &selective), ("retiring rr", &retiring)];
+        for (name, protocol_for) in protocols {
+            let generous = 4 * 64 * u64::from(n);
+            let reference = sequential(&mk_spec(1, generous), protocol_for, pattern_for);
+            assert_eq!(reference.solved().len(), 16, "{name} resolves every run");
+            // The tight cap sits at the median resolution latency.
+            let mut solved = reference.solved();
+            solved.sort_unstable();
+            let tight = solved[solved.len() / 2];
+            for cap in [generous, tight] {
+                let reference = sequential(&mk_spec(1, cap), protocol_for, pattern_for);
+                for threads in [1usize, 2, 8] {
+                    let s = run_ensemble_stream(&mk_spec(threads, cap), protocol_for, pattern_for);
+                    let what = format!("{name} cap={cap} threads={threads}");
+                    reference.assert_matches(&s, &what);
+                    assert_eq!(s.censored() > 0, cap == tight, "{what}: censoring");
+                }
+            }
+            // Full resolution takes longer than the first success on
+            // average: the stop rule, not the first success, ends a sample.
+            let mut first = mk_spec(2, generous);
+            first.sim.stop = StopRule::FirstSuccess;
+            let first = run_ensemble_stream(&first, protocol_for, pattern_for);
+            let full = run_ensemble_stream(&mk_spec(2, generous), protocol_for, pattern_for);
+            assert!(
+                full.mean() > first.mean(),
+                "{name}: {} vs {}",
+                full.mean(),
+                first.mean()
             );
-            assert_eq!(stealing.samples, reference.samples, "threads={threads}");
-            assert_eq!(stealing.energy, reference.energy, "threads={threads}");
-            assert_eq!(stealing.work, reference.work, "threads={threads}");
         }
     }
 
@@ -1131,7 +1043,7 @@ mod tests {
     fn stream_summary_matches_materialized_summary() {
         let n = 64u32;
         let spec = EnsembleSpec::new(n, 32).with_base_seed(7).with_threads(4);
-        let full = run_ensemble(
+        let reference = sequential(
             &spec,
             |_| Box::new(RoundRobin::new(n)),
             |seed| k_pattern(n, 5, seed),
@@ -1141,15 +1053,10 @@ mod tests {
             |_| Box::new(RoundRobin::new(n)),
             |seed| k_pattern(n, 5, seed),
         );
-        let summary = full.summary().unwrap();
-        assert_eq!(stream.runs, 32);
-        assert_eq!(stream.solved as usize, summary.count);
+        reference.assert_matches(&stream, "stream");
+        let summary = crate::stats::Summary::of_u64(&reference.solved()).unwrap();
         assert!((stream.mean() - summary.mean).abs() < 1e-9);
-        assert_eq!(stream.max(), summary.max);
         assert!((stream.ci95() - summary.ci95()).abs() < 1e-9);
-        assert_eq!(stream.worst, full.worst());
-        assert_eq!(stream.energy, full.energy);
-        assert_eq!(stream.work, full.work);
         // P² percentiles track the exact ones on a 32-run ensemble.
         let spread = (summary.max - summary.min).max(1.0);
         assert!((stream.median() - summary.median).abs() <= 0.1 * spread);
@@ -1186,18 +1093,17 @@ mod tests {
             threads: 0,
             ..EnsembleSpec::new(n, 4)
         };
-        let res = run_ensemble(
+        let res = run_ensemble_stream(
             &spec,
             |_| Box::new(RoundRobin::new(n)),
             |seed| k_pattern(n, 2, seed),
         );
-        assert_eq!(res.samples.len(), 4);
-        let chunked = run_ensemble_chunked(
+        let reference = sequential(
             &spec,
             |_| Box::new(RoundRobin::new(n)),
             |seed| k_pattern(n, 2, seed),
         );
-        assert_eq!(chunked.samples, res.samples);
+        reference.assert_matches(&res, "threads=0");
     }
 
     #[test]
@@ -1209,18 +1115,18 @@ mod tests {
         assert_eq!(spec.seed_of(2), u64::MAX);
         assert_eq!(spec.seed_of(3), 0);
         assert_eq!(spec.seed_of(5), 2);
-        let res = run_ensemble(
+        let res = run_ensemble_stream(
             &spec,
             |seed| Box::new(WakeupN::new(MatrixParams::new(n).with_seed(seed))),
             |seed| k_pattern(n, 3, seed),
         );
-        assert_eq!(res.samples.len(), 8);
+        assert_eq!(res.runs, 8);
     }
 
     #[test]
     fn cached_ensemble_matches_uncached_bit_for_bit() {
         // The construction cache may only change *where* structure is
-        // built, never what the runs observe: samples, energy and work
+        // built, never what the runs observe: latencies, energy and work
         // counters must be identical, across thread counts.
         let n = 64u32;
         let provider = FamilyProvider::random_with_seed(5);
@@ -1229,22 +1135,20 @@ mod tests {
                 .with_base_seed(3)
                 .with_threads(threads)
         };
-        let plain = run_ensemble(
+        let plain = sequential(
             &mk_spec(1),
             |_| Box::new(WakeupWithK::new(n, 6, provider)),
             |seed| k_pattern(n, 6, seed),
         );
         for threads in [1usize, 4] {
             let cache = wakeup_core::ConstructionCache::new();
-            let cached = run_ensemble_cached(
+            let cached = run_ensemble_stream_cached(
                 &mk_spec(threads),
                 &cache,
                 |c, _| Box::new(WakeupWithK::cached(n, 6, &provider, c)),
                 |seed| k_pattern(n, 6, seed),
             );
-            assert_eq!(plain.samples, cached.samples, "threads={threads}");
-            assert_eq!(plain.energy, cached.energy, "threads={threads}");
-            assert_eq!(plain.work, cached.work, "threads={threads}");
+            plain.assert_matches(&cached, &format!("threads={threads}"));
             assert!(!cache.is_empty(), "cache was never populated");
         }
     }
@@ -1261,44 +1165,28 @@ mod tests {
     fn ensemble_trace_bytes_bit_identical_across_thread_counts() {
         use mac_sim::tracer::TraceFilter;
         let n = 64u32;
-        let mk = |threads: usize, stream: bool| {
+        let mk = |threads: usize| {
             let (trace, buf) = vec_trace(TraceFilter::all());
             let spec = EnsembleSpec::new(n, 24)
                 .with_base_seed(11)
                 .with_threads(threads)
                 .with_trace(trace);
-            if stream {
-                run_ensemble_stream(
-                    &spec,
-                    |_| Box::new(RoundRobin::new(n)),
-                    |seed| k_pattern(n, 4, seed),
-                );
-            } else {
-                run_ensemble(
-                    &spec,
-                    |_| Box::new(RoundRobin::new(n)),
-                    |seed| k_pattern(n, 4, seed),
-                );
-            }
+            run_ensemble_stream(
+                &spec,
+                |_| Box::new(RoundRobin::new(n)),
+                |seed| k_pattern(n, 4, seed),
+            );
             let bytes = buf.lock().unwrap().clone();
             bytes
         };
-        let reference = mk(1, true);
+        let reference = mk(1);
         assert!(!reference.is_empty(), "traced ensemble produced no lines");
         let text = String::from_utf8(reference.clone()).unwrap();
         assert!(text.lines().count() > 24, "expected events for every run");
         assert!(text.lines().all(|l| l.starts_with("{\"run\":")), "{text}");
         assert!(text.contains("\"run\":23,"), "last run missing from trace");
-        for threads in [2usize, 4] {
-            assert_eq!(mk(threads, true), reference, "stream, threads={threads}");
-        }
-        // The materializing path serializes the identical byte stream.
-        for threads in [1usize, 4] {
-            assert_eq!(
-                mk(threads, false),
-                reference,
-                "materialized, threads={threads}"
-            );
+        for threads in [2usize, 4, 8] {
+            assert_eq!(mk(threads), reference, "threads={threads}");
         }
     }
 
@@ -1335,16 +1223,19 @@ mod tests {
         let exec_buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         let exec_sink: Arc<Mutex<dyn Write + Send>> = exec_buf.clone();
         let trace = trace.with_exec_sink(exec_sink);
-        let spec = EnsembleSpec::new(n, 64)
+        let mut spec = EnsembleSpec::new(n, 64)
             .with_threads(3)
             .with_trace(trace.clone());
+        spec.label = "EXP-X n=64 k=4 #0".into();
         run_ensemble_stream(
             &spec,
             |_| Box::new(RoundRobin::new(n)),
             |seed| k_pattern(n, 4, seed),
         );
-        // Second ensemble on the same sidecar gets the next ordinal.
-        run_ensemble(
+        // Second ensemble on the same sidecar gets the next ordinal; an
+        // unlabelled spec writes an empty label.
+        spec.label.clear();
+        run_ensemble_stream(
             &spec,
             |_| Box::new(RoundRobin::new(n)),
             |seed| k_pattern(n, 4, seed),
@@ -1359,6 +1250,11 @@ mod tests {
         assert!(heads[0].contains("\"ensemble\":0,"));
         assert!(heads[1].contains("\"ensemble\":1,"));
         assert!(heads[0].contains("\"threads\":3"));
+        assert!(
+            heads[0].contains("\"label\":\"EXP-X n=64 k=4 #0\","),
+            "{text}"
+        );
+        assert!(heads[1].contains("\"label\":\"\","), "{text}");
         let workers = lines
             .iter()
             .filter(|l| l.contains("\"record\":\"worker\""))
@@ -1396,13 +1292,6 @@ mod tests {
     #[test]
     fn runs_zero_yields_empty_result() {
         let spec = EnsembleSpec::new(16, 0);
-        let res = run_ensemble(
-            &spec,
-            |_| Box::new(RoundRobin::new(16)),
-            |seed| k_pattern(16, 2, seed),
-        );
-        assert!(res.samples.is_empty());
-        assert!(res.summary().is_none());
         let s = run_ensemble_stream(
             &spec,
             |_| Box::new(RoundRobin::new(16)),

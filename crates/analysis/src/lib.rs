@@ -30,8 +30,7 @@ pub mod stats;
 pub mod table;
 
 pub use ensemble::{
-    run_ensemble, run_ensemble_cached, run_ensemble_chunked, run_ensemble_stream,
-    run_ensemble_stream_cached, EnsembleResult, EnsembleSpec, EnsembleSummary, TraceSpec,
+    run_ensemble_stream, run_ensemble_stream_cached, EnsembleSpec, EnsembleSummary, TraceSpec,
     WorkStats,
 };
 pub use fit::{fit_model, fit_model_by, rank_models_by, FitResult, Metric, Model, SweepPoint};
@@ -42,8 +41,7 @@ pub use table::Table;
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::ensemble::{
-        run_ensemble, run_ensemble_cached, run_ensemble_chunked, run_ensemble_stream,
-        run_ensemble_stream_cached, EnsembleResult, EnsembleSpec, EnsembleSummary, TraceSpec,
+        run_ensemble_stream, run_ensemble_stream_cached, EnsembleSpec, EnsembleSummary, TraceSpec,
         WorkStats,
     };
     pub use crate::fit::{

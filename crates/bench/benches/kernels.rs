@@ -647,19 +647,22 @@ fn construction_cache(c: &mut Criterion) {
     let pattern_for = |seed: u64| wakeup_bench::burst_pattern(n, 8, 0, seed);
 
     // Correctness pin: cached and uncached ensembles are bit-identical.
-    let plain = run_ensemble(
+    let plain = run_ensemble_stream(
         &spec,
         |_| Box::new(WakeupWithS::new(n, 0, provider)),
         pattern_for,
     );
     let cache = ConstructionCache::new();
-    let cached = run_ensemble_cached(
+    let cached = run_ensemble_stream_cached(
         &spec,
         &cache,
         |cache, _| Box::new(WakeupWithS::cached(n, 0, &provider, cache)),
         pattern_for,
     );
-    assert_eq!(plain.samples, cached.samples);
+    assert_eq!(plain.solved, cached.solved);
+    assert_eq!(plain.mean().to_bits(), cached.mean().to_bits());
+    assert_eq!(plain.worst, cached.worst);
+    assert_eq!(plain.energy, cached.energy);
     assert_eq!(plain.work, cached.work);
 
     let mut group = c.benchmark_group("construction_cache");

@@ -1,22 +1,24 @@
-//! Ensemble-scheduling benchmark: static chunk-per-thread (the legacy
-//! `run_ensemble_chunked`) vs the work-stealing runner (`run_ensemble`),
-//! on the workload class that motivated the runner — many *short sparse
-//! runs* (round-robin at n = 4096) whose cost varies strongly with the
-//! seed, so a contiguous chunk of expensive runs lands on one thread while
-//! the others idle.
+//! Ensemble-scheduling benchmark: static chunk-per-thread (the pre-runner
+//! scheduling, kept here as `run_chunked`) vs the work-stealing runner
+//! (`run_ensemble_stream`), on the workload class that motivated the
+//! runner — many *short sparse runs* (round-robin at n = 4096) whose cost
+//! varies strongly with the seed, so a contiguous chunk of expensive runs
+//! lands on one thread while the others idle.
 //!
 //! The skew is monotone in the run index (cost ~ k⁴-shaped ramp): the last
 //! static chunk concentrates most of the total work, which stealing
 //! redistributes. On ≥ 4 cores the stealing path is expected ≥ 2× faster;
 //! on a single core both degenerate to the same sequential sweep. The
-//! benchmark also asserts the two paths produce identical samples — the
+//! benchmark also asserts the two paths produce identical aggregates — the
 //! determinism contract the runner is built around.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mac_sim::Protocol;
+use mac_sim::metrics::{EnergyStats, OutcomeDigest};
+use mac_sim::{Outcome, Protocol, Simulator};
 use std::hint::black_box;
 use wakeup_analysis::prelude::*;
 use wakeup_core::prelude::*;
+use wakeup_runner::OnlineStats;
 
 const N: u32 = 4096;
 const RUNS: u64 = 256;
@@ -40,38 +42,89 @@ fn pattern_for(seed: u64) -> mac_sim::WakePattern {
     wakeup_bench::worst_rr_pattern(N, k_of(seed), 0)
 }
 
+/// What the correctness pin compares: the solved count, the mean latency's
+/// bits (folded in seed order), the worst case, energy and work.
+#[derive(Debug, PartialEq)]
+struct Pin {
+    solved: u64,
+    mean_bits: u64,
+    worst: u64,
+    energy: EnergyStats,
+    work: WorkStats,
+}
+
+impl Pin {
+    fn of(s: &EnsembleSummary) -> Pin {
+        Pin {
+            solved: s.solved,
+            mean_bits: s.mean().to_bits(),
+            worst: s.worst,
+            energy: s.energy.clone(),
+            work: s.work,
+        }
+    }
+}
+
+/// The pre-runner scheduling: the seed range split into one static
+/// contiguous chunk per thread (`std::thread::scope`, no stealing), every
+/// run's full `Outcome` materialized, then folded in seed order.
+fn run_chunked(spec: &EnsembleSpec) -> Pin {
+    let seeds: Vec<u64> = (0..spec.runs).map(|i| spec.seed_of(i)).collect();
+    let chunk = seeds.len().div_ceil(spec.threads.max(1)).max(1);
+    let mut outcomes: Vec<Option<Outcome>> = vec![None; seeds.len()];
+    std::thread::scope(|scope| {
+        for (seeds, out) in seeds.chunks(chunk).zip(outcomes.chunks_mut(chunk)) {
+            let sim = Simulator::new(spec.sim.clone());
+            scope.spawn(move || {
+                for (&seed, slot) in seeds.iter().zip(out) {
+                    let run = sim.run(protocol_for(seed).as_ref(), &pattern_for(seed), seed);
+                    *slot = Some(run.expect("ensemble run failed validation"));
+                }
+            });
+        }
+    });
+    let mut latency = OnlineStats::new();
+    let mut pin = Pin {
+        solved: 0,
+        mean_bits: 0,
+        worst: 0,
+        energy: EnergyStats::new(),
+        work: WorkStats::default(),
+    };
+    for out in outcomes {
+        let d = OutcomeDigest::of(&out.expect("worker thread left a hole"));
+        if let Some(l) = d.sample.solved() {
+            pin.solved += 1;
+            latency.push(l as f64);
+        }
+        pin.worst = pin.worst.max(d.sample.pessimistic());
+        pin.energy.absorb_digest(&d);
+        pin.work.absorb_digest(&d);
+    }
+    pin.mean_bits = latency.mean().to_bits();
+    pin
+}
+
 fn ensemble_scheduling(c: &mut Criterion) {
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
     let mut group = c.benchmark_group("ensemble_scheduling");
+    let stealing = || run_ensemble_stream(&spec(threads), protocol_for, pattern_for);
 
     // Correctness pin before timing: both schedulers, any thread count,
-    // same samples.
-    let reference = run_ensemble_chunked(&spec(1), protocol_for, pattern_for);
-    let stealing = run_ensemble(&spec(threads), protocol_for, pattern_for);
+    // same aggregates.
     assert_eq!(
-        reference.samples, stealing.samples,
+        run_chunked(&spec(1)),
+        Pin::of(&stealing()),
         "schedulers must produce identical ensembles"
     );
 
     group.bench_function(format!("chunked_t{threads}_rr_n4096"), |b| {
-        b.iter(|| {
-            black_box(run_ensemble_chunked(
-                &spec(threads),
-                protocol_for,
-                pattern_for,
-            ))
-            .samples
-            .len()
-        })
+        b.iter(|| black_box(run_chunked(&spec(threads))).solved)
     });
     group.bench_function(format!("stealing_t{threads}_rr_n4096"), |b| {
-        b.iter(|| {
-            black_box(run_ensemble(&spec(threads), protocol_for, pattern_for))
-                .samples
-                .len()
-        })
+        b.iter(|| black_box(stealing()).runs)
     });
     group.finish();
 
@@ -79,12 +132,12 @@ fn ensemble_scheduling(c: &mut Criterion) {
     // criterion lines above measure each path in isolation).
     use std::time::Instant;
     let t0 = Instant::now();
-    let a = run_ensemble_chunked(&spec(threads), protocol_for, pattern_for);
+    let a = run_chunked(&spec(threads));
     let chunked = t0.elapsed();
     let t0 = Instant::now();
-    let b = run_ensemble(&spec(threads), protocol_for, pattern_for);
+    let b = stealing();
     let stealing_t = t0.elapsed();
-    assert_eq!(a.samples, b.samples);
+    assert_eq!(a, Pin::of(&b));
     println!(
         "ensemble_scheduling summary: {threads} threads | chunked {chunked:?} | \
          stealing {stealing_t:?} | speedup {:.2}x \

@@ -202,16 +202,17 @@ impl<'a> Ctx<'a> {
     }
 
     /// An [`EnsembleSpec`] carrying the resolved configuration: the CLI
-    /// `--seed` offset on top of `base_seed`, the resolved thread count,
-    /// `WAKEUP_PROGRESS` routed through the sink's progress target (under a
-    /// disambiguated, uniquely-numbered label), and the context's
-    /// trace capture, if any.
+    /// `--seed` offset on top of `base_seed`, the resolved thread count, a
+    /// disambiguated, uniquely-numbered label (written on the ensemble's
+    /// exec record), `WAKEUP_PROGRESS` routed through the sink's progress
+    /// target under that label, and the context's trace capture, if any.
     pub fn spec(&self, n: u32, runs: u64, base_seed: u64, label: &str) -> EnsembleSpec {
         let mut spec = EnsembleSpec::new(n, runs).with_base_seed(base_seed.wrapping_add(self.seed));
+        spec.label = self.progress_label(label);
         if let Some(threads) = self.threads.or_else(crate::env_threads) {
             spec = spec.with_threads(threads);
         }
-        if let Some(p) = crate::env_progress(&self.progress_label(label)) {
+        if let Some(p) = crate::env_progress(&spec.label) {
             spec = spec.with_progress_spec(p.with_sink(self.sink.progress_sink()));
         }
         if let Some(trace) = &self.trace {
@@ -362,7 +363,8 @@ mod tests {
         let spec = ctx.spec(64, 10, 4000, "test");
         assert_eq!(spec.base_seed, 4100);
         assert_eq!(spec.threads, 3);
-        assert_eq!(spec.n, 64);
+        assert_eq!(spec.sim.n, 64);
+        assert_eq!(spec.label, "test #0");
         // Grid plumbs through to the sweeps.
         assert_eq!(ctx.ns(), Scale::Quick.n_sweep(Grid::Sparse));
         assert_eq!(ctx.ks(256), Scale::Quick.k_sweep(Grid::Sparse, 256));

@@ -3,11 +3,13 @@
 //! `O(k + k·log(n/k))` (their existential bound).
 //!
 //! Measures the selective-family resolver with retirement against retiring
-//! round-robin (`Θ(n)`) and fits the measured full-resolution latency
-//! against `k·log(n/k)+1` and `n`. Since the epoch-scoped hint refactor,
-//! full-resolution runs execute on the **sparse** engine (`Until::
-//! NextSuccess` hints: retirement is feedback-driven, but only successes
-//! invalidate the schedule), so the sweep reaches the same `n` as EXP-A/B.
+//! round-robin (`Θ(n)`), as ensembles under `StopRule::AllResolved` (a
+//! run's latency ends when its last station has transmitted alone), and
+//! fits the measured full-resolution latency against `k·log(n/k)+1` and
+//! `n`. Since the epoch-scoped hint refactor, full-resolution runs execute
+//! on the **sparse** engine (`Until::NextSuccess` hints: retirement is
+//! feedback-driven, but only successes invalidate the schedule), so the
+//! sweep reaches the same `n` as EXP-A/B.
 //! Each row reports the sparse work counters next to the dense-equivalent
 //! cost: on a simultaneous burst every pattern station stays awake for the
 //! whole run, so the dense engine would pay exactly `slots × k` polls.
@@ -18,9 +20,8 @@
 //! protocol silently fell back to `TxHint::Dense`.
 
 use crate::experiment::{Check, Ctx, Experiment};
-use crate::Grid;
-use mac_sim::prelude::*;
-use wakeup_analysis::ensemble::WorkStats;
+use crate::{Grid, TableMeter};
+use mac_sim::engine::StopRule;
 use wakeup_analysis::prelude::*;
 use wakeup_analysis::Record;
 use wakeup_core::prelude::*;
@@ -52,7 +53,7 @@ fn run(ctx: &mut Ctx<'_>) {
         "dense-equiv speedup",
     ]);
     let mut points = Vec::new();
-    let mut total_work = WorkStats::default();
+    let mut meter = TableMeter::new();
 
     // The resolvers ride the sparse path now, so the sweep uses the sparse
     // n range (k stays modest: full resolution needs ≥ k successes, and the
@@ -65,11 +66,38 @@ fn run(ctx: &mut Ctx<'_>) {
     let cache = wakeup_core::ConstructionCache::new();
     for &n in &ctx.ns() {
         for &k in &ctx.ks(64.min(n)) {
-            let sel = run_ensemble_full(ctx, &cache, runs, 8000, n, k, true);
-            let rr = run_ensemble_full(ctx, &cache, runs, 8000, n, k, false);
-            let sel_summary = Summary::of_u64(&sel.latencies).expect("selective must resolve");
-            let rr_summary = Summary::of_u64(&rr.latencies).expect("round-robin must resolve");
-            points.push((f64::from(n), f64::from(k), sel_summary.mean));
+            let spec = |name: &str| {
+                let mut spec = ctx
+                    .spec(n, runs, 8000, &format!("EXP-KG {name} n={n} k={k}"))
+                    .with_max_slots(4 * u64::from(n) * 64);
+                spec.sim.stop = StopRule::AllResolved;
+                spec
+            };
+            let pattern_for = |seed| crate::burst_pattern(n, k as usize, 3, seed);
+            let sel = run_ensemble_stream_cached(
+                &spec("selective"),
+                &cache,
+                |cache, seed| {
+                    let provider = FamilyProvider::Random { seed, delta: 1e-4 };
+                    Box::new(FullResolution::cached(n, k, &provider, cache))
+                },
+                pattern_for,
+            );
+            let rr = run_ensemble_stream_cached(
+                &spec("rr"),
+                &cache,
+                |_, _| Box::new(RetiringRoundRobin::new(n)),
+                pattern_for,
+            );
+            // A cell where nothing resolved reads NaN, as `record` writes it,
+            // and stays out of the fits.
+            let resolved = |s: &EnsembleSummary, v: f64| if s.solved > 0 { v } else { f64::NAN };
+            let (sel_mean, sel_max) = (resolved(&sel, sel.mean()), resolved(&sel, sel.max()));
+            let rr_mean = resolved(&rr, rr.mean());
+            let unresolved = sel.censored() + rr.censored();
+            if sel.solved > 0 {
+                points.push((f64::from(n), f64::from(k), sel_mean));
+            }
             // Dense equivalent: every awake station polled every slot.
             let dense_polls = sel.work.slots * u64::from(k);
             let speedup = dense_polls as f64 / sel.work.polls.max(1) as f64;
@@ -91,17 +119,17 @@ fn run(ctx: &mut Ctx<'_>) {
                     ),
                 );
             }
-            total_work.merge(&sel.work);
-            total_work.merge(&rr.work);
+            meter.absorb(&sel);
+            meter.absorb(&rr);
             ctx.row(
                 "sweep",
                 Record::new()
                     .with("n", n)
                     .with("k", k)
-                    .with("selective_mean", sel_summary.mean)
-                    .with("selective_max", sel_summary.max)
-                    .with("retiring_rr_mean", rr_summary.mean)
-                    .with("unresolved", (sel.unresolved + rr.unresolved) as u64)
+                    .with("selective_mean", sel_mean)
+                    .with("selective_max", sel_max)
+                    .with("retiring_rr_mean", rr_mean)
+                    .with("unresolved", unresolved)
                     .with("slots", sel.work.slots)
                     .with("polls", sel.work.polls)
                     .with("skipped", sel.work.skipped),
@@ -109,10 +137,10 @@ fn run(ctx: &mut Ctx<'_>) {
             table.push_row([
                 n.to_string(),
                 k.to_string(),
-                format!("{:.1}", sel_summary.mean),
-                format!("{:.0}", sel_summary.max),
-                format!("{:.1}", rr_summary.mean),
-                (sel.unresolved + rr.unresolved).to_string(),
+                format!("{sel_mean:.1}"),
+                format!("{sel_max:.0}"),
+                format!("{rr_mean:.1}"),
+                unresolved.to_string(),
                 format!("{:.4}", sel.work.polls_per_slot()),
                 format!("{:.1}", 100.0 * sel.work.skip_fraction()),
                 format!("{speedup:.0}x"),
@@ -120,15 +148,7 @@ fn run(ctx: &mut Ctx<'_>) {
         }
     }
     ctx.table("main", &table);
-    // EXP-KG runs outside the ensemble layer, so its work totals go out as
-    // a machine row (no wall-clock meter) plus the historical footer note.
-    ctx.row(
-        "work_total",
-        Record::new()
-            .with("label", "EXP-KG")
-            .with_all(total_work.record()),
-    );
-    ctx.note(format!("EXP-KG work: {}", total_work.render()));
+    ctx.work("EXP-KG", &meter);
     if assert_sparse && ctx.failures() == 0 {
         ctx.note("sparse-path assertion: PASSED (skips > 0, speedup > 2x on every selective row)");
     }
@@ -160,74 +180,10 @@ fn run(ctx: &mut Ctx<'_>) {
             linear.r2.max(target.r2)
         ));
     } else {
-        ctx.note("shape unclear — see EXPERIMENTS.md notes");
-    }
-}
-
-/// One protocol's ensemble: full-resolution latencies in seed order,
-/// unresolved count, and the aggregated engine-work counters.
-struct FullEnsemble {
-    latencies: Vec<u64>,
-    unresolved: usize,
-    work: WorkStats,
-}
-
-/// Runs execute on the work-stealing pool; the fold is in seed order, so
-/// the output is identical to the old sequential loop.
-fn run_ensemble_full(
-    ctx: &Ctx<'_>,
-    cache: &wakeup_core::ConstructionCache,
-    runs: u64,
-    base_seed: u64,
-    n: u32,
-    k: u32,
-    selective: bool,
-) -> FullEnsemble {
-    let cfg = SimConfig::new(n)
-        .with_max_slots(4 * u64::from(n) * 64)
-        .until_all_resolved();
-    let sim = Simulator::new(cfg);
-    let base_seed = base_seed.wrapping_add(ctx.seed());
-    let label = format!(
-        "EXP-KG {} n={n} k={k}",
-        if selective { "selective" } else { "rr" }
-    );
-    // The construction cache rides through `Runner::map` into every worker:
-    // families shared by the nested doubling sequences come out of it
-    // instead of being rebuilt; per-run provider seeds keep the sampling
-    // semantics, bounded by the cache cap.
-    let (results, _stats) = ctx.runner(&label).map(runs, |i| {
-        let seed = base_seed.wrapping_add(i);
-        let pattern = crate::burst_pattern(n, k as usize, 3, seed);
-        let protocol: Box<dyn Protocol> = if selective {
-            Box::new(FullResolution::cached(
-                n,
-                k,
-                &FamilyProvider::Random { seed, delta: 1e-4 },
-                cache,
-            ))
-        } else {
-            Box::new(RetiringRoundRobin::new(n))
-        };
-        let out = sim.run(protocol.as_ref(), &pattern, seed).unwrap();
-        (
-            out.full_resolution_latency(),
-            out.slots_simulated,
-            out.polls,
-            out.skipped_slots,
-        )
-    });
-    let mut work = WorkStats::default();
-    for &(_, slots, polls, skipped) in &results {
-        work.slots += slots;
-        work.polls += polls;
-        work.skipped += skipped;
-    }
-    let latencies: Vec<u64> = results.iter().filter_map(|&(l, _, _, _)| l).collect();
-    let unresolved = results.len() - latencies.len();
-    FullEnsemble {
-        latencies,
-        unresolved,
-        work,
+        ctx.note(format!(
+            "shape unclear: neither k (R² = {:.3}) nor k·log(n/k)+1 (R² = {:.3}) \
+             reaches R² 0.85",
+            linear.r2, target.r2
+        ));
     }
 }

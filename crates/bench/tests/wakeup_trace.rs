@@ -101,9 +101,31 @@ fn traced_run_keeps_sink_output_and_is_thread_invariant() {
             line.contains(&format!("\"ensemble\":{i},")),
             "ordinal {i} missing in {line}"
         );
+        // Each record names its sweep cell.
+        let rec = wakeup_analysis::serial::parse_json_object(line).unwrap();
+        assert!(
+            matches!(rec.get("label"), Some(wakeup_analysis::Value::Str(l)) if l.starts_with("EXP-A")),
+            "unlabelled ensemble record: {line}"
+        );
         // Calibration runs are timed apart from construction.
         assert!(line.contains("\"calibration_us\":"), "{line}");
     }
+}
+
+#[test]
+fn full_resolution_trace_is_non_empty_and_thread_invariant() {
+    // EXP-KG runs its ensembles under the all-resolved stop rule; they are
+    // traced like every other experiment's.
+    let (_, trace1, exec1) = capture_traced("exp_full_resolution", 1, TraceFilter::deterministic());
+    let (_, trace2, _) = capture_traced("exp_full_resolution", 2, TraceFilter::deterministic());
+    assert!(!trace1.is_empty(), "empty trace");
+    assert_eq!(trace1, trace2, "trace differs between --threads 1 and 2");
+    assert!(
+        exec1
+            .lines()
+            .any(|l| l.contains("\"label\":\"EXP-KG selective")),
+        "{exec1}"
+    );
 }
 
 #[test]

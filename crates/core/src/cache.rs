@@ -31,8 +31,7 @@
 //! The protocols consume the cache through their `cached` constructors
 //! ([`WakeupWithK::cached`](crate::WakeupWithK::cached), …); the ensemble
 //! layer threads it through
-//! [`run_ensemble_cached`](../../wakeup_analysis/ensemble/fn.run_ensemble_cached.html)-style
-//! entry points.
+//! [`run_ensemble_stream_cached`](../../wakeup_analysis/ensemble/fn.run_ensemble_stream_cached.html).
 
 use crate::family_provider::{DynFamily, FamilyProvider};
 use crate::select_among_first::DoublingSchedule;

@@ -134,10 +134,8 @@ pub struct RunStats {
     pub steals: u64,
     /// Runs executed inline for batch-size calibration.
     pub calibration_runs: u64,
-    /// Runs executed by each worker in the parallel phase.
-    pub worker_runs: Vec<u64>,
-    /// Per-worker breakdown (runs, steals, fail scans, queue depth
-    /// high-water); aligned with `worker_runs`.
+    /// Per-worker breakdown of the parallel phase (runs, steals, fail
+    /// scans, queue depth high-water).
     pub workers: Vec<WorkerStats>,
     /// High-water occupancy (in batches) of the reducer's reorder buffer.
     pub reorder_peak: u64,
@@ -399,7 +397,6 @@ impl Runner {
                 }
             }
             stats.batches = runs.saturating_sub(next).div_ceil(batch);
-            stats.worker_runs = vec![runs - next];
             stats.workers = vec![WorkerStats {
                 runs: runs - next,
                 ..WorkerStats::default()
@@ -515,13 +512,12 @@ impl Runner {
         stats.phases.reduction = reduction;
         stats.reorder_peak = reorder_peak;
         stats.steals = queue.steals();
-        stats.worker_runs = worker_runs.into_iter().map(|c| c.into_inner()).collect();
         stats.workers = queue
             .worker_stats()
             .into_iter()
-            .zip(stats.worker_runs.iter())
-            .map(|(q, &runs)| WorkerStats {
-                runs,
+            .zip(worker_runs)
+            .map(|(q, runs)| WorkerStats {
+                runs: runs.into_inner(),
                 steals: q.steals,
                 fail_scans: q.fail_scans,
                 queue_depth_hw: q.queue_depth_hw,

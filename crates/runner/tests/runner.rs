@@ -238,7 +238,7 @@ fn auto_batching_covers_every_index_exactly_once() {
     assert!(stats.batch >= 1);
     assert_eq!(stats.calibration_runs, 4);
     assert_eq!(
-        stats.worker_runs.iter().sum::<u64>(),
+        stats.workers.iter().map(|w| w.runs).sum::<u64>(),
         1000 - stats.calibration_runs
     );
 }
@@ -450,11 +450,6 @@ fn per_worker_stats_phases_and_reorder_peak_are_populated() {
         );
         assert!(stats.phases.simulation >= stats.phases.reduction);
         assert!(stats.phases.simulation.as_nanos() > 0);
-        // Per-worker run counts agree with the legacy field.
-        assert_eq!(
-            stats.worker_runs,
-            stats.workers.iter().map(|w| w.runs).collect::<Vec<_>>()
-        );
         // Workers 1 and 2 stole before running anything, deep steals
         // parked batches in their own shards, and completion buffered.
         if stats.steals >= 2
