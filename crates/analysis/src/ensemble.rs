@@ -6,13 +6,15 @@
 //! ([`run_ensemble_stream_cached`] adapts it to a shared
 //! [`ConstructionCache`]). Since the sparse engine made single runs cheap,
 //! scheduling is the bottleneck, so execution rides on [`wakeup_runner`]'s
-//! work-stealing pool: short runs are batched per worker (batch size
-//! auto-calibrated), idle workers steal, and per-run results are folded
-//! **in seed order** on the caller's thread — so every aggregate is
-//! bit-identical across thread counts. Aggregation is streaming only
-//! ([`EnsembleSummary`]: Welford stats, P² quantile sketches, energy and
-//! work counters), so million-run sweeps never hold per-run results —
-//! transient memory is the reorder buffer, O(threads·batch) digests.
+//! work-stealing pool: runs are batched, about eight batches per worker,
+//! idle workers steal, and per-run results are folded **in seed order** on
+//! the caller's thread — so every aggregate is bit-identical across thread
+//! counts. Aggregation is streaming only ([`EnsembleSummary`]: Welford
+//! stats, P² quantile sketches, energy and work counters), so million-run
+//! sweeps never hold per-run digests. Workers pre-fold each batch into one
+//! partial; what stays in flight is the reorder buffer of partials, each
+//! carrying one `u64` per solved run of its batch (plus the batch's trace
+//! lines when traced).
 //!
 //! A run's latency is measured to the configuration's [`StopRule`]: the
 //! first success under [`StopRule::FirstSuccess`] (the wake-up problem),
@@ -562,16 +564,11 @@ fn flush_exec(spec: &EnsembleSpec, stats: &RunStats) {
         .with("batch", stats.batch)
         .with("batches", stats.batches)
         .with("steals", stats.steals)
-        .with("calibration_runs", stats.calibration_runs)
         .with("reorder_peak", stats.reorder_peak)
         .with("elapsed_us", stats.elapsed.as_micros() as u64)
         .with(
             "construction_us",
             stats.phases.construction.as_micros() as u64,
-        )
-        .with(
-            "calibration_us",
-            stats.phases.calibration.as_micros() as u64,
         )
         .with("simulation_us", stats.phases.simulation.as_micros() as u64)
         .with("reduction_us", stats.phases.reduction.as_micros() as u64);

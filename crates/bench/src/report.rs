@@ -281,7 +281,6 @@ pub fn render_report(
             "threads",
             "elapsed",
             "construction",
-            "calibration",
             "simulation",
             "reduction",
         ]);
@@ -313,7 +312,6 @@ pub fn render_report(
                         cell(rec, "threads"),
                         us(rec, "elapsed_us"),
                         us(rec, "construction_us"),
-                        us(rec, "calibration_us"),
                         us(rec, "simulation_us"),
                         us(rec, "reduction_us"),
                     ]);

@@ -55,6 +55,35 @@ fn capture_traced(name: &str, threads: usize, filter: TraceFilter) -> (String, S
     (out.take(), trace.take(), exec.take())
 }
 
+/// The exec sidecar's telemetry adds up: no ensemble record carries a
+/// `calibration*` key, and the `worker` records of each ensemble (matched
+/// on `ensemble`) sum to its `runs` — every run executes on a worker.
+fn assert_exec_runs_add_up(exec: &str) {
+    use std::collections::BTreeMap;
+    use wakeup_analysis::{Record, Value};
+    let u64_of = |rec: &Record, name: &str| match rec.get(name) {
+        Some(Value::U64(v)) => *v,
+        other => panic!("{name} is {other:?}"),
+    };
+    let (mut runs, mut worker_runs) = (BTreeMap::new(), BTreeMap::new());
+    for line in exec.lines() {
+        let rec = wakeup_analysis::serial::parse_json_object(line).unwrap();
+        let ensemble = u64_of(&rec, "ensemble");
+        match rec.get("record") {
+            Some(Value::Str(kind)) if kind == "ensemble" => {
+                assert!(
+                    rec.names().iter().all(|k| !k.starts_with("calibration")),
+                    "calibration key in {line}"
+                );
+                runs.insert(ensemble, u64_of(&rec, "runs"));
+            }
+            _ => *worker_runs.entry(ensemble).or_insert(0) += u64_of(&rec, "runs"),
+        }
+    }
+    assert!(!runs.is_empty(), "no ensemble exec records");
+    assert_eq!(worker_runs, runs, "worker runs must sum to ensemble runs");
+}
+
 #[test]
 fn traced_run_keeps_sink_output_and_is_thread_invariant() {
     let exp = experiments::find("exp_scenario_a").unwrap();
@@ -107,9 +136,8 @@ fn traced_run_keeps_sink_output_and_is_thread_invariant() {
             matches!(rec.get("label"), Some(wakeup_analysis::Value::Str(l)) if l.starts_with("EXP-A")),
             "unlabelled ensemble record: {line}"
         );
-        // Calibration runs are timed apart from construction.
-        assert!(line.contains("\"calibration_us\":"), "{line}");
     }
+    assert_exec_runs_add_up(&exec2);
 }
 
 #[test]
@@ -126,6 +154,7 @@ fn full_resolution_trace_is_non_empty_and_thread_invariant() {
             .any(|l| l.contains("\"label\":\"EXP-KG selective")),
         "{exec1}"
     );
+    assert_exec_runs_add_up(&exec1);
 }
 
 #[test]
@@ -175,7 +204,11 @@ fn report_file_reads_trace_and_exec_sidecar_from_disk() {
     let rendered = out.take();
     assert!(rendered.contains("slot classes"), "{rendered}");
     assert!(rendered.contains("worker utilization"), "{rendered}");
-    assert!(rendered.contains("calibration"), "{rendered}");
+    assert!(
+        rendered.contains("construction") && rendered.contains("simulation"),
+        "{rendered}"
+    );
+    assert!(!rendered.contains("calibration"), "{rendered}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

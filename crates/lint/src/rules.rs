@@ -66,7 +66,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: WALL_CLOCK,
         summary: "Instant::now/SystemTime outside the wall-clock tier \
-                  (runner timers, progress, calibration, benches)",
+                  (runner timers, progress, benches)",
     },
     RuleInfo {
         id: AMBIENT_RNG,

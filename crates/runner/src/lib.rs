@@ -10,18 +10,22 @@
 //! * **Sharded job queue** ([`queue`]): run indices `[0, runs)` are split
 //!   into contiguous *batches*; each worker drains its own deque
 //!   front-to-back and steals from the back of the fullest shard when dry.
-//!   Batch size is auto-tuned by a short calibration pass so that dispatch
-//!   and channel traffic amortize even when one sparse run costs
-//!   microseconds.
+//!   By default the range is cut into about eight batches per worker:
+//!   enough for stealing to balance skewed run costs, few enough that
+//!   dispatch and channel traffic amortize even when one sparse run costs
+//!   microseconds. No run executes before the workers start.
 //! * **Deterministic streaming reduction** ([`collect`]): workers ship
 //!   completed batches to the caller's thread, where a reorder buffer
 //!   replays them into a [`Collector`] **strictly in run-index order**.
 //!   Output is therefore bit-identical across thread counts and steal
-//!   interleavings — including floating-point folds. An admission window
-//!   (workers pause before executing batches more than `32·threads`
-//!   batches past the fold frontier) hard-bounds the reorder buffer, so
-//!   memory stays O(threads·batch) even when one slow batch stalls the
-//!   frontier — never O(runs).
+//!   interleavings — including floating-point folds. The reorder buffer
+//!   holds whole batch payloads. Under [`BatchSize::Fixed`] an admission
+//!   window (workers pause before executing batches more than `32·threads`
+//!   batches past the fold frontier) bounds it at O(threads·batch) items
+//!   even when one slow batch stalls the frontier. Under
+//!   [`BatchSize::Auto`] a call has fewer than `16·threads` batches (at
+//!   most `8·threads + 1` once `runs ≥ 64·threads²`), so the window never
+//!   binds and one payload can carry `runs / (8·threads)` items.
 //! * **Throughput reporting** ([`progress`]): optional live `runs/s` lines
 //!   for long sweeps, delivered through a pluggable [`ProgressSink`]
 //!   (stderr by default — experiment drivers route them through their
@@ -64,31 +68,23 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// How batch sizes are chosen.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BatchSize {
-    /// Time a few leading runs inline, then size batches to roughly the
-    /// given wall-clock target each (the default, 2 ms). Cheap sparse runs
-    /// get large batches; expensive runs get small ones.
-    Auto(Duration),
+    /// `max(1, runs / (8·threads))` runs per batch, about eight batches per
+    /// worker: enough for stealing to balance load, few enough to amortize
+    /// dispatch. The default.
+    #[default]
+    Auto,
     /// A fixed number of runs per batch (clamped to ≥ 1). `Fixed(1)`
     /// maximizes steal interleavings — useful in scheduling tests.
     Fixed(u64),
 }
 
-impl Default for BatchSize {
-    fn default() -> Self {
-        BatchSize::Auto(Duration::from_millis(2))
-    }
-}
-
-/// Leading runs executed inline to calibrate [`BatchSize::Auto`].
-const CALIBRATION_RUNS: u64 = 4;
-
 /// Per-worker execution breakdown: runs executed plus the worker's
 /// scheduling counters from the sharded queue.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Runs executed by this worker in the parallel phase.
+    /// Runs executed by this worker.
     pub runs: u64,
     /// Successful steals performed by this worker.
     pub steals: u64,
@@ -98,44 +94,43 @@ pub struct WorkerStats {
     pub queue_depth_hw: u64,
 }
 
-/// Scoped monotonic phase timers of one [`Runner::run`]. All four are
+/// Scoped monotonic phase timers of one [`Runner::run`]. All three are
 /// wall-clock durations measured on the calling thread; `reduction` is
 /// cumulative time *inside* the caller's fold/collector code, so
 /// `simulation − reduction` approximates how long the reducer merely waited
 /// on workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Setup: batch-size choice and queue construction, before the
-    /// parallel phase starts — excluding `calibration`.
+    /// Setup: batch-size choice and queue construction, before the first
+    /// run starts.
     pub construction: Duration,
-    /// The inline calibration loop of [`BatchSize::Auto`]: its runs are real
-    /// simulations (and folds), executed before the parallel phase.
-    pub calibration: Duration,
     /// The execution phase: from first dispatched batch until every batch
     /// is folded (workers joined / inline loop done).
     pub simulation: Duration,
     /// Cumulative time spent replaying batch payloads into the caller's
-    /// collector, on this thread (a subset of `calibration + simulation`).
+    /// collector, on this thread (a subset of `simulation`).
     pub reduction: Duration,
 }
 
 /// Execution statistics of one [`Runner::run`].
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
-    /// Total runs executed (calibration included).
+    /// Total runs executed.
     pub runs: u64,
-    /// Worker threads used for the parallel phase (1 ⇒ ran inline).
+    /// Worker threads used (1 ⇒ ran inline).
     pub threads: usize,
-    /// Batch size used for the parallel phase.
+    /// Runs per batch.
     pub batch: u64,
-    /// Number of batches dispatched (excluding calibration).
+    /// Number of batches dispatched.
     pub batches: u64,
     /// Number of successful steals.
     pub steals: u64,
-    /// Runs executed inline for batch-size calibration.
+    /// Always 0: no run executes before the workers start. Kept only
+    /// because the benchmark package (`perfbench/`) reads it; the next
+    /// change to the benchmark retires it.
     pub calibration_runs: u64,
-    /// Per-worker breakdown of the parallel phase (runs, steals, fail
-    /// scans, queue depth high-water).
+    /// Per-worker breakdown (runs, steals, fail scans, queue depth
+    /// high-water).
     pub workers: Vec<WorkerStats>,
     /// High-water occupancy (in batches) of the reducer's reorder buffer.
     pub reorder_peak: u64,
@@ -165,13 +160,13 @@ impl RunStats {
         )
     }
 
-    /// One-line phase breakdown (construction / calibration / simulation /
-    /// reduction, plus the reorder-buffer high-water).
+    /// One-line phase breakdown (construction / simulation / reduction,
+    /// plus the reorder-buffer high-water).
     pub fn render_phases(&self) -> String {
         let p = &self.phases;
         format!(
-            "phases: construction {:.2?} | calibration {:.2?} | simulation {:.2?} | reduction {:.2?} | reorder peak {} batches",
-            p.construction, p.calibration, p.simulation, p.reduction, self.reorder_peak
+            "phases: construction {:.2?} | simulation {:.2?} | reduction {:.2?} | reorder peak {} batches",
+            p.construction, p.simulation, p.reduction, self.reorder_peak
         )
     }
 
@@ -203,7 +198,7 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// A runner with defaults: available parallelism, auto-tuned batches,
+    /// A runner with defaults: available parallelism, [`BatchSize::Auto`],
     /// interleaved placement, no progress output.
     pub fn new() -> Self {
         Runner::default()
@@ -337,56 +332,24 @@ impl Runner {
         }
         let mut meter = self.progress.clone().map(ProgressMeter::new);
         let mut reduction = Duration::ZERO;
-
-        // Calibration / batch-size choice. Calibration runs are real runs:
-        // they execute indices 0.. inline (one single-run batch each, so
-        // per-run cost is observable) and fold first — order is unaffected.
-        let mut next = 0u64;
-        let batch = match self.batch {
-            BatchSize::Fixed(b) => b.max(1),
-            BatchSize::Auto(target) => {
-                let calib = CALIBRATION_RUNS.min(runs);
-                let t0 = Instant::now();
-                while next < calib {
-                    let payload = make_batch(next..next + 1);
-                    let fold_t0 = Instant::now();
-                    fold_batch(next, payload);
-                    reduction += fold_t0.elapsed();
-                    next += 1;
-                    // Small ensembles of expensive runs live entirely in
-                    // this loop — keep reporting.
-                    if let Some(m) = meter.as_mut() {
-                        m.tick(next, runs, 0);
-                    }
-                }
-                stats.calibration_runs = calib;
-                stats.phases.calibration = t0.elapsed();
-                let per_run =
-                    (stats.phases.calibration.as_nanos() / u128::from(calib.max(1))).max(1);
-                let by_time = (target.as_nanos() / per_run).clamp(1, u64::MAX as u128) as u64;
-                // Keep enough batches around for stealing to balance load:
-                // at least ~8 per worker when the workload allows it.
-                let threads = self.resolved_threads() as u64;
-                let for_balance = ((runs - next) / (threads * 8)).max(1);
-                by_time.min(for_balance)
-            }
-        };
-        stats.batch = batch;
-
-        let remaining = next..runs;
         let threads = self
             .resolved_threads()
-            .min(usize::try_from(remaining.end - remaining.start).unwrap_or(usize::MAX))
-            .max(1);
+            .min(usize::try_from(runs).unwrap_or(usize::MAX));
+        let batch = match self.batch {
+            BatchSize::Fixed(b) => b.max(1),
+            BatchSize::Auto => (runs / (8 * threads as u64)).max(1),
+        };
         stats.threads = threads;
+        stats.batch = batch;
+        stats.batches = runs.div_ceil(batch);
 
         if threads == 1 {
             // Inline fast path: no workers, no channel, same fold order.
-            stats.phases.construction = started.elapsed().saturating_sub(stats.phases.calibration);
+            stats.phases.construction = started.elapsed();
             let sim_t0 = Instant::now();
-            let mut i = remaining.start;
-            while i < remaining.end {
-                let end = remaining.end.min(i + batch);
+            let mut i = 0;
+            while i < runs {
+                let end = runs.min(i + batch);
                 let payload = make_batch(i..end);
                 let fold_t0 = Instant::now();
                 fold_batch(i, payload);
@@ -396,9 +359,8 @@ impl Runner {
                     m.tick(i, runs, 0);
                 }
             }
-            stats.batches = runs.saturating_sub(next).div_ceil(batch);
             stats.workers = vec![WorkerStats {
-                runs: runs - next,
+                runs,
                 ..WorkerStats::default()
             }];
             stats.phases.simulation = sim_t0.elapsed();
@@ -408,26 +370,27 @@ impl Runner {
             return stats;
         }
 
-        let queue = BatchQueue::new(remaining.clone(), batch, threads, self.placement);
-        stats.batches = (remaining.end - remaining.start).div_ceil(batch);
-        stats.phases.construction = started.elapsed().saturating_sub(stats.phases.calibration);
+        let queue = BatchQueue::new(0..runs, batch, threads, self.placement);
+        stats.phases.construction = started.elapsed();
         let sim_t0 = Instant::now();
         let mut reorder_peak = 0u64;
-        let done = AtomicU64::new(next);
+        let done = AtomicU64::new(0);
         let worker_runs: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
         let (tx, rx) = mpsc::channel::<(u64, u64, R)>();
 
         // Admission window: workers may not *execute* a batch starting more
         // than `window` indices past the reducer's fold frontier. This is
-        // the hard memory bound on the reorder buffer — without it, one
-        // pathologically slow batch would stall the frontier while every
-        // other worker drains the whole range into `pending` (O(runs)
-        // digests). Deadlock-free: a parked worker holds a batch beyond the
+        // the memory bound on the reorder buffer for `Fixed` batches —
+        // without it, one pathologically slow batch would stall the
+        // frontier while every other worker drains the whole range into
+        // `pending` (O(runs) digests). `Auto` cuts the range into fewer
+        // than `16·threads` batches, so it never reaches the window.
+        // Deadlock-free: a parked worker holds a batch beyond the
         // window, so every batch at or below the window is either running
         // on some worker, queued in a shard whose owner will reach it
         // front-to-back, or already folded — the frontier therefore keeps
         // advancing and wakes the parked workers.
-        let frontier = AtomicU64::new(next);
+        let frontier = AtomicU64::new(0);
         let window = batch.saturating_mul(32 * threads as u64);
         // Set when any worker unwinds: a dead worker's batch never folds,
         // so the frontier would freeze and parked workers would sleep
@@ -485,7 +448,7 @@ impl Runner {
 
             // Reduce on this thread: replay batch payloads in index order.
             let mut pending: BTreeMap<u64, (u64, R)> = BTreeMap::new();
-            let mut expected = next;
+            let mut expected = 0;
             while expected < runs {
                 match rx.recv_timeout(Duration::from_millis(50)) {
                     Ok((start, count, payload)) => {

@@ -14,9 +14,9 @@
 //! advancing through the index space in order.
 //!
 //! Mutex-sharded deques (rather than lock-free Chase–Lev deques) are a
-//! deliberate simplicity/portability trade-off: batches are sized by
-//! calibration to amortize dispatch (~milliseconds of simulation each), so
-//! queue operations are micro-contended and far off the critical path.
+//! deliberate simplicity/portability trade-off: by default a range is cut
+//! into about eight batches per worker, so each worker takes a handful of
+//! locks per call and queue operations stay far off the critical path.
 
 use std::collections::VecDeque;
 use std::ops::Range;

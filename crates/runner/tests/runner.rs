@@ -225,7 +225,7 @@ fn auto_batching_covers_every_index_exactly_once() {
     let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
     let stats = Runner::new()
         .with_threads(4)
-        .with_batch(BatchSize::Auto(Duration::from_micros(200)))
+        .with_batch(BatchSize::Auto)
         .run(
             1000,
             |i| {
@@ -235,12 +235,42 @@ fn auto_batching_covers_every_index_exactly_once() {
             wakeup_runner::collect::from_fn(|i, item: u64| assert_eq!(i, item)),
         );
     assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    assert!(stats.batch >= 1);
-    assert_eq!(stats.calibration_runs, 4);
-    assert_eq!(
-        stats.workers.iter().map(|w| w.runs).sum::<u64>(),
-        1000 - stats.calibration_runs
-    );
+    assert_eq!(stats.workers.iter().map(|w| w.runs).sum::<u64>(), 1000);
+}
+
+#[test]
+fn no_run_executes_on_the_calling_thread() {
+    let caller = std::thread::current().id();
+    for threads in [2, 4] {
+        for runs in [2u64, 3, 4, 8, 64] {
+            let (ids, stats) = Runner::new()
+                .with_threads(threads)
+                .map(runs, |_| std::thread::current().id());
+            assert!(
+                ids.iter().all(|&id| id != caller),
+                "threads={threads} runs={runs}: a run executed on the caller"
+            );
+            assert_eq!(
+                stats.workers.iter().map(|w| w.runs).sum::<u64>(),
+                runs,
+                "threads={threads} runs={runs}"
+            );
+            assert_eq!(stats.calibration_runs, 0);
+        }
+    }
+}
+
+#[test]
+fn auto_batch_is_the_balance_term() {
+    for (runs, threads) in [(1u64, 2usize), (8, 2), (64, 2), (1000, 4), (8000, 2)] {
+        let (_, stats) = Runner::new().with_threads(threads).map(runs, |i| i);
+        let batch = (runs / (8 * threads as u64)).max(1);
+        assert_eq!(stats.batch, batch, "runs={runs} threads={threads}");
+        assert_eq!(stats.batches, runs.div_ceil(batch), "runs={runs}");
+        // One run resolves one thread: it runs on the inline path.
+        let resolved = if runs == 1 { 1 } else { threads };
+        assert_eq!(stats.threads, resolved, "runs={runs} threads={threads}");
+    }
 }
 
 #[test]
@@ -440,8 +470,8 @@ fn per_worker_stats_phases_and_reorder_peak_are_populated() {
         assert_eq!(stats.workers.len(), 3);
         assert_eq!(
             stats.workers.iter().map(|w| w.runs).sum::<u64>(),
-            256 - stats.calibration_runs,
-            "worker runs must cover the parallel phase"
+            256,
+            "worker runs must cover every run"
         );
         assert_eq!(
             stats.workers.iter().map(|w| w.steals).sum::<u64>(),
@@ -471,17 +501,17 @@ fn inline_path_reports_a_single_synthetic_worker() {
         .with_batch(BatchSize::Fixed(8))
         .run(32, |i| i, &mut out);
     assert_eq!(stats.workers.len(), 1);
-    assert_eq!(stats.workers[0].runs, 32 - stats.calibration_runs);
+    assert_eq!(stats.workers[0].runs, 32);
     assert_eq!(stats.workers[0].steals, 0);
     assert_eq!(stats.reorder_peak, 0, "inline path never buffers");
 }
 
 #[test]
-fn calibration_runs_are_timed_apart_from_construction() {
-    // Four inline calibration runs of ≥ 2 ms each: their wall time belongs
-    // to `calibration`, and `construction` (batch choice + queue set-up)
-    // must not absorb it — on the worker path and on the inline path.
-    for threads in [2, 1] {
+fn phase_timers_fit_inside_elapsed() {
+    // Eight runs of ≥ 2 ms each: their wall time belongs to `simulation`,
+    // and `construction` (batch choice + queue set-up) must not absorb any
+    // of it — on the worker path and on the inline path.
+    for threads in [1, 2] {
         let mut out = VecCollector::with_capacity(8);
         let stats = Runner::new().with_threads(threads).run(
             8,
@@ -491,11 +521,13 @@ fn calibration_runs_are_timed_apart_from_construction() {
             },
             &mut out,
         );
-        assert_eq!(stats.calibration_runs, 4);
-        let (p, four_sleeps) = (stats.phases, Duration::from_millis(8));
+        let (p, one_sleep) = (stats.phases, Duration::from_millis(2));
         assert!(
-            p.calibration >= four_sleeps && four_sleeps > p.construction,
-            "threads={threads}: {p:?}"
+            p.construction + p.simulation <= stats.elapsed,
+            "threads={threads}: {p:?} vs {:?}",
+            stats.elapsed
         );
+        assert!(p.reduction <= p.simulation, "threads={threads}: {p:?}");
+        assert!(p.construction < one_sleep, "threads={threads}: {p:?}");
     }
 }
