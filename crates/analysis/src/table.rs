@@ -90,8 +90,11 @@ impl Table {
     }
 
     /// Write both renderings to stdout (the experiment binaries' default).
+    #[expect(
+        clippy::print_stdout,
+        reason = "the explicit render-to-stdout entry the CLI layer calls"
+    )]
     pub fn print(&self) {
-        // lint: allow(sink-discipline) — Table::print IS the explicit render-to-stdout entry the CLI layer calls
         print!("{}", self.to_markdown());
     }
 
@@ -117,7 +120,7 @@ mod tests {
         assert!(lines[1].starts_with("|--"));
         assert!(lines[3].contains("1024"));
         // All lines have equal width (aligned columns).
-        let widths: std::collections::HashSet<usize> =
+        let widths: std::collections::BTreeSet<usize> =
             lines.iter().map(|l| l.chars().count()).collect();
         assert_eq!(widths.len(), 1, "unaligned markdown:\n{md}");
     }

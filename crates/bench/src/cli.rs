@@ -81,7 +81,6 @@ USAGE:
     wakeup trace <experiment>... [OPTIONS]
     wakeup report <trace.jsonl> [--out table|csv|json]
     wakeup diff <dir_a> <dir_b> [--threshold F]
-    wakeup lint [--out table|csv|json] [--rules]
 
 OPTIONS:
     --scale quick|full     sweep scale (default: $WAKEUP_SCALE or quick)
@@ -109,10 +108,6 @@ histograms, the mode-switch timeline and worker utilization.
 `wakeup diff` compares two --out-dir JSON artifact directories (baseline,
 candidate) and exits 1 when any latency/work metric regressed beyond the
 threshold, a row or artifact disappeared, or a check flipped to failing.
-
-`wakeup lint` statically checks the workspace's determinism invariants
-(hash-state, wall-clock, ambient RNG, unsafe hygiene, sink/env discipline,
-hot-path panics) and exits 1 on any finding; see `wakeup lint --rules`.
 
 Environment: WAKEUP_PROGRESS=secs enables live runs/s lines on stderr;
 WAKEUP_ASSERT_SPARSE=1 turns EXP-KG's sparse-path expectations into checks;
@@ -143,12 +138,6 @@ pub enum Command {
         /// Output format for the report.
         out: OutFormat,
     },
-    /// `wakeup lint …` — all remaining arguments pass through to the
-    /// analyzer's own driver ([`wakeup_lint::cli::run`]).
-    Lint {
-        /// Post-subcommand arguments, verbatim.
-        args: Vec<String>,
-    },
     /// `wakeup diff <dir_a> <dir_b>`
     Diff {
         /// Baseline artifact directory.
@@ -178,9 +167,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
         "run" => parse_run(&mut it, false),
         "trace" => parse_run(&mut it, true),
-        "lint" => Ok(Command::Lint {
-            args: it.cloned().collect(),
-        }),
         "report" => {
             let mut path: Option<PathBuf> = None;
             let mut out = OutFormat::Table;
@@ -437,7 +423,10 @@ pub fn time_box_plan(names: &[String], config: &Config) -> (Vec<String>, Option<
 /// for one traced experiment. Returns the spec plus the shared sink handles
 /// so the caller can flush them once the run finishes (the spec's clones
 /// are dropped inside the runner).
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "the spec plus its two shared sink handles, used once"
+)]
 fn open_trace(
     name: &str,
     config: &Config,
@@ -509,6 +498,7 @@ pub fn run_many(names: &[String], config: &Config) -> std::io::Result<u64> {
 }
 
 /// The `wakeup` binary's entry point; returns the process exit code.
+#[expect(clippy::disallowed_methods, reason = "the driver's argv")]
 pub fn main() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse(&args) {
@@ -541,7 +531,6 @@ pub fn main() -> i32 {
                 }
             }
         }
-        Ok(Command::Lint { args }) => wakeup_lint::cli::run(&args),
         Ok(Command::Report { path, out }) => {
             let mut sink = out.sink(Box::new(std::io::stdout().lock()));
             match crate::report::report_file(&path, sink.as_mut()) {
@@ -600,18 +589,6 @@ mod tests {
             config.out_dir.as_deref(),
             Some(std::path::Path::new("/tmp/x"))
         );
-    }
-
-    #[test]
-    fn parse_lint_passes_arguments_through_verbatim() {
-        let Ok(Command::Lint { args }) = parse(&argv("lint --out json --root ../ws")) else {
-            panic!("lint did not parse");
-        };
-        assert_eq!(args, argv("--out json --root ../ws"));
-        let Ok(Command::Lint { args }) = parse(&argv("lint")) else {
-            panic!("bare lint did not parse");
-        };
-        assert!(args.is_empty());
     }
 
     #[test]

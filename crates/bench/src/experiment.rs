@@ -187,6 +187,18 @@ impl<'a> Ctx<'a> {
         self.seed
     }
 
+    /// `WAKEUP_ASSERT_SPARSE` is set: EXP-KG's sparse-path expectations
+    /// become checks.
+    pub fn assert_sparse(&self) -> bool {
+        crate::env_assert("WAKEUP_ASSERT_SPARSE")
+    }
+
+    /// `WAKEUP_ASSERT_CLASSES` is set: class-engine cells are cross-checked
+    /// against the concrete per-station engine.
+    pub fn assert_classes(&self) -> bool {
+        crate::env_assert("WAKEUP_ASSERT_CLASSES")
+    }
+
     /// A unique progress label for the next ensemble: the experiment id is
     /// prefixed when the body's label doesn't already carry it, and an
     /// ensemble ordinal (`#4`) is appended. A sweep that reuses one label

@@ -26,7 +26,7 @@ pub const EXP: Experiment = Experiment {
     name: "exp_ablations",
     id: "EXP-ABL",
     title: "EXP-ABL — design-choice ablations",
-    claim: "see DESIGN.md §6",
+    claim: "collision detection changes no oblivious protocol; dropping the ρ(j) sweep slows Scenario C",
     grid: Grid::Dense,
     full_budget_secs: 120,
     run,

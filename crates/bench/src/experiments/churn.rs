@@ -63,8 +63,7 @@ fn churn_ns(ctx: &Ctx<'_>) -> Vec<u32> {
 
 fn run(ctx: &mut Ctx<'_>) {
     let runs = ctx.runs();
-    // lint: allow(env-discipline) — opt-in CI assertion knob, read-only; documented in README.md
-    let assert_classes = std::env::var("WAKEUP_ASSERT_CLASSES").is_ok();
+    let assert_classes = ctx.assert_classes();
 
     let cache = ConstructionCache::new();
     let mut table = Table::new([

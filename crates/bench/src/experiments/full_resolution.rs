@@ -39,8 +39,7 @@ pub const EXP: Experiment = Experiment {
 
 fn run(ctx: &mut Ctx<'_>) {
     let runs = ctx.runs();
-    // lint: allow(env-discipline) — opt-in CI assertion knob, read-only; documented in README.md
-    let assert_sparse = std::env::var("WAKEUP_ASSERT_SPARSE").is_ok();
+    let assert_sparse = ctx.assert_sparse();
     let mut table = Table::new([
         "n",
         "k",

@@ -66,6 +66,14 @@ mod tests {
         for e in &reg {
             assert!(e.name.starts_with("exp_"), "{} not exp_-prefixed", e.name);
             assert!(!e.id.is_empty() && !e.title.is_empty() && !e.claim.is_empty());
+            // A claim states itself: it never defers to another document.
+            let claim = e.claim.to_lowercase();
+            assert!(
+                !claim.starts_with("see ") && !claim.contains(".md"),
+                "{}: the claim points at another document: {:?}",
+                e.name,
+                e.claim
+            );
         }
         assert!(find("exp_scenario_a").is_some());
         assert!(find("nonsense").is_none());

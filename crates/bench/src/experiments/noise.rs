@@ -67,8 +67,7 @@ fn noise_ns(ctx: &Ctx<'_>) -> Vec<u32> {
 
 fn run(ctx: &mut Ctx<'_>) {
     let runs = ctx.runs();
-    // lint: allow(env-discipline) — opt-in CI assertion knob, read-only; documented in README.md
-    let assert_classes = std::env::var("WAKEUP_ASSERT_CLASSES").is_ok();
+    let assert_classes = ctx.assert_classes();
 
     // --- erasure sweep ---------------------------------------------------
     let mut table = Table::new([

@@ -44,6 +44,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Env discipline (clippy.toml): the environment is read only by the env
+// wiring in this file and by `cli::main`, each under an item-level expect.
+#![warn(clippy::disallowed_methods)]
 
 pub mod cli;
 pub mod diff;
@@ -90,6 +93,7 @@ pub enum Grid {
 
 impl Scale {
     /// Read the scale from the environment (`WAKEUP_SCALE=quick|full`).
+    #[expect(clippy::disallowed_methods, reason = "env wiring of WAKEUP_SCALE")]
     pub fn from_env() -> Scale {
         match std::env::var("WAKEUP_SCALE").as_deref() {
             Ok("full") => Scale::Full,
@@ -145,6 +149,7 @@ impl Scale {
 }
 
 /// `WAKEUP_THREADS` override for the runner's worker count, if set.
+#[expect(clippy::disallowed_methods, reason = "env wiring of WAKEUP_THREADS")]
 fn env_threads() -> Option<usize> {
     std::env::var("WAKEUP_THREADS")
         .ok()
@@ -153,11 +158,19 @@ fn env_threads() -> Option<usize> {
 
 /// `WAKEUP_PROGRESS` (seconds between updates, bare value = 5) as a
 /// [`wakeup_runner::Progress`] spec labelled `label`, if set.
+#[expect(clippy::disallowed_methods, reason = "env wiring of WAKEUP_PROGRESS")]
 fn env_progress(label: &str) -> Option<wakeup_runner::Progress> {
     std::env::var("WAKEUP_PROGRESS").ok().map(|v| {
         let secs = v.parse::<u64>().unwrap_or(5).max(1);
         wakeup_runner::Progress::new(Duration::from_secs(secs), label)
     })
+}
+
+/// Is the opt-in CI assertion knob `name` (`WAKEUP_ASSERT_SPARSE`,
+/// `WAKEUP_ASSERT_CLASSES`) set?
+#[expect(clippy::disallowed_methods, reason = "env wiring of WAKEUP_ASSERT_*")]
+fn env_assert(name: &str) -> bool {
+    std::env::var(name).is_ok()
 }
 
 /// Per-table accumulator of engine work and runner throughput, printed as a

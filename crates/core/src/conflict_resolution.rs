@@ -328,7 +328,7 @@ mod tests {
         let chosen: Vec<StationId> = (0..8).map(|i| StationId(i * 4 + 1)).collect();
         let pattern = WakePattern::simultaneous(&chosen, 0).unwrap();
         let out = resolve_sim(n).run(&p, &pattern, 0).unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &(id, _) in &out.resolved {
             assert!(seen.insert(id), "station {id} resolved twice");
         }

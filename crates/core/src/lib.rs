@@ -52,6 +52,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism rules (clippy.toml): no RandomState maps, clock or env reads,
+// and no printing; a site that must break one carries an item-level expect.
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro
+)]
 
 pub mod baselines;
 pub mod cache;

@@ -71,6 +71,16 @@
 //! * `admit_splits` appends the units a class split off and traces the
 //!   split.
 
+// Panic-free hot path: the slot loop and trace emission are total.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::indexing_slicing
+)]
+
 use crate::channel::{
     ChannelFault, ChannelModel, FaultCounts, Feedback, FeedbackModel, SlotOutcome,
 };
@@ -85,7 +95,7 @@ use crate::trace::{SlotRecord, Transcript};
 use crate::tracer::{BufferTracer, NoopTracer, TraceEvent, TraceKind, Tracer};
 use selectors::transpose64;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// When the engine ends a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -1363,8 +1373,11 @@ impl ChurnEvents {
 #[derive(Default)]
 struct TxDetail {
     rows: Vec<(StationId, u64)>,
-    // lint: allow(default-hash-state) — lookup-only index into the wake-ordered rows; never iterated
-    index: HashMap<StationId, usize>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only index into the wake-ordered rows; never iterated"
+    )]
+    index: std::collections::HashMap<StationId, usize>,
 }
 
 impl TxDetail {

@@ -88,7 +88,10 @@ impl WakePattern {
             return Err(PatternError::Empty);
         }
         wakes.sort_by_key(|&(id, t)| (t, id));
-        // lint: allow(default-hash-state) — membership-only duplicate check; the set is never iterated
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership-only duplicate check; the set is never iterated"
+        )]
         let mut seen = std::collections::HashSet::with_capacity(wakes.len());
         for &(id, _) in &wakes {
             if !seen.insert(id) {
@@ -730,7 +733,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let picked = IdChoice::Random.pick(100, 10, &mut rng);
         assert_eq!(picked.len(), 10);
-        let set: std::collections::HashSet<_> = picked.iter().collect();
+        let set: std::collections::BTreeSet<_> = picked.iter().collect();
         assert_eq!(set.len(), 10);
         assert!(picked.iter().all(|id| id.0 < 100));
     }

@@ -34,6 +34,16 @@
 //! stream, and a sampled stream is always a strict subsequence of the
 //! unsampled one.
 
+// Panic-free hot path: the slot loop and trace emission are total.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::indexing_slicing
+)]
+
 use crate::ids::{Slot, StationId};
 use std::fmt::Write as _;
 

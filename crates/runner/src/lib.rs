@@ -51,6 +51,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism rules (clippy.toml): no clock or env reads and no printing; a
+// site that must break one carries an item-level expect.
+#![warn(
+    clippy::disallowed_methods,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro
+)]
 
 pub mod collect;
 pub mod progress;
@@ -313,6 +321,10 @@ impl Runner {
     /// [`run_folded`](Self::run_folded): workers turn whole index ranges
     /// into one shipped payload `R` via `make_batch`, and `fold_batch`
     /// replays the payloads on this thread in ascending range order.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "phase timers: wall-clock goes to RunStats and the exec sidecar only"
+    )]
     fn run_batched<R, MB, FB>(&self, runs: u64, make_batch: MB, mut fold_batch: FB) -> RunStats
     where
         R: Send,

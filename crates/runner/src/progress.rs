@@ -28,6 +28,7 @@ pub trait ProgressSink: Send + Sync {
 pub struct StderrProgress;
 
 impl ProgressSink for StderrProgress {
+    #[expect(clippy::print_stderr, reason = "the default progress sink is stderr")]
     fn progress_line(&self, line: &str) {
         eprintln!("{line}");
     }
@@ -82,6 +83,10 @@ pub(crate) struct ProgressMeter {
     last: Instant,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the progress throttle reads the clock; lines never reach artifacts"
+)]
 impl ProgressMeter {
     pub(crate) fn new(spec: Progress) -> Self {
         let now = Instant::now();

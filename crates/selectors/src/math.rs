@@ -378,7 +378,7 @@ mod tests {
                 assert!(s.windows(2).all(|w| w[0] < w[1]));
                 assert!(s.iter().all(|&x| x < n));
             }
-            let set: std::collections::HashSet<_> = seen.iter().collect();
+            let set: std::collections::BTreeSet<_> = seen.iter().collect();
             assert_eq!(set.len(), seen.len());
         }
     }

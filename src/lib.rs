@@ -43,6 +43,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism rules (clippy.toml): no clock or env reads and no printing; a
+// site that must break one carries an item-level expect.
+#![warn(
+    clippy::disallowed_methods,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro
+)]
 
 pub use mac_sim;
 pub use selectors;

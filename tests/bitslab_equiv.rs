@@ -76,7 +76,6 @@ fn assert_observables_equal(a: &Outcome, b: &Outcome, label: &str, ctx: &str) {
 /// Run `protocol` under scalar dense, forced `Bitslab` and `Auto`, and
 /// assert bit-identical observables, channel-tier trace bytes, and the
 /// slot-accounting invariant on the kernel paths.
-#[allow(clippy::too_many_arguments)]
 fn assert_bitslab_equivalent_under(
     n: u32,
     protocol: &dyn Protocol,

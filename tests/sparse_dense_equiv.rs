@@ -47,7 +47,6 @@ fn assert_equivalent(
 }
 
 /// [`assert_equivalent`] under an explicit stop rule and feedback model.
-#[allow(clippy::too_many_arguments)]
 fn assert_equivalent_under(
     n: u32,
     protocol: &dyn Protocol,
@@ -552,7 +551,6 @@ fn mid_run_yield_collapse_triggers_dense_stepping() {
 
 /// Run `protocol` under the concrete and the class-aggregated populations
 /// and assert identical observables.
-#[allow(clippy::too_many_arguments)]
 fn assert_class_equivalent_under(
     n: u32,
     protocol: &dyn Protocol,
