@@ -14,8 +14,10 @@
 //!   with sparse wake patterns (the headline speedup of the sparse engine);
 //! * `hybrid_policy` — the adaptive dense/sparse policy on burst-shaped
 //!   runs: the wakeup_n simultaneous burst must run at ≥ ~1× dense (the
-//!   former 0.6× regression), with the gap-heavy rows keeping their full
-//!   sparse speedups (ratios asserted outside `BENCH_QUICK`);
+//!   former 0.6× regression), the gap-heavy rows keep their full sparse
+//!   speedups, and a collision streak takes the near-n `wait_and_go`
+//!   block to the word kernel (ratios asserted outside `BENCH_QUICK`;
+//!   the streak row's counters always);
 //! * `bitslab_burst` — the bit-parallel word kernel (`EngineMode::Bitslab`
 //!   and the Auto engine's burst windows) vs scalar dense stepping on
 //!   burst-shaped runs: ≥ 10× asserted on the block-burst rows outside
@@ -383,8 +385,8 @@ fn hybrid_policy(_c: &mut Criterion) {
     // run it at dense speed.
     let burst = WakePattern::simultaneous(&ids, 11).unwrap();
     let proto = WakeupN::new(MatrixParams::new(n));
-    let (auto_t, auto_out) = time_runs(|| auto_sim.run(&proto, &burst, 0).unwrap());
-    let (dense_t, dense_out) = time_runs(|| dense_sim.run(&proto, &burst, 0).unwrap());
+    let auto_out = auto_sim.run(&proto, &burst, 0).unwrap();
+    let dense_out = dense_sim.run(&proto, &burst, 0).unwrap();
     assert_eq!(auto_out.first_success, dense_out.first_success);
     assert_eq!(auto_out.transmissions, dense_out.transmissions);
     assert!(auto_out.mode_switches > 0, "burst not detected at wake");
@@ -392,9 +394,12 @@ fn hybrid_policy(_c: &mut Criterion) {
         auto_out.dense_steps + auto_out.word_slots > 0,
         "burst slots not dense-stepped"
     );
-    let ratio = dense_t / auto_t.max(1e-12);
+    let (dense_t, auto_t, ratio) = median_pair_ratio(
+        || time_runs(|| dense_sim.run(&proto, &burst, 0).unwrap()).0,
+        || time_runs(|| auto_sim.run(&proto, &burst, 0).unwrap()).0,
+    );
     println!(
-        "hybrid_policy/wakeup_n_burst_n4096_k8      auto {:.2}us dense {:.2}us  ratio {ratio:.2}x (target >= ~1x, was ~0.6x)",
+        "hybrid_policy/wakeup_n_burst_n4096_k8      auto {:.2}us dense {:.2}us  ratio {ratio:.2}x (target >= ~1x, was ~0.6x; median of {PAIRS} pairs)",
         auto_t * 1e6,
         dense_t * 1e6,
     );
@@ -443,8 +448,8 @@ fn hybrid_policy(_c: &mut Criterion) {
     );
 
     // Row 4 — the Komlós–Greenberg resolver must stay on the pure sparse
-    // path (the success-reset keeps contention stretches from flipping the
-    // policy; wall-clock there is sparse-favourable already).
+    // path (its hints wait for the next success, which keeps its collisions
+    // out of a streak; wall-clock there is sparse-favourable already).
     let kg_ids: Vec<StationId> = (0..16u32).map(|i| StationId(i * 60 + 7)).collect();
     let kg_pattern = WakePattern::simultaneous(&kg_ids, 9).unwrap();
     let kg = FullResolution::new(n, 16, FamilyProvider::default());
@@ -476,6 +481,48 @@ fn hybrid_policy(_c: &mut Criterion) {
     assert_timing(
         kg_ratio >= 0.9,
         &format!("KG resolver regressed to {kg_ratio:.2}x of dense"),
+    );
+
+    // Row 5 — a collision streak: the near-n wait_and_go block woken one
+    // slot past a family boundary waits for the next boundary (no
+    // wake-time burst), then collides slot after slot. A run of such
+    // collision events must open a burst window that the word kernel
+    // carries, at forced-Bitslab speed rather than one heap event per slot.
+    let wag_n = 256u32;
+    let wag = WaitAndGo::new(wag_n, wag_n - 16, FamilyProvider::default());
+    let wag_pattern = WakePattern::range(16, wag_n, 1).unwrap();
+    let wag_auto_sim = Simulator::new(SimConfig::new(wag_n));
+    let wag_slab_sim = Simulator::new(SimConfig::new(wag_n).with_engine(EngineMode::Bitslab));
+    let wag_auto = wag_auto_sim.run(&wag, &wag_pattern, 0).unwrap();
+    let wag_slab = wag_slab_sim.run(&wag, &wag_pattern, 0).unwrap();
+    assert_eq!(wag_auto.first_success, wag_slab.first_success);
+    assert_eq!(wag_auto.transmissions, wag_slab.transmissions);
+    assert!(
+        wag_auto.word_slots > 0,
+        "collision streak never reached the word kernel"
+    );
+    assert!(
+        wag_auto.polls * 10 < wag_auto.transmissions,
+        "collision streak stayed on the heap ({} polls for {} transmissions)",
+        wag_auto.polls,
+        wag_auto.transmissions
+    );
+    // One run per sample: a run takes milliseconds.
+    let once = |sim: &Simulator| {
+        let t0 = Instant::now();
+        black_box(sim.run(&wag, &wag_pattern, 0).unwrap());
+        t0.elapsed().as_secs_f64()
+    };
+    let (wag_auto_t, wag_slab_t, wag_ratio) =
+        median_pair_ratio(|| once(&wag_auto_sim), || once(&wag_slab_sim));
+    println!(
+        "hybrid_policy/wait_and_go_streak_n256_k240 auto {:.2}us bitslab {:.2}us  ratio {wag_ratio:.2}x of bitslab (expect <= 1.2x, median of {PAIRS} pairs)",
+        wag_auto_t * 1e6,
+        wag_slab_t * 1e6,
+    );
+    assert_timing(
+        wag_ratio <= 1.2,
+        &format!("collision streak ran at {wag_ratio:.2}x of forced Bitslab"),
     );
 }
 
@@ -619,8 +666,8 @@ fn bitslab_burst(_c: &mut Criterion) {
     // and the run must beat scalar dense end to end.
     let auto_sim = Simulator::new(SimConfig::new(n));
     let dense_sim = Simulator::new(SimConfig::new(n).with_engine(EngineMode::Dense));
-    let (auto_t, auto_out) = time_runs(|| auto_sim.run(&wn, &long_pattern, 0).unwrap());
-    let (dense_t, dense_out) = time_runs(|| dense_sim.run(&wn, &long_pattern, 0).unwrap());
+    let auto_out = auto_sim.run(&wn, &long_pattern, 0).unwrap();
+    let dense_out = dense_sim.run(&wn, &long_pattern, 0).unwrap();
     assert_eq!(auto_out.first_success, dense_out.first_success);
     assert!(
         auto_out.word_slots > 0,
@@ -630,9 +677,12 @@ fn bitslab_burst(_c: &mut Criterion) {
         auto_out.dense_steps > 0,
         "auto burst window skipped its scalar warmup"
     );
-    let auto_ratio = dense_t / auto_t.max(1e-12);
+    let (dense_t, auto_t, auto_ratio) = median_pair_ratio(
+        || time_runs(|| dense_sim.run(&wn, &long_pattern, 0).unwrap()).0,
+        || time_runs(|| auto_sim.run(&wn, &long_pattern, 0).unwrap()).0,
+    );
     println!(
-        "bitslab_burst/auto_wakeup_n_long_burst_n4096_k64  dense {:.2}us auto {:.2}us  ratio {auto_ratio:.1}x (floor 1.2x)",
+        "bitslab_burst/auto_wakeup_n_long_burst_n4096_k64  dense {:.2}us auto {:.2}us  ratio {auto_ratio:.1}x (floor 1.2x, median of {PAIRS} pairs)",
         dense_t * 1e6,
         auto_t * 1e6,
     );

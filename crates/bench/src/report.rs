@@ -10,7 +10,8 @@
 //! * **slot classes** — how the covered slots partition into silence /
 //!   success / collision, plus a collision-size (contention) histogram;
 //! * **mode-switch timeline** — when the adaptive engine crossed
-//!   sparse↔dense, per run (capped at [`MODE_SWITCH_ROWS`] rendered rows);
+//!   sparse↔dense, per run (capped at [`MODE_SWITCH_ROWS`] rendered rows),
+//!   and the burst windows it opened by cause (wake, streak, backoff);
 //! * **worker utilization** — per-ensemble and per-worker execution
 //!   records read from the `.exec.jsonl` sidecar next to the trace, when
 //!   present (the non-deterministic tier: wall-clock phases, steals,
@@ -18,7 +19,7 @@
 
 use crate::sink::{ExperimentHead, Sink};
 use crate::Scale;
-use mac_sim::TraceKind;
+use mac_sim::{BurstCause, TraceKind};
 use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -58,6 +59,8 @@ pub struct TraceReport {
     pub queries: u64,
     /// Burst windows opened.
     pub bursts_opened: u64,
+    /// Burst windows opened per cause (`cause` value → count).
+    pub bursts_by_cause: BTreeMap<&'static str, u64>,
     /// Class-engine units born by splits.
     pub classes_born: u64,
     /// Largest sparse-heap watermark seen.
@@ -110,7 +113,15 @@ impl TraceReport {
                 self.requeries += 1;
                 self.queries += get_u64(rec, "queries").unwrap_or(0);
             }
-            TraceKind::BurstOpen => self.bursts_opened += 1,
+            TraceKind::BurstOpen => {
+                let cause = match rec.get("cause") {
+                    Some(Value::Str(c)) => BurstCause::parse(c),
+                    _ => None,
+                }
+                .ok_or("burst_open without a known \"cause\"")?;
+                self.bursts_opened += 1;
+                *self.bursts_by_cause.entry(cause.name()).or_insert(0) += 1;
+            }
             TraceKind::ClassSplit => self.classes_born += get_u64(rec, "born").unwrap_or(0),
             TraceKind::Watermark => {
                 self.max_heap = self.max_heap.max(get_u64(rec, "heap").unwrap_or(0));
@@ -165,8 +176,9 @@ fn pct(part: u64, whole: u64) -> String {
 }
 
 /// Render a folded report through `sink`: summary row, slot-class and
-/// contention histograms, the mode-switch timeline, engine counters, and —
-/// when `exec_lines` is given — the worker-utilization records.
+/// contention histograms, the mode-switch timeline, burst windows by cause,
+/// engine counters, and — when `exec_lines` is given — the
+/// worker-utilization records.
 pub fn render_report(
     report: &TraceReport,
     source: &str,
@@ -270,6 +282,27 @@ pub fn render_report(
                 report.mode_switches.len()
             ));
         }
+    }
+
+    // Burst windows by what opened them.
+    if report.bursts_opened > 0 {
+        sink.note("\nburst windows by cause:");
+        let mut causes = Table::new(["cause", "opened"]);
+        for cause in BurstCause::ALL {
+            let opened = report
+                .bursts_by_cause
+                .get(cause.name())
+                .copied()
+                .unwrap_or(0);
+            causes.push_row([cause.name().to_string(), opened.to_string()]);
+            sink.row(
+                "burst_cause",
+                &Record::new()
+                    .with("cause", cause.name())
+                    .with("opened", opened),
+            );
+        }
+        sink.table("burst causes", &causes);
     }
 
     // Worker utilization from the exec sidecar (wall-clock tier).
@@ -392,7 +425,7 @@ mod tests {
 {\"run\":0,\"ev\":\"silence\",\"slot\":0,\"slots\":4}\n\
 {\"run\":0,\"ev\":\"collision\",\"slot\":4,\"contenders\":3}\n\
 {\"run\":0,\"ev\":\"mode_switch\",\"slot\":5,\"dense\":true}\n\
-{\"run\":0,\"ev\":\"burst_open\",\"slot\":5,\"window\":8}\n\
+{\"run\":0,\"ev\":\"burst_open\",\"slot\":5,\"window\":8,\"cause\":\"wake\"}\n\
 {\"run\":0,\"ev\":\"collision\",\"slot\":5,\"contenders\":2}\n\
 {\"run\":0,\"ev\":\"success\",\"slot\":6,\"winner\":17}\n\
 {\"run\":0,\"ev\":\"run_end\",\"slots\":7,\"first_success\":6}\n\
@@ -420,6 +453,8 @@ mod tests {
         assert_eq!(r.requeries, 1);
         assert_eq!(r.queries, 1);
         assert_eq!(r.bursts_opened, 1);
+        assert_eq!(r.bursts_by_cause.get("wake"), Some(&1));
+        assert_eq!(r.bursts_by_cause.get("streak"), None);
         assert_eq!(r.max_heap, 5);
         assert_eq!(r.max_units, 9);
         assert_eq!(r.kind_counts.get("collision"), Some(&2));
@@ -440,6 +475,12 @@ mod tests {
             err.contains("line 2") && err.contains("bogus_kind"),
             "{err}"
         );
+        // So does a burst window that names no known cause.
+        let err = fold_trace(Cursor::new(
+            "{\"run\":0,\"ev\":\"burst_open\",\"slot\":5,\"window\":8,\"cause\":\"bogus\"}\n",
+        ))
+        .unwrap_err();
+        assert!(err.contains("line 1") && err.contains("cause"), "{err}");
         // Blank lines are fine.
         let r = fold_trace(Cursor::new("\n\n")).unwrap();
         assert_eq!(r.lines, 0);

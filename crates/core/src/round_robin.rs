@@ -74,6 +74,20 @@ impl Station for RoundRobinStation {
     }
 }
 
+/// The round-robin bits of tile `[base, end)` for station `id` of a
+/// protocol that interleaves round-robin on its even slots (slot `2p` is
+/// position `p`, owned by station `p mod n`), as `fill_tx_word` plans them.
+pub(crate) fn even_slot_bits(id: StationId, n: u32, base: Slot, end: Slot) -> u64 {
+    let (n, id) = (u64::from(n), u64::from(id.0));
+    let mut bits = 0u64;
+    for t in (base.next_multiple_of(2)..end).step_by(2) {
+        if (t / 2) % n == id {
+            bits |= 1u64 << (t - base);
+        }
+    }
+    bits
+}
+
 /// One equivalence class of round-robin stations: the schedule is fully
 /// determined by `(t mod n)`, so a whole wake batch — any member set — is a
 /// single unit. At most one member (the slot's owner) ever transmits, and

@@ -15,9 +15,10 @@
 //! the algorithm degrades instead of failing (pinned by a test below).
 
 use crate::family_provider::FamilyProvider;
+use crate::round_robin::even_slot_bits;
 use crate::select_among_first::{DoublingSchedule, NextPositionCache};
 use crate::wait_and_go::WaitAndGo;
-use mac_sim::{Action, Protocol, Slot, Station, StationId, TxHint};
+use mac_sim::{Action, Protocol, Slot, Station, StationId, TxHint, TxWord};
 use selectors::math::next_congruent;
 use std::sync::Arc;
 
@@ -115,6 +116,23 @@ impl Station for WwkStation {
             Some(wag) => TxHint::at(rr_slot.min(wag)),
             None => TxHint::at(rr_slot),
         }
+    }
+
+    fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
+        // Both components are oblivious and the boundary wait is fixed at
+        // wake, so the interleaved tile is an unconditional fact:
+        // round-robin parity arithmetic on even slots, one bounded walk
+        // over the odd slots' wait-and-go positions — kept off the memo (a
+        // refill after an early success starts inside this tile).
+        let end = base + u64::from(width);
+        let mut bits = even_slot_bits(self.id, self.n, base, end);
+        // Odd slot 2q + 1 is position q, so the odd slots of [base, end)
+        // are the positions [base / 2, end / 2).
+        let q0 = (base / 2).max(self.go_position);
+        for q in self.schedule.positions_in(self.id.0, q0, end / 2) {
+            bits |= 1u64 << (2 * q + 1 - base);
+        }
+        Some(TxWord::forever(bits))
     }
 }
 

@@ -11,6 +11,7 @@
 //! (Theorem 2.1 for `k > n/c`; Clementi–Monti–Silvestri for `k ≤ n/64`).
 
 use crate::family_provider::FamilyProvider;
+use crate::round_robin::even_slot_bits;
 use crate::select_among_first::{
     AnyMemberScan, DoublingSchedule, NextPositionCache, Scan, CLASS_SCAN_BUDGET,
 };
@@ -134,15 +135,8 @@ impl Station for WwsStation {
         // arithmetic on even slots, one bounded walk over the odd slots'
         // SAF positions — kept off the memo (a refill after an early
         // success starts inside this tile).
-        let n = u64::from(self.n);
-        let id = u64::from(self.id.0);
         let end = base + u64::from(width);
-        let mut bits = 0u64;
-        for t in (base.next_multiple_of(2)..end).step_by(2) {
-            if (t / 2) % n == id {
-                bits |= 1u64 << (t - base);
-            }
-        }
+        let mut bits = even_slot_bits(self.id, self.n, base, end);
         if self.participates_saf {
             let first_odd = self.s + (self.s + 1) % 2;
             // SAF positions of the odd slots in [max(base, first_odd), end).

@@ -23,14 +23,14 @@
 //!      [`SimConfig::engine`] forces it): every awake station is polled
 //!      ([`Station::act`]) every slot — the exact historical semantics;
 //!
-//!    [`EngineMode::Auto`] is moreover **adaptive**: it tracks the *skip
-//!    yield* of the sparse path online (slots skipped per unit of heap and
-//!    hint work over a sliding cost window) and, when the heap stops paying
-//!    for itself — burst-shaped stretches where some station is due every
-//!    slot — drops into tight per-slot *dense stepping* for a bounded burst
-//!    window, re-probing sparsity at window expiry and at success events
-//!    (with exponential backoff while the probes keep failing). Bursts thus
-//!    run at dense speed while gaps keep the full sparse speedup.
+//!    [`EngineMode::Auto`] is moreover **adaptive**: when the heap has
+//!    nothing to skip — a batch arrival due at once, or a *collision
+//!    streak* of back-to-back sparse collision events among stations whose
+//!    hints do not wait for the next success — it drops into a bounded
+//!    burst window of dense stepping (the word kernel), re-probing sparsity
+//!    at window expiry and at success events (with exponential backoff
+//!    while the probes keep failing). Bursts thus run at dense speed while
+//!    gaps keep the full sparse speedup.
 //!
 //!    All paths produce **identical** [`Outcome`]s and transcripts; only
 //!    the work counters ([`Outcome::polls`], [`Outcome::skipped_slots`],
@@ -92,10 +92,11 @@ use crate::population::{
 use crate::rng::{derive_seed, FAULT_STREAM, REWAKE_STREAM};
 use crate::station::{NeverTransmit, Protocol, Station, TxHint, Until};
 use crate::trace::{SlotRecord, Transcript};
-use crate::tracer::{BufferTracer, NoopTracer, TraceEvent, TraceKind, Tracer};
+use crate::tracer::{BufferTracer, BurstCause, NoopTracer, TraceEvent, TraceKind, Tracer};
 use selectors::transpose64;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// When the engine ends a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -141,9 +142,10 @@ pub enum EngineMode {
     /// ([`Outcome::word_slots`]) differ. Falls back to scalar dense polling
     /// permanently when any station answers [`TxHint::Dense`]. Under
     /// [`EngineMode::Auto`] the same kernel powers the adaptive policy's
-    /// dense burst windows once a window survives its scalar warmup
-    /// (16 dense-stepped slots); this mode exists to force it everywhere
-    /// (benchmark baselines, equivalence tests).
+    /// dense burst windows — from the first tile of a window opened by a
+    /// collision streak, after a scalar warmup (16 dense-stepped slots) in
+    /// a window opened at wake time; this mode exists to force it
+    /// everywhere (benchmark baselines, equivalence tests).
     Bitslab,
 }
 
@@ -491,78 +493,80 @@ fn low_mask(width: u64) -> u64 {
     }
 }
 
-// Constants of the adaptive `EngineMode::Auto` policy, hand-tuned for a
-// typical x86 box. Outcomes never depend on these — they steer only *which
-// path* simulates each slot, so a mistuned constant costs time, not
-// correctness.
+// Constants of the adaptive `EngineMode::Auto` policy. Outcomes never
+// depend on these — they steer only *which path* simulates each slot, so a
+// mistuned constant costs time, not correctness.
 
-/// Cost of one [`Station::next_transmission`] query relative to one
-/// [`Station::act`] poll. Hint queries scan schedules (PRF gap jumps,
-/// position walks) and are typically several times the cost of a poll.
-const HINT_COST: u64 = 3;
-/// What one dense-stepped slot costs per awake station in the same units:
-/// one poll plus one feedback delivery.
-const DENSE_SLOT_COST: u64 = 2;
-/// The policy evaluates the skip yield every time this much sparse work
-/// (polls + weighted hint queries) has accumulated since the window start.
-const EVAL_COST: u64 = 64;
 /// Minimum skippable gap (in slots) a re-probe must see ahead to resume the
 /// sparse path; anything closer and the heap would be churning again within
-/// a few slots. Also the wake-time burst test: a batch arrival whose
-/// earliest obligation is due within this gap has nothing to skip.
+/// a few slots. Also the wake-time burst test (a batch arrival whose
+/// earliest obligation is due within this gap has nothing to skip) and
+/// both measures of a collision streak: this many sparse collision events
+/// in a row, each closer than this to the previous one.
 const RESUME_GAP: u64 = 4;
 /// Minimum dense burst-window length in slots — long enough to amortize the
 /// k hint queries a re-probe costs.
 const BURST_FLOOR: u64 = 64;
-/// Scalar-dense slots a burst window must survive before the word kernel
-/// takes over ([`EngineMode::Auto`] only). Bursts that resolve within a
-/// handful of slots — the no-skip adversarial shape — never pay for a tile
-/// fill they cannot amortize; bursts that outlive the warmup switch to
-/// word-level stepping for the remainder of the window.
+/// Scalar-dense slots a wake-time burst window must survive before the
+/// word kernel takes over ([`EngineMode::Auto`] only). Bursts that resolve
+/// within a handful of slots — the no-skip adversarial shape — never pay
+/// for a tile fill they cannot amortize; bursts that outlive the warmup
+/// switch to word-level stepping for the remainder of the window. A window
+/// opened by a collision streak runs the kernel from its first tile: the
+/// streak already shows a contention stretch, not a few-slot burst.
 /// [`EngineMode::Bitslab`] ignores this and always runs the kernel.
 const KERNEL_WARMUP: u64 = 16;
 
-/// The adaptive sparse↔dense policy of [`EngineMode::Auto`]: a sliding cost
-/// window over the sparse path's work, compared against what dense stepping
-/// would have cost over the same simulated slots.
+/// The adaptive sparse↔dense policy of [`EngineMode::Auto`]: the collision
+/// streak that takes the sparse path into a burst window, and the window.
 #[derive(Clone, Copy, Debug, Default)]
 struct Adaptive {
-    /// Sparse work (polls + `HINT_COST`·hint queries) since the window
-    /// started.
-    win_cost: u64,
-    /// `slots_simulated` at the window start.
-    win_start: u64,
+    /// Sparse collision events in a row, each closer than `RESUME_GAP`
+    /// slots to the previous one, none polling a unit whose re-armed hint
+    /// is [`Until::NextSuccess`]-scoped.
+    streak: u64,
+    /// The slot of the streak's last collision event.
+    streak_at: Slot,
     /// Current dense burst-window length in slots (doubled while re-probes
     /// keep failing, reset when a probe finds a skippable gap).
     burst_len: u64,
     /// Slots left in the active burst window (meaningful in dense stepping).
     burst_remaining: u64,
+    /// Scalar-dense slots each window of the active burst steps before the
+    /// word kernel takes over: `KERNEL_WARMUP` after a wake-time opening,
+    /// 0 after a streak.
+    warmup: u64,
 }
 
 impl Adaptive {
-    /// Evaluate the window: `true` iff the sparse path has done more work
-    /// over the window than dense stepping would have
-    /// (`DENSE_SLOT_COST · awake` per slot) — time to drop into a burst
-    /// window. A window that passes the yield test resets so old gaps
-    /// cannot subsidize a later burst forever.
-    fn should_burst(&mut self, slots_now: u64, awake: usize) -> bool {
-        if self.win_cost < EVAL_COST {
+    /// Account one sparse transmission event at `t` that ended in no
+    /// success: `contended` when it was a collision and every unit it
+    /// polled re-armed a hint that does not wait for the next success.
+    /// Returns `true` when the event completes a streak of `RESUME_GAP` —
+    /// the heap has had nothing to skip, so open a burst window.
+    fn streak_event(&mut self, t: Slot, contended: bool) -> bool {
+        if !contended {
+            self.streak = 0;
             return false;
         }
-        let win_slots = (slots_now - self.win_start).max(1);
-        if self.win_cost > DENSE_SLOT_COST * awake as u64 * win_slots {
-            true
-        } else {
-            self.restart_window(slots_now);
-            false
-        }
+        let chained = self.streak > 0 && t < self.streak_at + RESUME_GAP;
+        self.streak = if chained { self.streak + 1 } else { 1 };
+        self.streak_at = t;
+        self.streak >= RESUME_GAP
     }
 
-    /// Start (or restart) a dense burst window sized to the floor: long
-    /// enough to amortize the k hint queries a re-probe costs.
-    fn start_burst(&mut self, awake: usize) {
+    /// Start a dense burst window sized to the floor — long enough to
+    /// amortize the k hint queries a re-probe costs — with the scalar
+    /// warmup `cause` calls for.
+    fn start_burst(&mut self, awake: usize, cause: BurstCause) {
         self.burst_len = (4 * awake as u64).max(BURST_FLOOR);
         self.burst_remaining = self.burst_len;
+        self.warmup = if cause == BurstCause::Wake {
+            KERNEL_WARMUP
+        } else {
+            0
+        };
+        self.streak = 0;
     }
 
     /// A re-probe failed (no skippable gap ahead): stay dense for a doubled
@@ -574,22 +578,16 @@ impl Adaptive {
     }
 
     /// Has the active burst window survived its scalar warmup? The word
-    /// kernel only takes over once `KERNEL_WARMUP` slots of the window have
-    /// been dense-stepped — a burst that resolves faster never pays for a
-    /// tile fill it cannot amortize.
+    /// kernel only takes over once `warmup` slots of the window have been
+    /// dense-stepped — a burst that resolves faster never pays for a tile
+    /// fill it cannot amortize.
     fn kernel_warm(&self) -> bool {
-        self.burst_len.saturating_sub(self.burst_remaining) >= KERNEL_WARMUP
+        self.burst_len.saturating_sub(self.burst_remaining) >= self.warmup
     }
 
-    /// Restart the yield observation window at `slots_now`.
-    fn restart_window(&mut self, slots_now: u64) {
-        self.win_cost = 0;
-        self.win_start = slots_now;
-    }
-
-    /// A re-probe succeeded: back to the sparse path with a fresh window.
-    fn resume_sparse(&mut self, slots_now: u64) {
-        self.restart_window(slots_now);
+    /// A re-probe succeeded: back to the sparse path (the streak was reset
+    /// when the burst opened).
+    fn resume_sparse(&mut self) {
         self.burst_len = 0;
         self.burst_remaining = 0;
     }
@@ -1273,24 +1271,36 @@ impl Hints {
         self.heap.clear();
     }
 
+    /// Does any unit polled at the current event hold an
+    /// [`Until::NextSuccess`]-scoped hint? Such a unit is waiting for the
+    /// next success — a feedback-driven resolver — and keeps its collision
+    /// out of a streak.
+    fn polled_success_scoped(&self) -> bool {
+        self.polled
+            .iter()
+            .any(|&idx| self.states.get(idx).is_some_and(|st| st.success_scoped))
+    }
+
     /// Drop from the sparse path into an adaptive dense burst window at
-    /// `slot`, sized for `units` awake units.
+    /// `slot`, sized for `units` awake units, for `cause`.
     fn open_burst<T: Tracer + ?Sized>(
         &mut self,
         slot: Slot,
         units: usize,
+        cause: BurstCause,
         policy: &mut Adaptive,
         ledger: &mut Ledger<'_, T>,
     ) {
         self.path = Path::Burst;
         ledger.out.mode_switches += 1;
-        policy.start_burst(units);
+        policy.start_burst(units, cause);
         ledger
             .trace
             .engine_event(TraceEvent::ModeSwitch { slot, dense: true });
         ledger.trace.engine_event(TraceEvent::BurstOpen {
             slot,
             window: policy.burst_len,
+            cause,
         });
         self.reset();
     }
@@ -1610,7 +1620,6 @@ impl Simulator {
                 station.wake(sigma);
                 let idx = hints.add_unit();
                 if hints.sparse() {
-                    policy.win_cost += HINT_COST;
                     match hints.install(idx, t, station.next_transmission(t)) {
                         Err(()) => hints.lock_dense(t, &mut ledger.trace),
                         // Wake-time burst detection, short-circuited: a
@@ -1623,7 +1632,13 @@ impl Simulator {
                                 && (awake.len() > batch_start
                                     || wakes.get(next_wake + 1).is_some_and(|&(_, w)| w <= t)) =>
                         {
-                            hints.open_burst(t, awake.len() + 1, &mut policy, &mut ledger);
+                            hints.open_burst(
+                                t,
+                                awake.len() + 1,
+                                BurstCause::Wake,
+                                &mut policy,
+                                &mut ledger,
+                            );
                         }
                         Ok(_) => {}
                     }
@@ -1659,11 +1674,8 @@ impl Simulator {
                     protocol.station(rid, derive_seed(churn.rewake_seed, u64::from(rid.0)));
                 station.wake(rslot);
                 let idx = hints.add_unit();
-                if hints.sparse() {
-                    policy.win_cost += HINT_COST;
-                    if hints.install(idx, t, station.next_transmission(t)).is_err() {
-                        hints.lock_dense(t, &mut ledger.trace);
-                    }
+                if hints.sparse() && hints.install(idx, t, station.next_transmission(t)).is_err() {
+                    hints.lock_dense(t, &mut ledger.trace);
                 }
                 awake.push((rid, station, 0));
                 ledger.rewoke(rslot, rid);
@@ -1676,7 +1688,7 @@ impl Simulator {
                 && awake.len() - batch_start >= 2
                 && hints.next_due().is_some_and(|due| due < t + RESUME_GAP)
             {
-                hints.open_burst(t, awake.len(), &mut policy, &mut ledger);
+                hints.open_burst(t, awake.len(), BurstCause::Wake, &mut policy, &mut ledger);
             }
 
             if awake.is_empty() {
@@ -1708,7 +1720,6 @@ impl Simulator {
 
                 // Event at t: serve the due entries.
                 let served = hints.serve(t, &mut ledger.trace, |idx| {
-                    policy.win_cost += HINT_COST;
                     station_hint(awake.get_mut(idx), t)
                 });
                 if served.is_err() {
@@ -1718,18 +1729,12 @@ impl Simulator {
                 if hints.polled.is_empty() {
                     // Pure re-query event: nobody claimed a transmission at
                     // t after all, so the slot joins the next silent gap
-                    // instead of being simulated individually. Re-query
-                    // storms still count as sparse work, so a protocol that
-                    // calls back every slot trips the yield test too.
-                    if policy.should_burst(ledger.out.slots_simulated, awake.len()) {
-                        hints.open_burst(t, awake.len(), &mut policy, &mut ledger);
-                    }
+                    // instead of being simulated individually.
                     continue 'slots;
                 }
 
                 // Transmission event at t: poll exactly the scheduled
                 // stations (everyone else is silent by promise).
-                policy.win_cost += hints.polled.len() as u64;
                 transmitters.clear();
                 for &idx in &hints.polled {
                     if let Some((id, station, tx_count)) = awake.get_mut(idx) {
@@ -1765,14 +1770,8 @@ impl Simulator {
                         {
                             hints.lock_dense(t + 1, &mut ledger.trace);
                         }
-                        // A success reshapes the hint landscape
-                        // (retirement, rescheduling): restart the yield
-                        // observation window rather than letting
-                        // pre-success burstiness linger — and the broadcast
-                        // re-arms above are the mandatory price of the
-                        // event, not per-slot overhead, so they are not
-                        // charged to the window either.
-                        policy.restart_window(ledger.out.slots_simulated);
+                        // A success breaks the collision streak.
+                        policy.streak = 0;
                     }
                     Settled::NoSuccess(fb) => {
                         // Non-success feedback goes only to the polled
@@ -1788,13 +1787,26 @@ impl Simulator {
                         // were consumed); nothing else was invalidated.
                         hints.requery_polled();
                         let rearmed = hints.rearm(t + 1, &mut ledger.trace, |idx| {
-                            policy.win_cost += HINT_COST;
                             station_hint(awake.get_mut(idx), t + 1)
                         });
                         if rearmed.is_err() {
                             hints.lock_dense(t + 1, &mut ledger.trace);
-                        } else if policy.should_burst(ledger.out.slots_simulated, awake.len()) {
-                            hints.open_burst(t + 1, awake.len(), &mut policy, &mut ledger);
+                        } else {
+                            // Back-to-back collisions among stations that
+                            // are not waiting for the next success: the
+                            // heap has nothing to skip until one of them
+                            // wins, so a streak of them goes to the kernel.
+                            let contended =
+                                transmitters.len() >= 2 && !hints.polled_success_scoped();
+                            if policy.streak_event(t, contended) {
+                                hints.open_burst(
+                                    t + 1,
+                                    awake.len(),
+                                    BurstCause::Streak,
+                                    &mut policy,
+                                    &mut ledger,
+                                );
+                            }
                         }
                     }
                 }
@@ -2123,7 +2135,7 @@ impl Simulator {
                     if event.is_none_or(|e| e >= t + RESUME_GAP) {
                         hints.path = Path::Sparse;
                         ledger.out.mode_switches += 1;
-                        policy.resume_sparse(ledger.out.slots_simulated);
+                        policy.resume_sparse();
                         ledger
                             .trace
                             .engine_event(TraceEvent::BurstClose { slot: t });
@@ -2137,6 +2149,7 @@ impl Simulator {
                         ledger.trace.engine_event(TraceEvent::BurstOpen {
                             slot: t,
                             window: policy.burst_len,
+                            cause: BurstCause::Backoff,
                         });
                     }
                 }
@@ -2145,16 +2158,25 @@ impl Simulator {
 
         let per_station_tx = if !self.cfg.per_station_detail {
             Vec::new()
-        } else if churn.rewakes.is_empty() {
+        } else if churn.next_rewake == 0 {
+            // No re-wake fired, so every ID is in `awake` once.
             awake.iter().map(|(id, _, tx)| (*id, *tx)).collect()
         } else {
             // Re-wakes duplicate IDs in `awake`: merge each ID's counts
-            // into its first occurrence (wake order).
+            // into its first occurrence (wake order), found by index.
             let mut merged: Vec<(StationId, u64)> = Vec::with_capacity(awake.len());
+            let mut first: BTreeMap<StationId, usize> = BTreeMap::new();
             for (id, _, tx) in awake.iter() {
-                match merged.iter_mut().find(|(mid, _)| mid == id) {
-                    Some((_, count)) => *count += *tx,
-                    None => merged.push((*id, *tx)),
+                match first.entry(*id) {
+                    Entry::Occupied(row) => {
+                        if let Some((_, count)) = merged.get_mut(*row.get()) {
+                            *count += *tx;
+                        }
+                    }
+                    Entry::Vacant(row) => {
+                        row.insert(merged.len());
+                        merged.push((*id, *tx));
+                    }
                 }
             }
             merged

@@ -109,7 +109,8 @@ pub use population::{
 pub use station::{Action, Protocol, Station, TxHint, TxWord, Until};
 pub use trace::Transcript;
 pub use tracer::{
-    BufferTracer, NoopTracer, RecordingTracer, TraceEvent, TraceFilter, TraceKind, Tracer,
+    BufferTracer, BurstCause, NoopTracer, RecordingTracer, TraceEvent, TraceFilter, TraceKind,
+    Tracer,
 };
 
 /// Convenient glob import for downstream crates and examples.
@@ -131,6 +132,7 @@ pub mod prelude {
     pub use crate::station::{Action, Protocol, Station, TxHint, TxWord, Until};
     pub use crate::trace::Transcript;
     pub use crate::tracer::{
-        BufferTracer, NoopTracer, RecordingTracer, TraceEvent, TraceFilter, TraceKind, Tracer,
+        BufferTracer, BurstCause, NoopTracer, RecordingTracer, TraceEvent, TraceFilter, TraceKind,
+        Tracer,
     };
 }

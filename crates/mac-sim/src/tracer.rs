@@ -162,8 +162,39 @@ impl TraceKind {
     }
 }
 
-/// One engine event. All fields are integers (slots, counts, IDs) — no
-/// wall-clock, no floats — so renderings are bit-stable by construction.
+/// What opened a burst window ([`TraceEvent::BurstOpen`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BurstCause {
+    /// A batch arrival with an obligation due at once.
+    Wake,
+    /// A streak of back-to-back sparse collision events.
+    Streak,
+    /// A failed re-probe doubled the window.
+    Backoff,
+}
+
+impl BurstCause {
+    /// Every cause, in declaration order.
+    pub const ALL: [BurstCause; 3] = [BurstCause::Wake, BurstCause::Streak, BurstCause::Backoff];
+
+    /// The `cause` field value in the JSONL rendering.
+    pub fn name(self) -> &'static str {
+        match self {
+            BurstCause::Wake => "wake",
+            BurstCause::Streak => "streak",
+            BurstCause::Backoff => "backoff",
+        }
+    }
+
+    /// Look a cause up by its [`name`](BurstCause::name).
+    pub fn parse(name: &str) -> Option<BurstCause> {
+        BurstCause::ALL.iter().copied().find(|c| c.name() == name)
+    }
+}
+
+/// One engine event. All fields are integers (slots, counts, IDs) or
+/// fixed names — no wall-clock, no floats — so renderings are bit-stable
+/// by construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
     /// `stations` stations woke at `slot`.
@@ -224,6 +255,8 @@ pub enum TraceEvent {
         slot: Slot,
         /// The window length in slots.
         window: u64,
+        /// What opened the window.
+        cause: BurstCause,
     },
     /// The burst window closed at `slot`: a re-probe found a skippable gap.
     BurstClose {
@@ -360,8 +393,16 @@ impl TraceEvent {
             TraceEvent::ModeSwitch { slot, dense } => {
                 let _ = write!(s, ",\"slot\":{slot},\"dense\":{dense}");
             }
-            TraceEvent::BurstOpen { slot, window } => {
-                let _ = write!(s, ",\"slot\":{slot},\"window\":{window}");
+            TraceEvent::BurstOpen {
+                slot,
+                window,
+                cause,
+            } => {
+                let _ = write!(
+                    s,
+                    ",\"slot\":{slot},\"window\":{window},\"cause\":\"{}\"",
+                    cause.name()
+                );
             }
             TraceEvent::BurstClose { slot } => {
                 let _ = write!(s, ",\"slot\":{slot}");

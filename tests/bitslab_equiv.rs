@@ -382,10 +382,24 @@ fn bitslab_equals_scalar_for_oblivious_schedules_past_the_first_success() {
     // state which later `act` or hint calls rely on diverges here.
     for n in [32u32, 64] {
         let ids: Vec<StationId> = (0..6).map(|i| StationId(i * (n / 8) + 1)).collect();
+        // WakeupWithK runs wait-and-go position q on odd slot 2q + 1: the
+        // slot of the first family boundary past position 0 for k stations
+        // (family sizes do not depend on the provider seed).
+        let boundary_slot = |k: usize| {
+            let wag = WaitAndGo::new(n, k as u32, FamilyProvider::default());
+            2 * wag.schedule().next_boundary(1) + 1
+        };
         let patterns = [
             WakePattern::simultaneous(&ids, 7).unwrap(),
             WakePattern::staggered(&ids, 5, 9).unwrap(),
             WakePattern::range(0, n / 2, 3).unwrap(),
+            // An odd gap alternates the parity of the wake slots; the first
+            // station wakes two slots before the boundary, so its
+            // go_position falls inside its first tile.
+            WakePattern::staggered(&ids, boundary_slot(ids.len()) - 2, 3).unwrap(),
+            // A block waking on the even slot just before a boundary: every
+            // go_position is the second slot of the first tile.
+            WakePattern::range(0, n / 2, boundary_slot(n as usize / 2) - 1).unwrap(),
         ];
         for pattern in patterns.iter() {
             for seed in [0u64, 7] {

@@ -494,8 +494,8 @@ fn scenario_c_simultaneous_burst_dense_steps_adaptively() {
 fn mid_run_yield_collapse_triggers_dense_stepping() {
     // Two stations whose first obligation is far away (slot 100, so the
     // wake-time batch detection sees a skippable gap and stays sparse) that
-    // then collide every slot: the windowed yield tracker must notice the
-    // zero-gap event stream and drop to dense stepping mid-run — with
+    // then collide every slot: the collision-streak trigger must notice the
+    // zero-gap collisions and drop to dense stepping mid-run — with
     // observables identical to forced dense.
     struct LateJammerStation;
     impl mac_sim::Station for LateJammerStation {
@@ -528,7 +528,7 @@ fn mid_run_yield_collapse_triggers_dense_stepping() {
     assert_eq!(auto.collisions, dense.collisions);
     assert!(
         auto.mode_switches > 0,
-        "yield collapse never triggered dense stepping"
+        "collision streak never triggered dense stepping"
     );
     assert!(
         auto.dense_steps + auto.word_slots > 100,

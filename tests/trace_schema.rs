@@ -5,7 +5,7 @@
 //! it verbatim, so a kind or field added, renamed or re-tiered in the code
 //! fails here until the README row follows.
 
-use mac_sim::tracer::{TraceEvent, TraceKind};
+use mac_sim::tracer::{BurstCause, TraceEvent, TraceKind};
 use mac_sim::StationId;
 use wakeup_analysis::serial::parse_json_object;
 
@@ -27,7 +27,11 @@ fn sample(kind: TraceKind) -> TraceEvent {
         },
         TraceKind::HintRequery => TraceEvent::HintRequery { slot, queries: 1 },
         TraceKind::ModeSwitch => TraceEvent::ModeSwitch { slot, dense: true },
-        TraceKind::BurstOpen => TraceEvent::BurstOpen { slot, window: 8 },
+        TraceKind::BurstOpen => TraceEvent::BurstOpen {
+            slot,
+            window: 8,
+            cause: BurstCause::Streak,
+        },
         TraceKind::BurstClose => TraceEvent::BurstClose { slot },
         TraceKind::ClassSplit => TraceEvent::ClassSplit { slot, born: 1 },
         TraceKind::Watermark => TraceEvent::Watermark {
