@@ -29,6 +29,7 @@
 //! retirement, resolving everyone within `n` slots of the last wake-up.
 
 use crate::family_provider::FamilyProvider;
+use crate::oblivious::next_member_turn;
 use crate::select_among_first::{DoublingSchedule, NextPositionCache};
 use mac_sim::{
     Action, ClassStation, Feedback, MemberRemoval, Members, Protocol, Slot, Station, StationId,
@@ -210,19 +211,6 @@ struct RetiringRoundRobinClass {
     n: u32,
 }
 
-impl RetiringRoundRobinClass {
-    /// Earliest slot `≥ after` owned by a live member.
-    fn next_turn(&self, after: Slot) -> Option<Slot> {
-        let first = self.members.first()?;
-        let n = u64::from(self.n);
-        let r = (after % n) as u32;
-        Some(match self.members.next_at_or_after(r) {
-            Some(x) if u64::from(x) < n => after + u64::from(x - r),
-            _ => after + (n - u64::from(r)) + u64::from(first),
-        })
-    }
-}
-
 impl ClassStation for RetiringRoundRobinClass {
     fn weight(&self) -> u64 {
         self.members.count()
@@ -246,7 +234,8 @@ impl ClassStation for RetiringRoundRobinClass {
     }
 
     fn next_transmission(&mut self, after: Slot) -> TxHint {
-        match self.next_turn(after) {
+        // The earliest slot ≥ after owned by a live member.
+        match next_member_turn(&self.members, self.n, after) {
             Some(slot) => TxHint::At(slot, Until::NextSuccess),
             None => TxHint::never(), // everyone resolved: silent forever
         }

@@ -69,6 +69,7 @@ pub mod conflict_resolution;
 pub mod energy;
 pub mod family_provider;
 pub mod lower_bound;
+mod oblivious;
 pub mod randomized;
 pub mod round_robin;
 pub mod scenario;

@@ -15,22 +15,27 @@
 //! is why both Scenario A and Scenario B algorithms interleave with it to
 //! stay optimal at large `k`.
 
-use mac_sim::{
-    Action, ClassStation, MemberRemoval, Members, Protocol, Slot, Station, StationId, TxHint,
-    TxTally, TxWord,
-};
+use crate::oblivious::Oblivious;
+use mac_sim::{ClassStation, Members, Protocol, Station, StationId};
+use std::sync::Arc;
 
-/// The round-robin protocol over `n` stations.
-#[derive(Clone, Copy, Debug)]
+/// The round-robin protocol over `n` stations: the round-robin track of a
+/// one-track oblivious expression, whose class covers any wake batch as a
+/// single unit (at most the slot's owner transmits).
+#[derive(Clone, Debug)]
 pub struct RoundRobin {
     n: u32,
+    expr: Arc<Oblivious>,
 }
 
 impl RoundRobin {
     /// Round-robin over `n ≥ 1` stations.
     pub fn new(n: u32) -> Self {
         assert!(n >= 1, "round-robin needs n ≥ 1");
-        RoundRobin { n }
+        RoundRobin {
+            n,
+            expr: Oblivious::new(Some(n), None),
+        }
     }
 
     /// The number of stations.
@@ -39,117 +44,13 @@ impl RoundRobin {
     }
 }
 
-struct RoundRobinStation {
-    id: StationId,
-    n: u32,
-}
-
-impl Station for RoundRobinStation {
-    fn wake(&mut self, _sigma: Slot) {}
-
-    fn act(&mut self, t: Slot) -> Action {
-        Action::from_bool(t % u64::from(self.n) == u64::from(self.id.0))
-    }
-
-    fn next_transmission(&mut self, after: Slot) -> TxHint {
-        // The next slot ≡ id (mod n), in O(1): the schedule is oblivious,
-        // so the engine can jump straight to this station's turn.
-        TxHint::at(selectors::math::next_congruent(
-            after,
-            u64::from(self.id.0),
-            u64::from(self.n),
-        ))
-    }
-
-    fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
-        // The whole tile in closed form: bit j set iff base + j ≡ id (mod n).
-        let n = u64::from(self.n);
-        let mut bits = 0u64;
-        let mut j = (u64::from(self.id.0) + n - base % n) % n;
-        while j < u64::from(width) {
-            bits |= 1u64 << j;
-            j += n;
-        }
-        Some(TxWord::forever(bits))
-    }
-}
-
-/// The round-robin bits of tile `[base, end)` for station `id` of a
-/// protocol that interleaves round-robin on its even slots (slot `2p` is
-/// position `p`, owned by station `p mod n`), as `fill_tx_word` plans them.
-pub(crate) fn even_slot_bits(id: StationId, n: u32, base: Slot, end: Slot) -> u64 {
-    let (n, id) = (u64::from(n), u64::from(id.0));
-    let mut bits = 0u64;
-    for t in (base.next_multiple_of(2)..end).step_by(2) {
-        if (t / 2) % n == id {
-            bits |= 1u64 << (t - base);
-        }
-    }
-    bits
-}
-
-/// One equivalence class of round-robin stations: the schedule is fully
-/// determined by `(t mod n)`, so a whole wake batch — any member set — is a
-/// single unit. At most one member (the slot's owner) ever transmits, and
-/// the class's next transmission is the earliest slot whose owner is a
-/// member: O(log runs) via the RLE member set, O(1) state per class.
-struct RoundRobinClass {
-    members: Members,
-    n: u32,
-}
-
-impl ClassStation for RoundRobinClass {
-    fn weight(&self) -> u64 {
-        self.members.count()
-    }
-
-    fn wake(&mut self, _sigma: Slot) {}
-
-    fn act(&mut self, t: Slot, tally: &mut TxTally) {
-        let owner = (t % u64::from(self.n)) as u32;
-        if self.members.contains(owner) {
-            tally.push(StationId(owner));
-        }
-    }
-
-    fn next_transmission(&mut self, after: Slot) -> TxHint {
-        let n = u64::from(self.n);
-        let r = (after % n) as u32;
-        // First member turn in the rest of this cycle, else wrap to the
-        // smallest member's turn in the next cycle.
-        let slot = match self.members.next_at_or_after(r) {
-            Some(x) if u64::from(x) < n => after + u64::from(x - r),
-            _ => {
-                let m0 = self.members.first().expect("class has members");
-                after + (n - u64::from(r)) + u64::from(m0)
-            }
-        };
-        TxHint::at(slot)
-    }
-
-    fn remove_member(&mut self, id: StationId) -> MemberRemoval {
-        // The schedule is oblivious, so dropping a member just shrinks the
-        // RLE set; the remaining members' turns are unchanged.
-        if self.members.remove(id.0) {
-            MemberRemoval::Removed {
-                emptied: self.members.is_empty(),
-            }
-        } else {
-            MemberRemoval::NotMember
-        }
-    }
-}
-
 impl Protocol for RoundRobin {
     fn station(&self, id: StationId, _seed: u64) -> Box<dyn Station> {
-        Box::new(RoundRobinStation { id, n: self.n })
+        self.expr.station(id)
     }
 
     fn class_station(&self, members: &Members, _run_seed: u64) -> Option<Box<dyn ClassStation>> {
-        Some(Box::new(RoundRobinClass {
-            members: members.clone(),
-            n: self.n,
-        }))
+        Some(self.expr.class(members))
     }
 
     fn name(&self) -> String {

@@ -13,17 +13,19 @@
 //! so that slot is a success. Time: reaching and finishing `Fᵢ` costs
 //! `O(Σ_{j ≤ i} 2^j log(n/2^j)) = O(|X| log(n/|X|) + |X|) ⊆ O(k log(n/k) + k)`.
 //!
-//! This component alone is **not** a complete algorithm for Scenario A: it
-//! ignores stations woken after `s` (they may be the only chance of success
-//! if… no, `X ≠ ∅` always — it *is* complete, but not optimal for
-//! `k > n/c`). [`WakeupWithS`](crate::wakeup_with_s::WakeupWithS)
-//! interleaves it with round-robin to cover the large-`k` regime.
+//! This component alone solves wake-up, since `X` is never empty, but it is
+//! not optimal for `k > n/c`: walking the families costs `Θ(k)` there, while
+//! round-robin needs only `n − k + 1` slots.
+//! [`WakeupWithS`](crate::wakeup_with_s::WakeupWithS) interleaves it with
+//! round-robin to cover the large-`k` regime.
+//!
+//! The module also holds the doubling schedule that Scenario B shares
+//! ([`DoublingSchedule`]) and its memoized walks: per station
+//! ([`PositionIndex`] and a private cache) and per class (a budgeted scan).
 
 use crate::family_provider::{DynFamily, DynRow, FamilyProvider};
-use mac_sim::{
-    Action, ClassStation, MemberRemoval, Members, Protocol, Slot, Station, StationId, TxHint,
-    TxRow, TxTally, TxWord, Until,
-};
+use crate::oblivious::{Gate, Oblivious};
+use mac_sim::{ClassStation, Members, Protocol, Slot, Station, StationId, TxRow};
 use selectors::math::log_n;
 use std::sync::Arc;
 
@@ -222,11 +224,6 @@ impl PositionIndex {
             _ => Some(p + (self.period - r) + first),
         }
     }
-
-    /// Number of transmitting positions per period.
-    pub fn hits_per_period(&self) -> usize {
-        self.positions.len()
-    }
 }
 
 /// A station's memoized walk of a [`DoublingSchedule`]: the one source of
@@ -396,23 +393,21 @@ impl AnyMemberScan {
     }
 }
 
-/// The `select_among_the_first` protocol (Scenario A component).
+/// The `select_among_the_first` protocol (Scenario A component): the
+/// doubling schedule alone, behind the woken-at-`s` gate.
 #[derive(Clone, Debug)]
 pub struct SelectAmongFirst {
     n: u32,
     s: Slot,
-    schedule: Arc<DoublingSchedule>,
+    period: u64,
+    expr: Arc<Oblivious>,
 }
 
 impl SelectAmongFirst {
     /// Build for `n` stations with known first-wake-up slot `s`.
     pub fn new(n: u32, s: Slot, provider: FamilyProvider) -> Self {
         let top = full_doubling_top(n);
-        SelectAmongFirst {
-            n,
-            s,
-            schedule: Arc::new(DoublingSchedule::new(&provider, n, top)),
-        }
+        Self::over(n, s, Arc::new(DoublingSchedule::new(&provider, n, top)))
     }
 
     /// Like [`new`](Self::new), but the doubling schedule comes out of
@@ -424,10 +419,15 @@ impl SelectAmongFirst {
         provider: &FamilyProvider,
         cache: &crate::cache::ConstructionCache,
     ) -> Self {
+        Self::over(n, s, cache.schedule(provider, n, full_doubling_top(n)))
+    }
+
+    fn over(n: u32, s: Slot, schedule: Arc<DoublingSchedule>) -> Self {
         SelectAmongFirst {
             n,
             s,
-            schedule: cache.schedule(provider, n, full_doubling_top(n)),
+            period: schedule.period(),
+            expr: Oblivious::new(None, Some((schedule, Gate::WokeAt(s)))),
         }
     }
 
@@ -438,150 +438,17 @@ impl SelectAmongFirst {
 
     /// Total length of one pass over all families.
     pub fn schedule_period(&self) -> u64 {
-        self.schedule.period()
-    }
-}
-
-struct SafStation {
-    id: StationId,
-    s: Slot,
-    participates: bool,
-    schedule: Arc<DoublingSchedule>,
-    /// Memoized schedule walk behind both `act` and the hint (see
-    /// [`NextPositionCache`]).
-    cache: NextPositionCache,
-}
-
-impl Station for SafStation {
-    fn wake(&mut self, sigma: Slot) {
-        // Participation is decidable locally: compare own wake time with s.
-        self.participates = sigma == self.s;
-    }
-
-    fn act(&mut self, t: Slot) -> Action {
-        if !self.participates || t < self.s {
-            return Action::Listen;
-        }
-        Action::from_bool(
-            self.cache
-                .transmits_at(&self.schedule, self.id.0, t - self.s),
-        )
-    }
-
-    fn next_transmission(&mut self, after: Slot) -> TxHint {
-        if !self.participates {
-            return TxHint::never();
-        }
-        let from = after.max(self.s);
-        match self.cache.query(&self.schedule, self.id.0, from - self.s) {
-            Some(p) => TxHint::at(self.s + p),
-            None => TxHint::never(),
-        }
-    }
-
-    fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
-        // The schedule is oblivious and participation is fixed at wake, so
-        // the whole tile is an unconditional fact: one bounded walk over
-        // the tile's positions, kept off the memo (a refill after an early
-        // success starts inside this tile).
-        if !self.participates {
-            return Some(TxWord::forever(0));
-        }
-        // Slot t ≥ s is position t − s.
-        let from = base.saturating_sub(self.s);
-        let end = (base + u64::from(width)).saturating_sub(self.s);
-        let mut bits = 0u64;
-        for q in self.schedule.positions_in(self.id.0, from, end) {
-            bits |= 1u64 << (self.s + q - base);
-        }
-        Some(TxWord::forever(bits))
-    }
-}
-
-/// One equivalence class of `select_among_the_first` stations — a wake batch
-/// shares `σ`, so either every member participates (`σ = s`) or none does,
-/// and the whole batch walks the same schedule. Per-slot work is one
-/// [`TxTally::record_members`] sweep; hints come from the budgeted
-/// [`AnyMemberScan`], answering `Never(Until::Slot(…))` when the budget runs
-/// out so the engine re-queries at the proven-silence bound.
-struct SafClass {
-    members: Members,
-    s: Slot,
-    participates: bool,
-    schedule: Arc<DoublingSchedule>,
-    scan: AnyMemberScan,
-}
-
-impl ClassStation for SafClass {
-    fn weight(&self) -> u64 {
-        self.members.count()
-    }
-
-    fn wake(&mut self, sigma: Slot) {
-        self.participates = sigma == self.s;
-    }
-
-    fn act(&mut self, t: Slot, tally: &mut TxTally) {
-        if !self.participates || t < self.s {
-            return;
-        }
-        tally.record_members(&self.members, self.schedule.row(t - self.s));
-    }
-
-    fn next_transmission(&mut self, after: Slot) -> TxHint {
-        if !self.participates {
-            return TxHint::never();
-        }
-        let q0 = after.max(self.s) - self.s;
-        match self.scan.next_hit(
-            &self.schedule,
-            &self.members,
-            q0,
-            u64::MAX,
-            CLASS_SCAN_BUDGET,
-        ) {
-            Scan::Hit(q) => TxHint::at(self.s + q),
-            Scan::Never => TxHint::never(),
-            // Budget exhausted: silence proven strictly past `after`, so the
-            // engine may skip to the bound and ask again.
-            Scan::SilentBelow(b) => TxHint::Never(Until::Slot(self.s + b)),
-        }
-    }
-
-    fn remove_member(&mut self, id: StationId) -> MemberRemoval {
-        // The schedule is per-member and oblivious; removal shrinks the
-        // set. The scan memo may hold the departed member's hit, so
-        // restart it (proven silence only grows when members leave).
-        if self.members.remove(id.0) {
-            self.scan = AnyMemberScan::default();
-            MemberRemoval::Removed {
-                emptied: self.members.is_empty(),
-            }
-        } else {
-            MemberRemoval::NotMember
-        }
+        self.period
     }
 }
 
 impl Protocol for SelectAmongFirst {
     fn station(&self, id: StationId, _seed: u64) -> Box<dyn Station> {
-        Box::new(SafStation {
-            id,
-            s: self.s,
-            participates: false,
-            schedule: Arc::clone(&self.schedule),
-            cache: NextPositionCache::default(),
-        })
+        self.expr.station(id)
     }
 
     fn class_station(&self, members: &Members, _run_seed: u64) -> Option<Box<dyn ClassStation>> {
-        Some(Box::new(SafClass {
-            members: members.clone(),
-            s: self.s,
-            participates: false,
-            schedule: Arc::clone(&self.schedule),
-            scan: AnyMemberScan::default(),
-        }))
+        Some(self.expr.class(members))
     }
 
     fn name(&self) -> String {

@@ -21,17 +21,20 @@
 //! most another pass ⇒ `O(k log(n/k) + k)` from `s`.
 
 use crate::family_provider::FamilyProvider;
-use crate::select_among_first::{DoublingSchedule, NextPositionCache};
-use mac_sim::{Action, Protocol, Slot, Station, StationId, TxHint, TxWord};
+use crate::oblivious::{Gate, Oblivious};
+use crate::select_among_first::DoublingSchedule;
+use mac_sim::{ClassStation, Members, Protocol, Station, StationId};
 use selectors::math::log_n;
 use std::sync::Arc;
 
-/// The `wait_and_go` protocol (Scenario B component).
+/// The `wait_and_go` protocol (Scenario B component): the doubling schedule
+/// alone, behind the next-boundary gate.
 #[derive(Clone, Debug)]
 pub struct WaitAndGo {
     n: u32,
     k: u32,
     schedule: Arc<DoublingSchedule>,
+    expr: Arc<Oblivious>,
 }
 
 impl WaitAndGo {
@@ -41,11 +44,7 @@ impl WaitAndGo {
     /// family (the full set): the single awake station transmits immediately.
     pub fn new(n: u32, k: u32, provider: FamilyProvider) -> Self {
         let top = Self::top(n, k);
-        WaitAndGo {
-            n,
-            k,
-            schedule: Arc::new(DoublingSchedule::new(&provider, n, top)),
-        }
+        Self::over(n, k, Arc::new(DoublingSchedule::new(&provider, n, top)))
     }
 
     /// Like [`new`](Self::new), but the doubling schedule (families,
@@ -58,10 +57,16 @@ impl WaitAndGo {
         cache: &crate::cache::ConstructionCache,
     ) -> Self {
         let top = Self::top(n, k);
+        Self::over(n, k, cache.schedule(provider, n, top))
+    }
+
+    fn over(n: u32, k: u32, schedule: Arc<DoublingSchedule>) -> Self {
+        let expr = Oblivious::new(None, Some((Arc::clone(&schedule), Gate::NextBoundary)));
         WaitAndGo {
             n,
             k,
-            schedule: cache.schedule(provider, n, top),
+            schedule,
+            expr,
         }
     }
 
@@ -93,65 +98,13 @@ impl WaitAndGo {
     }
 }
 
-struct WagStation {
-    id: StationId,
-    /// First slot at which this station may transmit (the family boundary
-    /// `σ ≥ j` of the paper); set at wake-up.
-    go_slot: Slot,
-    schedule: Arc<DoublingSchedule>,
-    /// Memoized schedule walk behind both `act` and the hint (see
-    /// [`NextPositionCache`]).
-    cache: NextPositionCache,
-}
-
-impl Station for WagStation {
-    fn wake(&mut self, sigma: Slot) {
-        // Global positions coincide with global slots here (the component
-        // runs on its own; the interleaved variant maps slots first).
-        self.go_slot = self.schedule.next_boundary(sigma);
-    }
-
-    fn act(&mut self, t: Slot) -> Action {
-        if t < self.go_slot {
-            return Action::Listen;
-        }
-        Action::from_bool(self.cache.transmits_at(&self.schedule, self.id.0, t))
-    }
-
-    fn next_transmission(&mut self, after: Slot) -> TxHint {
-        // Positions coincide with global slots for the stand-alone component.
-        let from = after.max(self.go_slot);
-        match self.cache.query(&self.schedule, self.id.0, from) {
-            Some(p) => TxHint::at(p),
-            None => TxHint::never(),
-        }
-    }
-
-    fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
-        // The schedule is oblivious and the boundary wait is fixed at wake,
-        // so the tile is an unconditional fact: one bounded walk over its
-        // slots, kept off the memo (a refill after an early success starts
-        // inside this tile).
-        let mut bits = 0u64;
-        let from = base.max(self.go_slot);
-        for p in self
-            .schedule
-            .positions_in(self.id.0, from, base + u64::from(width))
-        {
-            bits |= 1u64 << (p - base);
-        }
-        Some(TxWord::forever(bits))
-    }
-}
-
 impl Protocol for WaitAndGo {
     fn station(&self, id: StationId, _seed: u64) -> Box<dyn Station> {
-        Box::new(WagStation {
-            id,
-            go_slot: 0,
-            schedule: Arc::clone(&self.schedule),
-            cache: NextPositionCache::default(),
-        })
+        self.expr.station(id)
+    }
+
+    fn class_station(&self, members: &Members, _run_seed: u64) -> Option<Box<dyn ClassStation>> {
+        Some(self.expr.class(members))
     }
 
     fn name(&self) -> String {

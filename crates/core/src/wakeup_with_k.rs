@@ -15,11 +15,9 @@
 //! the algorithm degrades instead of failing (pinned by a test below).
 
 use crate::family_provider::FamilyProvider;
-use crate::round_robin::even_slot_bits;
-use crate::select_among_first::{DoublingSchedule, NextPositionCache};
+use crate::oblivious::{Gate, Oblivious};
 use crate::wait_and_go::WaitAndGo;
-use mac_sim::{Action, Protocol, Slot, Station, StationId, TxHint, TxWord};
-use selectors::math::next_congruent;
+use mac_sim::{ClassStation, Members, Protocol, Station, StationId};
 use std::sync::Arc;
 
 /// The Scenario B algorithm: round-robin ⊕ wait-and-go.
@@ -27,18 +25,14 @@ use std::sync::Arc;
 pub struct WakeupWithK {
     n: u32,
     k: u32,
-    schedule: Arc<DoublingSchedule>,
+    period: u64,
+    expr: Arc<Oblivious>,
 }
 
 impl WakeupWithK {
     /// Build for `n` stations with known contention bound `k`.
     pub fn new(n: u32, k: u32, provider: FamilyProvider) -> Self {
-        let wag = WaitAndGo::new(n, k, provider);
-        WakeupWithK {
-            n,
-            k,
-            schedule: Arc::clone(wag.schedule()),
-        }
+        Self::interleaving(n, &WaitAndGo::new(n, k, provider))
     }
 
     /// Like [`new`](Self::new), but the wait-and-go schedule comes out of
@@ -50,11 +44,20 @@ impl WakeupWithK {
         provider: &FamilyProvider,
         cache: &crate::cache::ConstructionCache,
     ) -> Self {
-        let wag = WaitAndGo::cached(n, k, provider, cache);
+        Self::interleaving(n, &WaitAndGo::cached(n, k, provider, cache))
+    }
+
+    /// Round-robin over `n` on even slots, `wag`'s gated schedule on odd
+    /// slots.
+    fn interleaving(n: u32, wag: &WaitAndGo) -> Self {
         WakeupWithK {
             n,
-            k,
-            schedule: Arc::clone(wag.schedule()),
+            k: wag.k(),
+            period: wag.period(),
+            expr: Oblivious::new(
+                Some(n),
+                Some((Arc::clone(wag.schedule()), Gate::NextBoundary)),
+            ),
         }
     }
 
@@ -65,86 +68,17 @@ impl WakeupWithK {
 
     /// The cyclic period `z` of the wait-and-go component (in positions).
     pub fn period(&self) -> u64 {
-        self.schedule.period()
-    }
-}
-
-struct WwkStation {
-    id: StationId,
-    n: u32,
-    /// First wait-and-go *position* at which this station may transmit.
-    go_position: u64,
-    schedule: Arc<DoublingSchedule>,
-    /// Memoized wait-and-go walk behind both `act` and the hint (see
-    /// [`NextPositionCache`]).
-    wag_cache: NextPositionCache,
-}
-
-impl Station for WwkStation {
-    fn wake(&mut self, sigma: Slot) {
-        // First odd slot ≥ sigma, mapped to its wait-and-go position.
-        let first_odd = sigma + (sigma + 1) % 2;
-        let p0 = (first_odd - 1) / 2;
-        self.go_position = self.schedule.next_boundary(p0);
-    }
-
-    fn act(&mut self, t: Slot) -> Action {
-        if t.is_multiple_of(2) {
-            Action::from_bool((t / 2) % u64::from(self.n) == u64::from(self.id.0))
-        } else {
-            let p = (t - 1) / 2;
-            Action::from_bool(
-                p >= self.go_position && self.wag_cache.transmits_at(&self.schedule, self.id.0, p),
-            )
-        }
-    }
-
-    fn next_transmission(&mut self, after: Slot) -> TxHint {
-        // Round-robin component on even slots 2p, p ≡ id (mod n): O(1).
-        let rr_slot =
-            2 * next_congruent(after.div_ceil(2), u64::from(self.id.0), u64::from(self.n));
-
-        // Wait-and-go component on odd slots 2p + 1, positions gated by the
-        // family-boundary wait.
-        let q0 = after.saturating_sub(1).div_ceil(2).max(self.go_position);
-        let wag_slot = self
-            .wag_cache
-            .query(&self.schedule, self.id.0, q0)
-            .map(|q| 2 * q + 1);
-
-        match wag_slot {
-            Some(wag) => TxHint::at(rr_slot.min(wag)),
-            None => TxHint::at(rr_slot),
-        }
-    }
-
-    fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
-        // Both components are oblivious and the boundary wait is fixed at
-        // wake, so the interleaved tile is an unconditional fact:
-        // round-robin parity arithmetic on even slots, one bounded walk
-        // over the odd slots' wait-and-go positions — kept off the memo (a
-        // refill after an early success starts inside this tile).
-        let end = base + u64::from(width);
-        let mut bits = even_slot_bits(self.id, self.n, base, end);
-        // Odd slot 2q + 1 is position q, so the odd slots of [base, end)
-        // are the positions [base / 2, end / 2).
-        let q0 = (base / 2).max(self.go_position);
-        for q in self.schedule.positions_in(self.id.0, q0, end / 2) {
-            bits |= 1u64 << (2 * q + 1 - base);
-        }
-        Some(TxWord::forever(bits))
+        self.period
     }
 }
 
 impl Protocol for WakeupWithK {
     fn station(&self, id: StationId, _seed: u64) -> Box<dyn Station> {
-        Box::new(WwkStation {
-            id,
-            n: self.n,
-            go_position: 0,
-            schedule: Arc::clone(&self.schedule),
-            wag_cache: NextPositionCache::default(),
-        })
+        self.expr.station(id)
+    }
+
+    fn class_station(&self, members: &Members, _run_seed: u64) -> Option<Box<dyn ClassStation>> {
+        Some(self.expr.class(members))
     }
 
     fn name(&self) -> String {

@@ -11,15 +11,9 @@
 //! (Theorem 2.1 for `k > n/c`; Clementi–Monti–Silvestri for `k ≤ n/64`).
 
 use crate::family_provider::FamilyProvider;
-use crate::round_robin::even_slot_bits;
-use crate::select_among_first::{
-    AnyMemberScan, DoublingSchedule, NextPositionCache, Scan, CLASS_SCAN_BUDGET,
-};
-use mac_sim::{
-    Action, ClassStation, MemberRemoval, Members, Protocol, Slot, Station, StationId, TxHint,
-    TxTally, TxWord, Until,
-};
-use selectors::math::next_congruent;
+use crate::oblivious::{Gate, Oblivious};
+use crate::select_among_first::{full_doubling_top, DoublingSchedule};
+use mac_sim::{ClassStation, Members, Protocol, Slot, Station, StationId};
 use std::sync::Arc;
 
 /// The Scenario A algorithm: round-robin ⊕ select-among-the-first.
@@ -27,18 +21,14 @@ use std::sync::Arc;
 pub struct WakeupWithS {
     n: u32,
     s: Slot,
-    schedule: Arc<DoublingSchedule>,
+    expr: Arc<Oblivious>,
 }
 
 impl WakeupWithS {
     /// Build for `n` stations with known first-wake-up slot `s`.
     pub fn new(n: u32, s: Slot, provider: FamilyProvider) -> Self {
-        let top = crate::select_among_first::full_doubling_top(n);
-        WakeupWithS {
-            n,
-            s,
-            schedule: Arc::new(DoublingSchedule::new(&provider, n, top)),
-        }
+        let top = full_doubling_top(n);
+        Self::over(n, s, Arc::new(DoublingSchedule::new(&provider, n, top)))
     }
 
     /// Like [`new`](Self::new), but the select-among-the-first schedule
@@ -50,11 +40,14 @@ impl WakeupWithS {
         provider: &FamilyProvider,
         cache: &crate::cache::ConstructionCache,
     ) -> Self {
-        let top = crate::select_among_first::full_doubling_top(n);
+        Self::over(n, s, cache.schedule(provider, n, full_doubling_top(n)))
+    }
+
+    fn over(n: u32, s: Slot, schedule: Arc<DoublingSchedule>) -> Self {
         WakeupWithS {
             n,
             s,
-            schedule: cache.schedule(provider, n, top),
+            expr: Oblivious::new(Some(n), Some((schedule, Gate::WokeAt(s)))),
         }
     }
 
@@ -64,214 +57,13 @@ impl WakeupWithS {
     }
 }
 
-struct WwsStation {
-    id: StationId,
-    n: u32,
-    s: Slot,
-    participates_saf: bool,
-    schedule: Arc<DoublingSchedule>,
-    /// Memoized SAF walk behind both `act` and the hint (see
-    /// [`NextPositionCache`]).
-    saf_cache: NextPositionCache,
-}
-
-impl WwsStation {
-    /// Number of odd global slots in `[s, t]` minus one — the SAF schedule
-    /// position of odd slot `t ≥ s`. All participants woke at `s`, so they
-    /// agree on this position.
-    fn saf_position(&self, t: Slot) -> u64 {
-        debug_assert!(t % 2 == 1 && t >= self.s);
-        let first_odd = self.s + (self.s + 1) % 2; // s if odd, s+1 if even
-        debug_assert!(first_odd % 2 == 1);
-        (t - first_odd) / 2
-    }
-}
-
-impl Station for WwsStation {
-    fn wake(&mut self, sigma: Slot) {
-        self.participates_saf = sigma == self.s;
-    }
-
-    fn act(&mut self, t: Slot) -> Action {
-        if t.is_multiple_of(2) {
-            // Even slots: round-robin on position t/2.
-            Action::from_bool((t / 2) % u64::from(self.n) == u64::from(self.id.0))
-        } else if self.participates_saf && t >= self.s {
-            let q = self.saf_position(t);
-            Action::from_bool(self.saf_cache.transmits_at(&self.schedule, self.id.0, q))
-        } else {
-            Action::Listen
-        }
-    }
-
-    fn next_transmission(&mut self, after: Slot) -> TxHint {
-        // Round-robin component: the smallest even slot 2p ≥ after with
-        // p ≡ id (mod n), computed in O(1).
-        let rr_slot =
-            2 * next_congruent(after.div_ceil(2), u64::from(self.id.0), u64::from(self.n));
-
-        // Select-among-the-first component: odd slots, schedule positions
-        // counted in odd slots since s.
-        let saf_slot = if self.participates_saf {
-            let first_odd = self.s + (self.s + 1) % 2;
-            let t0 = after.max(first_odd);
-            let q0 = (t0 - first_odd).div_ceil(2);
-            self.saf_cache
-                .query(&self.schedule, self.id.0, q0)
-                .map(|q| first_odd + 2 * q)
-        } else {
-            None
-        };
-
-        match saf_slot {
-            Some(saf) => TxHint::at(rr_slot.min(saf)),
-            None => TxHint::at(rr_slot),
-        }
-    }
-
-    fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
-        // Both components are oblivious (participation fixed at wake), so
-        // the interleaved tile is an unconditional fact: round-robin parity
-        // arithmetic on even slots, one bounded walk over the odd slots'
-        // SAF positions — kept off the memo (a refill after an early
-        // success starts inside this tile).
-        let end = base + u64::from(width);
-        let mut bits = even_slot_bits(self.id, self.n, base, end);
-        if self.participates_saf {
-            let first_odd = self.s + (self.s + 1) % 2;
-            // SAF positions of the odd slots in [max(base, first_odd), end).
-            let q0 = (base.max(first_odd) - first_odd).div_ceil(2);
-            let q_end = end.saturating_sub(first_odd).div_ceil(2);
-            for q in self.schedule.positions_in(self.id.0, q0, q_end) {
-                bits |= 1u64 << (first_odd + 2 * q - base);
-            }
-        }
-        Some(TxWord::forever(bits))
-    }
-}
-
-/// One equivalence class of `wakeup_with_s` stations. A wake batch shares
-/// `σ`, hence SAF participation; even slots stay O(log runs) (at most the
-/// slot's round-robin owner transmits), odd slots are one
-/// [`TxTally::record_members`] sweep. Hints take the minimum of the
-/// round-robin bound (closed form over the member set) and a budgeted
-/// [`AnyMemberScan`] over the SAF schedule, whose window is capped at the
-/// round-robin bound — a proven-silent window already yields an exact
-/// `At(rr_slot)` answer, and a budget stop yields a `Never(Until::Slot(…))`
-/// re-query point strictly past `after`.
-struct WwsClass {
-    members: Members,
-    n: u32,
-    s: Slot,
-    participates_saf: bool,
-    schedule: Arc<DoublingSchedule>,
-    scan: AnyMemberScan,
-}
-
-impl WwsClass {
-    /// First odd global slot `≥ s` — SAF position 0.
-    fn first_odd(&self) -> Slot {
-        self.s + (self.s + 1) % 2
-    }
-
-    /// Smallest even slot `2p ≥ after` whose round-robin owner `p mod n` is
-    /// a member — the class counterpart of the station's `next_congruent`.
-    fn rr_slot(&self, after: Slot) -> Slot {
-        let n = u64::from(self.n);
-        let p0 = after.div_ceil(2);
-        let r = (p0 % n) as u32;
-        let p = match self.members.next_at_or_after(r) {
-            Some(x) if u64::from(x) < n => p0 + u64::from(x - r),
-            _ => {
-                let m0 = self.members.first().expect("class has members");
-                p0 + (n - u64::from(r)) + u64::from(m0)
-            }
-        };
-        2 * p
-    }
-}
-
-impl ClassStation for WwsClass {
-    fn weight(&self) -> u64 {
-        self.members.count()
-    }
-
-    fn wake(&mut self, sigma: Slot) {
-        self.participates_saf = sigma == self.s;
-    }
-
-    fn act(&mut self, t: Slot, tally: &mut TxTally) {
-        if t.is_multiple_of(2) {
-            let owner = ((t / 2) % u64::from(self.n)) as u32;
-            if self.members.contains(owner) {
-                tally.push(StationId(owner));
-            }
-        } else if self.participates_saf && t >= self.s {
-            let p = (t - self.first_odd()) / 2;
-            tally.record_members(&self.members, self.schedule.row(p));
-        }
-    }
-
-    fn next_transmission(&mut self, after: Slot) -> TxHint {
-        let rr_slot = self.rr_slot(after);
-        if !self.participates_saf {
-            return TxHint::at(rr_slot);
-        }
-        let first_odd = self.first_odd();
-        let q0 = (after.max(first_odd) - first_odd).div_ceil(2);
-        // Odd slots below rr_slot are the only SAF positions that can beat
-        // the round-robin turn; a window proven silent means rr_slot is it.
-        let q_lim = (rr_slot.saturating_sub(first_odd)).div_ceil(2);
-        match self
-            .scan
-            .next_hit(&self.schedule, &self.members, q0, q_lim, CLASS_SCAN_BUDGET)
-        {
-            Scan::Hit(q) => TxHint::at(first_odd + 2 * q),
-            Scan::Never => TxHint::at(rr_slot),
-            Scan::SilentBelow(b) if b >= q_lim => TxHint::at(rr_slot),
-            // Budget stop inside the window: silence holds strictly past
-            // `after` (b > q0 ⇒ first_odd + 2b ≥ after + 2), and the bound
-            // stays below rr_slot, so the round-robin turn is not skipped.
-            Scan::SilentBelow(b) => TxHint::Never(Until::Slot(first_odd + 2 * b)),
-        }
-    }
-
-    fn remove_member(&mut self, id: StationId) -> MemberRemoval {
-        // Both sub-schedules are per-member, so removal only shrinks the
-        // set. The scan memo may describe the departed member's hits, so
-        // restart it — at worst a re-proved window, never a missed turn.
-        if self.members.remove(id.0) {
-            self.scan = AnyMemberScan::default();
-            MemberRemoval::Removed {
-                emptied: self.members.is_empty(),
-            }
-        } else {
-            MemberRemoval::NotMember
-        }
-    }
-}
-
 impl Protocol for WakeupWithS {
     fn station(&self, id: StationId, _seed: u64) -> Box<dyn Station> {
-        Box::new(WwsStation {
-            id,
-            n: self.n,
-            s: self.s,
-            participates_saf: false,
-            schedule: Arc::clone(&self.schedule),
-            saf_cache: NextPositionCache::default(),
-        })
+        self.expr.station(id)
     }
 
     fn class_station(&self, members: &Members, _run_seed: u64) -> Option<Box<dyn ClassStation>> {
-        Some(Box::new(WwsClass {
-            members: members.clone(),
-            n: self.n,
-            s: self.s,
-            participates_saf: false,
-            schedule: Arc::clone(&self.schedule),
-            scan: AnyMemberScan::default(),
-        }))
+        Some(self.expr.class(members))
     }
 
     fn name(&self) -> String {

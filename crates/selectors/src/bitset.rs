@@ -125,10 +125,8 @@ impl BitSet {
     }
 
     /// The smallest member `≥ from`, or `None` — a word-scan successor
-    /// query over station IDs. Note this is the *ID* axis (who is in this
-    /// one set), the complement of the schedule-level
-    /// [`next_one`](crate::Schedule::next_one), which searches the
-    /// *position* axis (when does one station transmit).
+    /// query over station IDs (who is in this one set), not over schedule
+    /// positions (when does one station transmit).
     pub fn next_member(&self, from: u32) -> Option<u32> {
         if from >= self.universe {
             return None;

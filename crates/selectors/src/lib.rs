@@ -22,8 +22,8 @@
 //!   `2⌈log n⌉ + 1`;
 //! * [`verify`] — exhaustive and Monte-Carlo verification of (strong)
 //!   selectivity;
-//! * [`schedule`] — schedule algebra: concatenation, cyclic repetition and
-//!   the odd/even interleaving used by the paper's Scenario A/B algorithms;
+//! * [`schedule`] — schedule algebra: families as schedules, concatenation
+//!   and cyclic repetition, and round-robin;
 //! * [`prf`] — the deterministic pseudo-random membership function behind
 //!   oracle families and waking matrices;
 //! * [`math`] — small number-theoretic and combinatorial helpers
@@ -76,7 +76,7 @@ pub mod verify;
 pub use bitset::{transpose64, BitSet};
 pub use family::SelectiveFamily;
 pub use random::RandomFamilyBuilder;
-pub use schedule::{NextOne, Schedule, ScheduleExt};
+pub use schedule::{Schedule, ScheduleExt};
 
 /// Convenient glob import.
 pub mod prelude {
@@ -87,8 +87,7 @@ pub mod prelude {
     pub use crate::kautz_singleton::KautzSingleton;
     pub use crate::random::{OracleFamily, RandomFamilyBuilder};
     pub use crate::schedule::{
-        ConcatSchedule, CycleSchedule, FamilySchedule, InterleaveSchedule, NextOne, Schedule,
-        ScheduleExt,
+        ConcatSchedule, CycleSchedule, FamilySchedule, Schedule, ScheduleExt,
     };
     pub use crate::verify;
 }

@@ -37,8 +37,8 @@ pub fn log_log_n(n: u64) -> u32 {
 }
 
 /// The smallest `x ≥ from` with `x ≡ residue (mod modulus)` — the O(1)
-/// "when is this station's next round-robin turn?" primitive shared by the
-/// round-robin schedules and the interleaved protocols' sparse hints.
+/// "when is this station's next round-robin turn?" primitive behind the
+/// round-robin stations' hints and tile fills.
 ///
 /// Requires `residue < modulus`.
 #[inline]

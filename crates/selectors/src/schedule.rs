@@ -11,42 +11,10 @@
 //! * [`ConcatSchedule`] — `⟨F₁, F₂, …⟩`, the sequential composition used by
 //!   `select_among_the_first` and `wait_and_go`;
 //! * [`CycleSchedule`] — infinite cyclic repetition (`F_{j mod z}`);
-//! * [`InterleaveSchedule`] — even positions from one schedule, odd from
-//!   another: the paper's "interleaving is a very easy operation in a
-//!   scenario with global clock (e.g., one can execute round-robin in odd
-//!   rounds and the other algorithm in even rounds)";
 //! * [`RoundRobinSchedule`] — `u` transmits at position `j` iff `j ≡ u
 //!   (mod n)`, the time-division baseline.
 
 use crate::family::SelectiveFamily;
-
-/// Answer of [`Schedule::next_one`]: when does a station transmit next?
-///
-/// This is the schedule-algebra analogue of the simulator's transmission
-/// hint: [`NextOne::At`]/[`NextOne::Never`] are *promises* (exact next
-/// transmitting position / provable eternal silence), [`NextOne::Unknown`]
-/// means the schedule cannot answer efficiently and callers must fall back
-/// to dense evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NextOne {
-    /// The smallest position `j' ≥ j` with `transmits(u, j')`.
-    At(u64),
-    /// `transmits(u, j') = false` for every `j' ≥ j`.
-    Never,
-    /// The schedule declines to answer (callers evaluate densely).
-    Unknown,
-}
-
-impl NextOne {
-    /// The position if this is [`NextOne::At`].
-    #[inline]
-    pub fn position(self) -> Option<u64> {
-        match self {
-            NextOne::At(j) => Some(j),
-            _ => None,
-        }
-    }
-}
 
 /// A (possibly infinite) transmission schedule over universe `{0,…,n-1}`.
 pub trait Schedule {
@@ -65,23 +33,6 @@ pub trait Schedule {
     fn is_empty(&self) -> bool {
         self.len() == Some(0)
     }
-
-    /// The smallest position `j' ≥ j` at which station `u` transmits.
-    ///
-    /// The answer must agree exactly with [`transmits`](Schedule::transmits):
-    /// `At(j')` implies `transmits(u, j')` and silence on `[j, j')`;
-    /// `Never` implies silence everywhere at or after `j`. The default
-    /// implementation scans finite schedules and returns
-    /// [`NextOne::Unknown`] for infinite ones; combinators override it with
-    /// structure-aware versions so the simulator can skip silent slots.
-    fn next_one(&self, u: u32, j: u64) -> NextOne {
-        match self.len() {
-            Some(len) => (j..len)
-                .find(|&p| self.transmits(u, p))
-                .map_or(NextOne::Never, NextOne::At),
-            None => NextOne::Unknown,
-        }
-    }
 }
 
 /// Extension combinators for schedules.
@@ -89,11 +40,6 @@ pub trait ScheduleExt: Schedule + Sized {
     /// Repeat this schedule cyclically forever.
     fn cycle(self) -> CycleSchedule<Self> {
         CycleSchedule::new(self)
-    }
-
-    /// Interleave with `other`: even positions run `self`, odd run `other`.
-    fn interleave<B: Schedule>(self, other: B) -> InterleaveSchedule<Self, B> {
-        InterleaveSchedule::new(self, other)
     }
 }
 
@@ -109,9 +55,6 @@ impl<S: Schedule + ?Sized> Schedule for &S {
     fn transmits(&self, u: u32, j: u64) -> bool {
         (**self).transmits(u, j)
     }
-    fn next_one(&self, u: u32, j: u64) -> NextOne {
-        (**self).next_one(u, j)
-    }
 }
 
 impl<S: Schedule + ?Sized> Schedule for Box<S> {
@@ -123,9 +66,6 @@ impl<S: Schedule + ?Sized> Schedule for Box<S> {
     }
     fn transmits(&self, u: u32, j: u64) -> bool {
         (**self).transmits(u, j)
-    }
-    fn next_one(&self, u: u32, j: u64) -> NextOne {
-        (**self).next_one(u, j)
     }
 }
 
@@ -230,20 +170,6 @@ impl<S: Schedule> Schedule for ConcatSchedule<S> {
             None => false,
         }
     }
-    fn next_one(&self, u: u32, j: u64) -> NextOne {
-        let Some((first, local)) = self.locate(j) else {
-            return NextOne::Never;
-        };
-        let mut local = local;
-        for i in first..self.parts.len() {
-            match self.parts[i].next_one(u, local) {
-                NextOne::At(p) => return NextOne::At(self.offsets[i] + p),
-                NextOne::Never => local = 0,
-                NextOne::Unknown => return NextOne::Unknown,
-            }
-        }
-        NextOne::Never
-    }
 }
 
 /// Infinite cyclic repetition of a finite schedule (`F_{j mod z}`).
@@ -282,80 +208,6 @@ impl<S: Schedule> Schedule for CycleSchedule<S> {
     fn transmits(&self, u: u32, j: u64) -> bool {
         self.inner.transmits(u, j % self.period)
     }
-    fn next_one(&self, u: u32, j: u64) -> NextOne {
-        let r = j % self.period;
-        // Rest of the current pass, then (if silent there) one fresh pass.
-        match self.inner.next_one(u, r) {
-            NextOne::At(p) => NextOne::At(j + (p - r)),
-            NextOne::Unknown => NextOne::Unknown,
-            NextOne::Never => match self.inner.next_one(u, 0) {
-                NextOne::At(p) => NextOne::At(j - r + self.period + p),
-                NextOne::Never => NextOne::Never,
-                NextOne::Unknown => NextOne::Unknown,
-            },
-        }
-    }
-}
-
-/// Odd/even interleaving: position `2r` runs `a` at `r`, position `2r+1`
-/// runs `b` at `r`.
-#[derive(Clone, Debug)]
-pub struct InterleaveSchedule<A: Schedule, B: Schedule> {
-    a: A,
-    b: B,
-}
-
-impl<A: Schedule, B: Schedule> InterleaveSchedule<A, B> {
-    /// Interleave two schedules over the same universe.
-    pub fn new(a: A, b: B) -> Self {
-        assert_eq!(a.n(), b.n(), "interleave: universe mismatch");
-        InterleaveSchedule { a, b }
-    }
-}
-
-impl<A: Schedule, B: Schedule> Schedule for InterleaveSchedule<A, B> {
-    fn n(&self) -> u32 {
-        self.a.n()
-    }
-
-    fn len(&self) -> Option<u64> {
-        match (self.a.len(), self.b.len()) {
-            (Some(la), Some(lb)) => {
-                // Positions used: interleaving ends when both are exhausted.
-                Some(2 * la.max(lb))
-            }
-            _ => None,
-        }
-    }
-
-    fn transmits(&self, u: u32, j: u64) -> bool {
-        if j.is_multiple_of(2) {
-            self.a.transmits(u, j / 2)
-        } else {
-            self.b.transmits(u, j / 2)
-        }
-    }
-    fn next_one(&self, u: u32, j: u64) -> NextOne {
-        // Even candidates 2r ≥ j and odd candidates 2r + 1 ≥ j.
-        let ra = j.div_ceil(2);
-        let rb = j.saturating_sub(1).div_ceil(2);
-        let a = match self.a.next_one(u, ra) {
-            NextOne::At(p) => Some(2 * p),
-            NextOne::Never => None,
-            NextOne::Unknown => return NextOne::Unknown,
-        };
-        let b = match self.b.next_one(u, rb) {
-            NextOne::At(p) => Some(2 * p + 1),
-            NextOne::Never => None,
-            NextOne::Unknown => return NextOne::Unknown,
-        };
-        match (a, b) {
-            (Some(x), Some(y)) => NextOne::At(x.min(y)),
-            (Some(x), None) => NextOne::At(x),
-            (None, Some(y)) => NextOne::At(y),
-            (None, None) => NextOne::Never,
-        }
-    }
 }
 
 /// Round-robin (time-division multiplexing): `u` transmits at position `j`
@@ -382,16 +234,6 @@ impl Schedule for RoundRobinSchedule {
     }
     fn transmits(&self, u: u32, j: u64) -> bool {
         u < self.n && j % u64::from(self.n) == u64::from(u)
-    }
-    fn next_one(&self, u: u32, j: u64) -> NextOne {
-        if u >= self.n {
-            return NextOne::Never;
-        }
-        NextOne::At(crate::math::next_congruent(
-            j,
-            u64::from(u),
-            u64::from(self.n),
-        ))
     }
 }
 
@@ -468,30 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn interleave_even_odd() {
-        let rr = RoundRobinSchedule::new(4);
-        let f = FamilySchedule::new(fam(4, 2, &[&[3], &[3]])).cycle();
-        let il = InterleaveSchedule::new(rr, f);
-        // Even positions 2r: round-robin position r.
-        assert!(il.transmits(0, 0)); // rr pos 0 → station 0
-        assert!(il.transmits(1, 2)); // rr pos 1 → station 1
-        assert!(!il.transmits(0, 2));
-        // Odd positions 2r+1: family position r → station 3 always.
-        assert!(il.transmits(3, 1));
-        assert!(il.transmits(3, 3));
-        assert!(!il.transmits(0, 1));
-        assert_eq!(il.len(), None);
-    }
-
-    #[test]
-    fn interleave_finite_lengths() {
-        let a = FamilySchedule::new(fam(4, 2, &[&[0]]));
-        let b = FamilySchedule::new(fam(4, 2, &[&[1], &[2], &[3]]));
-        let il = InterleaveSchedule::new(a, b);
-        assert_eq!(il.len(), Some(6));
-    }
-
-    #[test]
     fn round_robin_schedule() {
         let rr = RoundRobinSchedule::new(3);
         for j in 0..9u64 {
@@ -500,54 +318,6 @@ mod tests {
             }
         }
         assert!(!rr.transmits(7, 1)); // out-of-universe station
-    }
-
-    /// `next_one` must agree with a dense scan of `transmits`. The naive
-    /// scan looks far enough ahead (1000 positions) to cover many periods of
-    /// every schedule under test.
-    fn assert_next_one_consistent<S: Schedule>(s: &S, horizon: u64) {
-        for u in 0..s.n() + 2 {
-            for j in 0..horizon {
-                let naive = (j..j + 1000).find(|&p| s.transmits(u, p));
-                match s.next_one(u, j) {
-                    NextOne::At(p) => {
-                        assert_eq!(Some(p), naive, "u={u} j={j}: At({p}) vs naive {naive:?}")
-                    }
-                    NextOne::Never => {
-                        assert_eq!(None, naive, "u={u} j={j}: Never but naive {naive:?}")
-                    }
-                    NextOne::Unknown => panic!("u={u} j={j}: combinator answered Unknown"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn next_one_agrees_with_dense_scan_for_all_combinators() {
-        let n = 6u32;
-        let f1 = FamilySchedule::new(fam(n, 2, &[&[0, 1], &[2], &[], &[3, 5]]));
-        let f2 = FamilySchedule::new(fam(n, 2, &[&[4], &[1, 2, 3]]));
-        // Finite horizons are the schedule lengths; infinite ones get a
-        // window long enough to cover several periods.
-        assert_next_one_consistent(&f1, 4);
-        let concat = ConcatSchedule::new(vec![f1.clone(), f2.clone()]);
-        assert_next_one_consistent(&concat, 6);
-        let cycle = concat.clone().cycle();
-        assert_next_one_consistent(&cycle, 30);
-        let rr = RoundRobinSchedule::new(n);
-        assert_next_one_consistent(&rr, 25);
-        let il = InterleaveSchedule::new(rr, cycle);
-        assert_next_one_consistent(&il, 40);
-        let il2 = InterleaveSchedule::new(f1, f2);
-        assert_next_one_consistent(&il2, 12);
-    }
-
-    #[test]
-    fn next_one_never_for_absent_station() {
-        // Station 4 appears nowhere in the cycled family: Never, not a hang.
-        let f = FamilySchedule::new(fam(6, 2, &[&[0], &[1, 2]])).cycle();
-        assert_eq!(f.next_one(4, 0), NextOne::Never);
-        assert_eq!(f.next_one(0, 5), NextOne::At(6));
     }
 
     #[test]

@@ -7,9 +7,7 @@ use selectors::family::SelectiveFamily;
 use selectors::kautz_singleton::KautzSingleton;
 use selectors::math::{ceil_log2, choose, floor_log2, for_each_subset, is_prime, next_prime};
 use selectors::random::RandomFamilyBuilder;
-use selectors::schedule::{
-    ConcatSchedule, FamilySchedule, RoundRobinSchedule, Schedule, ScheduleExt,
-};
+use selectors::schedule::{ConcatSchedule, FamilySchedule, Schedule, ScheduleExt};
 use selectors::verify;
 use std::collections::BTreeSet;
 
@@ -144,23 +142,6 @@ proptest! {
         for j in 0..3 * z {
             for u in 0..n {
                 prop_assert_eq!(sched.transmits(u, j), sched.transmits(u, j + z));
-            }
-        }
-    }
-
-    #[test]
-    fn interleave_projects_even_odd(n in 2u32..30, seed in 0u64..50) {
-        let a = RoundRobinSchedule::new(n);
-        let fam = RandomFamilyBuilder::new(n, 2.min(n))
-            .seed(seed)
-            .length(5)
-            .build_explicit();
-        let b = FamilySchedule::new(fam).cycle();
-        let il = a.interleave(b.clone());
-        for r in 0..40u64 {
-            for u in 0..n {
-                prop_assert_eq!(il.transmits(u, 2 * r), a.transmits(u, r));
-                prop_assert_eq!(il.transmits(u, 2 * r + 1), b.transmits(u, r));
             }
         }
     }

@@ -549,8 +549,8 @@ fn mid_run_yield_collapse_triggers_dense_stepping() {
 // the memory economy the mega-station engine buys.
 // ---------------------------------------------------------------------
 
-/// Run `protocol` under the concrete and the class-aggregated populations
-/// and assert identical observables.
+/// Run `protocol` under the concrete and the class-aggregated populations,
+/// assert identical observables, and return the classed outcome.
 fn assert_class_equivalent_under(
     n: u32,
     protocol: &dyn Protocol,
@@ -559,7 +559,7 @@ fn assert_class_equivalent_under(
     max_slots: Option<u64>,
     stop: StopRule,
     feedback: FeedbackModel,
-) {
+) -> Outcome {
     let mut cfg = SimConfig::new(n).with_transcript().with_feedback(feedback);
     if stop == StopRule::AllResolved {
         cfg = cfg.until_all_resolved();
@@ -620,6 +620,7 @@ fn assert_class_equivalent_under(
         classed.peak_units,
         concrete.peak_units
     );
+    classed
 }
 
 proptest! {
@@ -843,6 +844,28 @@ fn mega_block_wake_runs_in_constant_units() {
     assert_eq!(classed.transmissions, concrete.transmissions);
     assert_eq!(concrete.peak_units as u32, n);
     assert_eq!(classed.peak_units, 1, "block wake is one class");
+
+    // Every oblivious protocol of §3–§4 runs a block wake as one class, for
+    // s of both parities: half the universe at n = 256, with k = 128.
+    let (n, k) = (256u32, 128u32);
+    let provider = FamilyProvider::random_with_seed(5);
+    let (stop, fb) = (StopRule::FirstSuccess, FeedbackModel::NoCollisionDetection);
+    for s in [0u64, 3] {
+        let pattern = WakePattern::range(0, k, s).unwrap();
+        let protocols: [Box<dyn Protocol>; 5] = [
+            Box::new(RoundRobin::new(n)),
+            Box::new(SelectAmongFirst::new(n, s, provider)),
+            Box::new(WaitAndGo::new(n, k, provider)),
+            Box::new(WakeupWithS::new(n, s, provider)),
+            Box::new(WakeupWithK::new(n, k, provider)),
+        ];
+        for protocol in &protocols {
+            let classed =
+                assert_class_equivalent_under(n, protocol.as_ref(), &pattern, 0, None, stop, fb);
+            assert!(classed.solved(), "{} s={s}", protocol.name());
+            assert_eq!(classed.peak_units, 1, "{} s={s}", protocol.name());
+        }
+    }
 }
 
 #[test]
