@@ -49,23 +49,41 @@ use std::time::Instant;
 use wakeup_analysis::prelude::*;
 use wakeup_core::prelude::*;
 
-/// Mean per-run wall-clock of `f` over enough iterations to be stable.
-fn time_runs<F: FnMut() -> Outcome>(mut f: F) -> (f64, Outcome) {
-    let out = f(); // warmup
-    let iters: u32 = if std::env::var_os("BENCH_QUICK").is_some() {
+/// Runs per timing: enough to be stable, or a smoke's worth under
+/// `BENCH_QUICK`.
+fn run_budget() -> u32 {
+    if std::env::var_os("BENCH_QUICK").is_some() {
         20
     } else {
         2000
-    };
+    }
+}
+
+/// Mean per-run wall-clock of `iters` runs of `f`.
+fn mean_run_time<F: FnMut() -> Outcome>(iters: u32, mut f: F) -> f64 {
     let t0 = Instant::now();
     for _ in 0..iters {
         black_box(f());
     }
-    (t0.elapsed().as_secs_f64() / f64::from(iters), out)
+    t0.elapsed().as_secs_f64() / f64::from(iters)
+}
+
+/// Mean per-run wall-clock of `f` over the full run budget, after one
+/// warmup run whose outcome is returned.
+fn time_runs<F: FnMut() -> Outcome>(mut f: F) -> (f64, Outcome) {
+    let out = f(); // warmup
+    (mean_run_time(run_budget(), f), out)
 }
 
 /// Interleaved `(a, b)` timing pairs behind each noisy ratio floor.
 const PAIRS: usize = 15;
+
+/// One sample of a paired row: the run budget spread over the [`PAIRS`]
+/// pairs, so timing a row in pairs costs about what timing each side once
+/// over the whole budget did.
+fn sample_runs<F: FnMut() -> Outcome>(f: F) -> f64 {
+    mean_run_time((run_budget() / PAIRS as u32).max(1), f)
+}
 
 /// Time `a` and `b` over [`PAIRS`] adjacent pairs, flipping which runs
 /// first every pair. Returns the median time of each and the median of the
@@ -415,13 +433,15 @@ fn hybrid_policy(_c: &mut Criterion) {
     let rr_ids: Vec<StationId> = (n - k as u32..n).map(StationId).collect();
     let rr_pattern = WakePattern::simultaneous(&rr_ids, 0).unwrap();
     let rr = RoundRobin::new(n);
-    let (rr_auto_t, rr_auto) = time_runs(|| auto_sim.run(&rr, &rr_pattern, 0).unwrap());
-    let (rr_dense_t, _) = time_runs(|| dense_sim.run(&rr, &rr_pattern, 0).unwrap());
+    let rr_auto = auto_sim.run(&rr, &rr_pattern, 0).unwrap();
     assert_eq!(rr_auto.polls, 1, "gap-heavy RR run left the sparse path");
     assert_eq!(rr_auto.dense_steps, 0);
-    let rr_ratio = rr_dense_t / rr_auto_t.max(1e-12);
+    let (rr_dense_t, rr_auto_t, rr_ratio) = median_pair_ratio(
+        || sample_runs(|| dense_sim.run(&rr, &rr_pattern, 0).unwrap()),
+        || sample_runs(|| auto_sim.run(&rr, &rr_pattern, 0).unwrap()),
+    );
     println!(
-        "hybrid_policy/round_robin_n4096_k8         auto {:.2}us dense {:.2}us  ratio {rr_ratio:.0}x (gap-heavy, expect >> 50x)",
+        "hybrid_policy/round_robin_n4096_k8         auto {:.2}us dense {:.2}us  ratio {rr_ratio:.0}x (gap-heavy, expect >> 50x; median of {PAIRS} pairs)",
         rr_auto_t * 1e6,
         rr_dense_t * 1e6,
     );
@@ -433,12 +453,14 @@ fn hybrid_policy(_c: &mut Criterion) {
     // Row 3 — gap-heavy guard at event granularity: staggered Scenario C
     // keeps its sparse win (per-row PRF jumps over the inter-wake gaps).
     let stag = WakePattern::staggered(&ids, 3, 997).unwrap();
-    let (st_auto_t, st_auto) = time_runs(|| auto_sim.run(&proto, &stag, 0).unwrap());
-    let (st_dense_t, _) = time_runs(|| dense_sim.run(&proto, &stag, 0).unwrap());
+    let st_auto = auto_sim.run(&proto, &stag, 0).unwrap();
     assert!(st_auto.skipped_slots > 0, "staggered run did not skip");
-    let st_ratio = st_dense_t / st_auto_t.max(1e-12);
+    let (st_dense_t, st_auto_t, st_ratio) = median_pair_ratio(
+        || sample_runs(|| dense_sim.run(&proto, &stag, 0).unwrap()),
+        || sample_runs(|| auto_sim.run(&proto, &stag, 0).unwrap()),
+    );
     println!(
-        "hybrid_policy/wakeup_n_staggered_n4096_k8  auto {:.2}us dense {:.2}us  ratio {st_ratio:.2}x (expect >= ~1.4x)",
+        "hybrid_policy/wakeup_n_staggered_n4096_k8  auto {:.2}us dense {:.2}us  ratio {st_ratio:.2}x (expect >= ~1.4x; median of {PAIRS} pairs)",
         st_auto_t * 1e6,
         st_dense_t * 1e6,
     );
@@ -463,8 +485,8 @@ fn hybrid_policy(_c: &mut Criterion) {
     };
     let kg_auto_sim = mk_kg(EngineMode::Auto);
     let kg_dense_sim = mk_kg(EngineMode::Dense);
-    let (kg_auto_t, kg_auto) = time_runs(|| kg_auto_sim.run(&kg, &kg_pattern, 3).unwrap());
-    let (kg_dense_t, kg_dense) = time_runs(|| kg_dense_sim.run(&kg, &kg_pattern, 3).unwrap());
+    let kg_auto = kg_auto_sim.run(&kg, &kg_pattern, 3).unwrap();
+    let kg_dense = kg_dense_sim.run(&kg, &kg_pattern, 3).unwrap();
     assert_eq!(kg_auto.all_resolved_at, kg_dense.all_resolved_at);
     assert!(
         kg_auto.polls * 10 < kg_dense.polls,
@@ -472,9 +494,12 @@ fn hybrid_policy(_c: &mut Criterion) {
         kg_auto.polls,
         kg_dense.polls
     );
-    let kg_ratio = kg_dense_t / kg_auto_t.max(1e-12);
+    let (kg_dense_t, kg_auto_t, kg_ratio) = median_pair_ratio(
+        || sample_runs(|| kg_dense_sim.run(&kg, &kg_pattern, 3).unwrap()),
+        || sample_runs(|| kg_auto_sim.run(&kg, &kg_pattern, 3).unwrap()),
+    );
     println!(
-        "hybrid_policy/full_resolution_n4096_k16    auto {:.2}us dense {:.2}us  ratio {kg_ratio:.2}x (expect >= ~1x)",
+        "hybrid_policy/full_resolution_n4096_k16    auto {:.2}us dense {:.2}us  ratio {kg_ratio:.2}x (expect >= ~1x; median of {PAIRS} pairs)",
         kg_auto_t * 1e6,
         kg_dense_t * 1e6,
     );
@@ -545,8 +570,8 @@ fn bitslab_burst(_c: &mut Criterion) {
                rows: &mut Vec<(&'static str, f64, f64, f64)>| {
         let scalar_sim = Simulator::new(cfg.clone().with_engine(EngineMode::Dense));
         let slab_sim = Simulator::new(cfg.with_engine(EngineMode::Bitslab));
-        let (scalar_t, scalar) = time_runs(|| scalar_sim.run(proto, pattern, 0).unwrap());
-        let (slab_t, slab) = time_runs(|| slab_sim.run(proto, pattern, 0).unwrap());
+        let scalar = scalar_sim.run(proto, pattern, 0).unwrap();
+        let slab = slab_sim.run(proto, pattern, 0).unwrap();
         // Bit-identity pins (transcripts and channel-tier trace bytes are
         // pinned by tests/bitslab_equiv.rs; the counters here keep the
         // perf guard self-contained).
@@ -557,9 +582,12 @@ fn bitslab_burst(_c: &mut Criterion) {
         assert_eq!(slab.all_resolved_at, scalar.all_resolved_at, "{name}");
         assert!(slab.word_slots > 0, "{name}: kernel never engaged");
         assert_eq!(scalar.word_slots, 0, "{name}: scalar ran the kernel");
-        let ratio = scalar_t / slab_t.max(1e-12);
+        let (scalar_t, slab_t, ratio) = median_pair_ratio(
+            || sample_runs(|| scalar_sim.run(proto, pattern, 0).unwrap()),
+            || sample_runs(|| slab_sim.run(proto, pattern, 0).unwrap()),
+        );
         println!(
-            "bitslab_burst/{name}  scalar {:.2}us bitslab {:.2}us  ratio {ratio:.1}x (floor {floor}x)",
+            "bitslab_burst/{name}  scalar {:.2}us bitslab {:.2}us  ratio {ratio:.1}x (floor {floor}x, median of {PAIRS} pairs)",
             scalar_t * 1e6,
             slab_t * 1e6,
         );

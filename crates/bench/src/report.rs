@@ -61,8 +61,6 @@ pub struct TraceReport {
     pub bursts_opened: u64,
     /// Burst windows opened per cause (`cause` value → count).
     pub bursts_by_cause: BTreeMap<&'static str, u64>,
-    /// Class-engine units born by splits.
-    pub classes_born: u64,
     /// Largest sparse-heap watermark seen.
     pub max_heap: u64,
     /// Largest live-unit watermark seen.
@@ -122,7 +120,6 @@ impl TraceReport {
                 self.bursts_opened += 1;
                 *self.bursts_by_cause.entry(cause.name()).or_insert(0) += 1;
             }
-            TraceKind::ClassSplit => self.classes_born += get_u64(rec, "born").unwrap_or(0),
             TraceKind::Watermark => {
                 self.max_heap = self.max_heap.max(get_u64(rec, "heap").unwrap_or(0));
                 self.max_units = self.max_units.max(get_u64(rec, "units").unwrap_or(0));
@@ -212,7 +209,6 @@ pub fn render_report(
             .with("requeries", report.requeries)
             .with("queries", report.queries)
             .with("bursts_opened", report.bursts_opened)
-            .with("classes_born", report.classes_born)
             .with("max_heap", report.max_heap)
             .with("max_units", report.max_units),
     );

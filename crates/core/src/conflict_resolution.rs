@@ -200,22 +200,17 @@ impl Station for RetiringRoundRobinStation {
     }
 }
 
-/// One equivalence class of retiring round-robin stations — the textbook
-/// **lazy split**: all members share the oblivious `t ≡ u (mod n)` schedule
-/// until one succeeds, at which point that member retires out of the RLE
-/// member set ([`Members::remove`] — the degenerate split: the "resolved"
-/// half needs no unit because retired stations are silent forever). State
-/// stays O(runs) however many members resolve.
+/// One equivalence class of retiring round-robin stations: all members
+/// share the oblivious `t ≡ u (mod n)` schedule, and a member that succeeds
+/// retires out of the RLE member set ([`Members::remove`]; retired stations
+/// are silent forever, so they need no unit of their own). State stays
+/// O(runs) however many members resolve.
 struct RetiringRoundRobinClass {
     members: Members,
     n: u32,
 }
 
 impl ClassStation for RetiringRoundRobinClass {
-    fn weight(&self) -> u64 {
-        self.members.count()
-    }
-
     fn wake(&mut self, _sigma: Slot) {}
 
     fn act(&mut self, t: Slot, tally: &mut TxTally) {
@@ -225,12 +220,11 @@ impl ClassStation for RetiringRoundRobinClass {
         }
     }
 
-    fn feedback(&mut self, _t: Slot, fb: Feedback) -> Vec<Box<dyn ClassStation>> {
+    fn feedback(&mut self, _t: Slot, fb: Feedback) {
         if let Feedback::Heard(w) = fb {
             // Only the member that hears *its own* success retires.
             self.members.remove(w.0);
         }
-        Vec::new()
     }
 
     fn next_transmission(&mut self, after: Slot) -> TxHint {
@@ -263,7 +257,7 @@ impl Protocol for RetiringRoundRobin {
         })
     }
 
-    fn class_station(&self, members: &Members, _run_seed: u64) -> Option<Box<dyn ClassStation>> {
+    fn class_station(&self, members: &Members) -> Option<Box<dyn ClassStation>> {
         Some(Box::new(RetiringRoundRobinClass {
             members: members.clone(),
             n: self.n,
@@ -406,8 +400,8 @@ mod tests {
     #[test]
     fn retiring_class_engine_matches_concrete_with_mid_run_splits() {
         // A contiguous block of members retires one by one: every success
-        // punches a hole in the RLE member set (the lazy split) and the
-        // outcomes must stay bit-identical to the concrete engine.
+        // punches a hole in the RLE member set, and the outcomes must stay
+        // bit-identical to the concrete engine.
         let n = 24u32;
         let proto = RetiringRoundRobin::new(n);
         for pattern in [

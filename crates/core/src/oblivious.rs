@@ -304,10 +304,6 @@ struct TrackClass {
 }
 
 impl ClassStation for TrackClass {
-    fn weight(&self) -> u64 {
-        self.members.count()
-    }
-
     fn wake(&mut self, sigma: Slot) {
         self.go = self.expr.go(sigma);
     }

@@ -249,10 +249,6 @@ struct WakeupNClass {
 }
 
 impl ClassStation for WakeupNClass {
-    fn weight(&self) -> u64 {
-        self.members.count()
-    }
-
     fn wake(&mut self, sigma: Slot) {
         self.mu = self.matrix.mu(sigma);
         self.mu0 = self.mu;
@@ -378,7 +374,7 @@ impl Protocol for WakeupN {
         })
     }
 
-    fn class_station(&self, members: &Members, _run_seed: u64) -> Option<Box<dyn ClassStation>> {
+    fn class_station(&self, members: &Members) -> Option<Box<dyn ClassStation>> {
         Some(Box::new(WakeupNClass {
             members: members.clone(),
             matrix: Arc::clone(&self.matrix),

@@ -77,7 +77,7 @@ impl Protocol for WakeupWithK {
         self.expr.station(id)
     }
 
-    fn class_station(&self, members: &Members, _run_seed: u64) -> Option<Box<dyn ClassStation>> {
+    fn class_station(&self, members: &Members) -> Option<Box<dyn ClassStation>> {
         Some(self.expr.class(members))
     }
 

@@ -49,11 +49,14 @@
 //!
 //! ## Components
 //!
-//! Two loops drive a run: the per-station loop of
-//! [`PopulationMode::Concrete`] (sparse heap, adaptive bursts, scalar dense
-//! stepping and the word kernel) and the class loop of
-//! [`PopulationMode::Classes`]. Both call the same private components, and
-//! each component is the only owner of its decision:
+//! One slot loop drives a run, generic over the units it steps: one
+//! concrete station per woken station under [`PopulationMode::Concrete`],
+//! class units under [`PopulationMode::Classes`]. A class gate, checked once
+//! at run start, keeps class runs on the hint heap with its permanent dense
+//! lock: they never open an adaptive burst window or run the word kernel,
+//! so [`EngineMode::Bitslab`] steps them scalar-dense. The loop calls
+//! private components, and each component is the only owner of its
+//! decision:
 //!
 //! * the **run ledger** holds the outcome counters, the transcript, the
 //!   resolution order and the fault counts. It is the only code that
@@ -67,9 +70,7 @@
 //!   Its `lock_dense` and `open_burst` are the only ways off the sparse
 //!   path, and each emits its own trace events;
 //! * the **churn event source** materializes every crash and re-wake of
-//!   the run once and hands them out in slot order;
-//! * `admit_splits` appends the units a class split off and traces the
-//!   split.
+//!   the run once and hands them out in slot order.
 
 // Panic-free hot path: the slot loop and trace emission are total.
 #![deny(
@@ -92,11 +93,12 @@ use crate::population::{
 use crate::rng::{derive_seed, FAULT_STREAM, REWAKE_STREAM};
 use crate::station::{NeverTransmit, Protocol, Station, TxHint, Until};
 use crate::trace::{SlotRecord, Transcript};
-use crate::tracer::{BufferTracer, BurstCause, NoopTracer, TraceEvent, TraceKind, Tracer};
+use crate::tracer::{BurstCause, NoopTracer, TraceEvent, TraceKind, Tracer};
 use selectors::transpose64;
+use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::iter::Peekable;
 
 /// When the engine ends a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -124,7 +126,9 @@ pub enum EngineMode {
     /// provides a [`TxHint`], adaptively dropping to per-slot dense
     /// stepping on burst-shaped stretches where skipping yields nothing
     /// (see the module docs); falls back to dense polling permanently when
-    /// any station answers [`TxHint::Dense`] (the default).
+    /// any station answers [`TxHint::Dense`] (the default). A class run
+    /// ([`PopulationMode::Classes`]) takes the sparse path and that fallback
+    /// only: it never opens a burst window.
     #[default]
     Auto,
     /// Always poll every awake station every slot (the historical engine).
@@ -145,7 +149,9 @@ pub enum EngineMode {
     /// dense burst windows — from the first tile of a window opened by a
     /// collision streak, after a scalar warmup (16 dense-stepped slots) in
     /// a window opened at wake time; this mode exists to force it
-    /// everywhere (benchmark baselines, equivalence tests).
+    /// everywhere (benchmark baselines, equivalence tests). A class run
+    /// ([`PopulationMode::Classes`]) never runs the kernel: under this mode
+    /// it steps every unit scalar-dense, like [`EngineMode::Dense`].
     Bitslab,
 }
 
@@ -175,16 +181,6 @@ pub struct SimConfig {
     /// runs: the table is O(k) in both engines, and with it off both
     /// engines leave it empty — outcomes stay comparable per config.
     pub per_station_detail: bool,
-    /// Split budget of the class engine ([`PopulationMode::Classes`]): when
-    /// the number of live simulation units exceeds this, the class run is
-    /// abandoned and the engine re-runs the pattern concretely — a
-    /// population fragmenting into Ω(members) singleton classes pays per-
-    /// unit split bookkeeping *on top of* per-station work, so wholesale
-    /// concrete is strictly cheaper. `None` (default) picks
-    /// `max(4096, k/2)` for a `k`-station pattern; `Some(u64::MAX)`
-    /// disables the guard. Outcomes are identical either way — the flip
-    /// shows only in the work counters ([`Outcome::peak_units`] etc.).
-    pub split_budget: Option<u64>,
     /// Channel fault model ([`ChannelModel::ideal`] by default — every
     /// ground-truth [`SlotOutcome`] is delivered verbatim). Faults are
     /// drawn per slot from the run seed
@@ -217,7 +213,6 @@ impl SimConfig {
             engine: EngineMode::Auto,
             population: PopulationMode::default(),
             per_station_detail: true,
-            split_budget: None,
             channel: ChannelModel::ideal(),
             churn: ChurnScript::none(),
         }
@@ -273,13 +268,6 @@ impl SimConfig {
     /// memory at mega scale.
     pub fn without_per_station_detail(mut self) -> Self {
         self.per_station_detail = false;
-        self
-    }
-
-    /// Set the class engine's split budget (`Some(u64::MAX)` disables the
-    /// flip-to-concrete guard; see [`SimConfig::split_budget`]).
-    pub fn with_split_budget(mut self, budget: Option<u64>) -> Self {
-        self.split_budget = budget;
         self
     }
 
@@ -348,12 +336,11 @@ pub struct Outcome {
     /// (`≈ slots × k`); sparse runs poll only at transmission events.
     pub polls: u64,
     /// Slots the engine advanced over in bulk (silent by the stations' own
-    /// [`TxHint`] promises, or dead air before a wake-up) instead of
-    /// simulating individually. Dead-air jumps aside, always 0 on the dense
-    /// path. Skipped slots still count into
-    /// [`slots_simulated`](Outcome::slots_simulated) (and, for gaps while
-    /// stations are awake, [`silent_slots`](Outcome::silent_slots)) so
-    /// outcomes are identical across paths.
+    /// [`TxHint`] promises) instead of simulating individually. Always 0 on
+    /// the dense path. Skipped slots still count into
+    /// [`slots_simulated`](Outcome::slots_simulated) and
+    /// [`silent_slots`](Outcome::silent_slots) so outcomes are identical
+    /// across paths.
     pub skipped_slots: u64,
     /// Slots simulated by polling **every** awake station (per-slot dense
     /// stepping): all slots of an [`EngineMode::Dense`] run, plus, under
@@ -468,19 +455,6 @@ enum WordMemo {
     /// `until` is [`Until::Slot`], `next` is `None` or strictly before the
     /// boundary.
     Hint { next: Option<Slot>, until: Until },
-}
-
-/// Result of one class-engine attempt under a live-unit budget (see
-/// [`SimConfig::split_budget`]).
-enum ClassRun {
-    /// The attempt ran to completion (boxed: the variant would otherwise
-    /// dwarf `BudgetExceeded`).
-    Done(Box<Outcome>),
-    /// Live units crossed the budget — or a churn crash hit a class that
-    /// does not support member removal
-    /// ([`MemberRemoval::Unsupported`]): abandon the attempt and re-run
-    /// the pattern on the concrete engine, which handles churn natively.
-    BudgetExceeded,
 }
 
 /// The low `width` bits set (`width ≥ 64` saturates to all ones).
@@ -648,74 +622,6 @@ impl<'a, T: Tracer + ?Sized> TraceCtx<'a, T> {
         }
     }
 
-    #[inline]
-    fn wake(&mut self, slot: Slot, stations: u64) {
-        if stations > 0 && self.tracer.wants(TraceKind::Wake) {
-            self.flush_silence();
-            self.tracer.record(&TraceEvent::Wake { slot, stations });
-        }
-    }
-
-    #[inline]
-    fn success(&mut self, slot: Slot, winner: StationId) {
-        if self.tracer.wants(TraceKind::Success) {
-            self.flush_silence();
-            self.tracer.record(&TraceEvent::Success { slot, winner });
-        }
-    }
-
-    #[inline]
-    fn collision(&mut self, slot: Slot, contenders: u64) {
-        if self.tracer.wants(TraceKind::Collision) {
-            self.flush_silence();
-            self.tracer
-                .record(&TraceEvent::Collision { slot, contenders });
-        }
-    }
-
-    /// A success erased by the channel (deterministic tier: fault draws are
-    /// keyed by slot, so every engine path erases the same slots).
-    #[inline]
-    fn fault_erasure(&mut self, slot: Slot, winner: StationId) {
-        if self.tracer.wants(TraceKind::FaultErasure) {
-            self.flush_silence();
-            self.tracer
-                .record(&TraceEvent::FaultErasure { slot, winner });
-        }
-    }
-
-    /// A collision resolved by capture (deterministic tier).
-    #[inline]
-    fn fault_capture(&mut self, slot: Slot, winner: StationId, contenders: u64) {
-        if self.tracer.wants(TraceKind::FaultCapture) {
-            self.flush_silence();
-            self.tracer.record(&TraceEvent::FaultCapture {
-                slot,
-                winner,
-                contenders,
-            });
-        }
-    }
-
-    /// A station crashing out of the run (deterministic tier: crash slots
-    /// are materialized events on every engine path).
-    #[inline]
-    fn churn_crash(&mut self, slot: Slot, id: StationId) {
-        if self.tracer.wants(TraceKind::ChurnCrash) {
-            self.flush_silence();
-            self.tracer.record(&TraceEvent::ChurnCrash { slot, id });
-        }
-    }
-
-    /// A crashed station re-waking as a fresh instance (deterministic tier).
-    #[inline]
-    fn churn_rewake(&mut self, slot: Slot, id: StationId) {
-        if self.tracer.wants(TraceKind::ChurnRewake) {
-            self.flush_silence();
-            self.tracer.record(&TraceEvent::ChurnRewake { slot, id });
-        }
-    }
-
     /// Final event of every run; also flushes any trailing silence.
     fn run_end(&mut self, slots: u64, first_success: Option<Slot>) {
         self.flush_silence();
@@ -727,11 +633,16 @@ impl<'a, T: Tracer + ?Sized> TraceCtx<'a, T> {
         }
     }
 
-    /// Emit an engine-specific event (never flushes silence: these live on
-    /// the non-deterministic tier and may interleave differently per path).
+    /// Emit `ev` if the tracer wants it. A channel event (the
+    /// deterministic tier) first flushes the pending silence run; an engine
+    /// event never does — it lives on the non-deterministic tier and may
+    /// interleave differently per path.
     #[inline]
-    fn engine_event(&mut self, ev: TraceEvent) {
+    fn emit(&mut self, ev: TraceEvent) {
         if self.tracer.wants(ev.kind()) {
+            if ev.kind().deterministic() {
+                self.flush_silence();
+            }
             self.tracer.record(&ev);
         }
     }
@@ -740,8 +651,7 @@ impl<'a, T: Tracer + ?Sized> TraceCtx<'a, T> {
 /// Which work counter a simulated slot is charged to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Via {
-    /// Advanced over in bulk — a sparse gap or dead air
-    /// ([`Outcome::skipped_slots`]).
+    /// Advanced over in bulk — a sparse gap ([`Outcome::skipped_slots`]).
     Skip,
     /// A sparse event that polled exactly its due units (no path counter).
     Event,
@@ -768,8 +678,7 @@ enum Settled {
 /// transcript, resolution order, fault counts) and the trace context.
 /// Every slot a run simulates is accounted here — busy slots by
 /// [`settle`](Ledger::settle), silent gaps by [`silence`](Ledger::silence)
-/// and dead air by [`dead_air`](Ledger::dead_air) — and
-/// [`finish`](Ledger::finish) hands out the one `Outcome`.
+/// — and [`finish`](Ledger::finish) hands out the one `Outcome`.
 struct Ledger<'t, T: Tracer + ?Sized> {
     out: Outcome,
     trace: TraceCtx<'t, T>,
@@ -865,21 +774,6 @@ impl<'t, T: Tracer + ?Sized> Ledger<'t, T> {
         }
     }
 
-    /// Nobody is awake at `t`: jump to the next arrival — but never past
-    /// the slot cap. The dead air is traced as silence and skipped, but it
-    /// is not a silent slot of the run and is not transcribed. Returns the
-    /// arrival slot, or `None` when the run ends first. (Cannot happen
-    /// before the first success since `s` is the first wake and stations
-    /// stay awake, but keeps the engine total.)
-    fn dead_air(&mut self, t: Slot, next_arrival: Option<Slot>) -> Option<Slot> {
-        let sigma = next_arrival?;
-        let remaining = self.remaining();
-        let take = (sigma - t).min(remaining);
-        self.trace.silence(t, take);
-        self.charge(Via::Skip, take);
-        (sigma - t < remaining).then_some(sigma)
-    }
-
     /// Skip the provably silent gap from `t` to the next sparse `event`,
     /// respecting the cap. Silence cannot void any scope: NextSuccess hints
     /// survive (no transmission ⇒ no success) and `Slot(t')` boundaries are
@@ -920,7 +814,10 @@ impl<'t, T: Tracer + ?Sized> Ledger<'t, T> {
         };
         let heard = match &outcome {
             SlotOutcome::Success(w) => {
-                self.trace.success(t, *w);
+                self.trace.emit(TraceEvent::Success {
+                    slot: t,
+                    winner: *w,
+                });
                 if self.out.first_success.is_none() {
                     self.out.first_success = Some(t);
                     self.out.winner = Some(*w);
@@ -935,7 +832,10 @@ impl<'t, T: Tracer + ?Sized> Ledger<'t, T> {
             }
             SlotOutcome::Collision(_) => {
                 self.out.collisions += 1;
-                self.trace.collision(t, contenders);
+                self.trace.emit(TraceEvent::Collision {
+                    slot: t,
+                    contenders,
+                });
                 Settled::NoSuccess(fb)
             }
             SlotOutcome::Silence => {
@@ -963,11 +863,16 @@ impl<'t, T: Tracer + ?Sized> Ledger<'t, T> {
         match fault {
             Some(ChannelFault::Erasure { winner }) => {
                 self.out.faults.erasures += 1;
-                self.trace.fault_erasure(t, winner);
+                self.trace
+                    .emit(TraceEvent::FaultErasure { slot: t, winner });
             }
             Some(ChannelFault::Capture { winner, contenders }) => {
                 self.out.faults.captures += 1;
-                self.trace.fault_capture(t, winner, contenders.len() as u64);
+                self.trace.emit(TraceEvent::FaultCapture {
+                    slot: t,
+                    winner,
+                    contenders: contenders.len() as u64,
+                });
             }
             None => {}
         }
@@ -985,21 +890,16 @@ impl<'t, T: Tracer + ?Sized> Ledger<'t, T> {
         done
     }
 
-    /// Account the current number of live units.
-    fn units(&mut self, units: usize) {
-        self.out.peak_units = self.out.peak_units.max(units as u64);
-    }
-
     /// Account the live units after admissions at `t`, and trace a new
     /// heap or unit high-water mark.
     fn watermark(&mut self, t: Slot, heap: usize, units: usize) {
-        self.units(units);
+        self.out.peak_units = self.out.peak_units.max(units as u64);
         if self.trace.wants(TraceKind::Watermark) {
             let (h, u) = (heap as u64, units as u64);
             if h > self.wm_heap || u > self.wm_units {
                 self.wm_heap = self.wm_heap.max(h);
                 self.wm_units = self.wm_units.max(u);
-                self.trace.engine_event(TraceEvent::Watermark {
+                self.trace.emit(TraceEvent::Watermark {
                     slot: t,
                     heap: self.wm_heap,
                     units: self.wm_units,
@@ -1010,12 +910,12 @@ impl<'t, T: Tracer + ?Sized> Ledger<'t, T> {
 
     fn crashed(&mut self, slot: Slot, id: StationId) {
         self.out.faults.churn_crashes += 1;
-        self.trace.churn_crash(slot, id);
+        self.trace.emit(TraceEvent::ChurnCrash { slot, id });
     }
 
     fn rewoke(&mut self, slot: Slot, id: StationId) {
         self.out.faults.churn_rewakes += 1;
-        self.trace.churn_rewake(slot, id);
+        self.trace.emit(TraceEvent::ChurnRewake { slot, id });
     }
 
     /// End the run: trace its end and hand out the outcome.
@@ -1040,10 +940,9 @@ enum Path {
     Locked,
 }
 
-/// The hint scheduler of the sparse path, shared by both engine loops —
-/// the scope semantics are identical; only a hint's *source* (a station
-/// or a whole class) differs. Units are identified by their index in the
-/// loop's unit list.
+/// The hint scheduler of the sparse path. A hint's source is a unit — a
+/// station or a whole class, under the same scope semantics — identified
+/// by its index in the loop's unit list.
 struct Hints {
     /// The path the run is on.
     path: Path,
@@ -1087,10 +986,24 @@ impl Hints {
         self.path == Path::Sparse
     }
 
-    /// Bookkeeping for a newly admitted unit; returns its index.
-    fn add_unit(&mut self) -> usize {
+    /// Bookkeeping for a newly admitted unit at `t`: on the sparse path,
+    /// install its hint (`query` runs only there), locking the dense path
+    /// when the answer forces it. Returns the installed due slot.
+    fn admit<T: Tracer + ?Sized>(
+        &mut self,
+        t: Slot,
+        trace: &mut TraceCtx<'_, T>,
+        query: impl FnOnce() -> TxHint,
+    ) -> Option<Slot> {
         self.states.push(HintState::new());
-        self.states.len() - 1
+        if !self.sparse() {
+            return None;
+        }
+        let idx = self.states.len() - 1;
+        self.install(idx, t, query()).unwrap_or_else(|()| {
+            self.lock_dense(t, trace);
+            None
+        })
     }
 
     /// Install a fresh `hint` for unit `idx` looking from `after`: bump the
@@ -1146,7 +1059,7 @@ impl Hints {
         trace: &mut TraceCtx<'_, T>,
         mut query: impl FnMut(usize) -> TxHint,
     ) -> Result<(), ()> {
-        trace.engine_event(TraceEvent::HintRequery {
+        trace.emit(TraceEvent::HintRequery {
             slot: after,
             queries: self.requery.len() as u64,
         });
@@ -1265,7 +1178,7 @@ impl Hints {
     /// [`Outcome::mode_switches`].
     fn lock_dense<T: Tracer + ?Sized>(&mut self, slot: Slot, trace: &mut TraceCtx<'_, T>) {
         if self.sparse() {
-            trace.engine_event(TraceEvent::ModeSwitch { slot, dense: true });
+            trace.emit(TraceEvent::ModeSwitch { slot, dense: true });
         }
         self.path = Path::Locked;
         self.heap.clear();
@@ -1296,8 +1209,8 @@ impl Hints {
         policy.start_burst(units, cause);
         ledger
             .trace
-            .engine_event(TraceEvent::ModeSwitch { slot, dense: true });
-        ledger.trace.engine_event(TraceEvent::BurstOpen {
+            .emit(TraceEvent::ModeSwitch { slot, dense: true });
+        ledger.trace.emit(TraceEvent::BurstOpen {
             slot,
             window: policy.burst_len,
             cause,
@@ -1309,13 +1222,11 @@ impl Hints {
 /// Churn as an event source: every crash and re-wake of the run,
 /// materialized once from the pattern (a pure function of
 /// `(run_seed, id, wake)` — engine-path-independent) and handed out in
-/// slot order. Both loops process churn at the top of a slot, so every
+/// slot order. The loop processes churn at the top of a slot, so every
 /// path lands on exactly these slots.
 struct ChurnEvents {
-    crashes: Vec<(Slot, StationId)>,
-    rewakes: Vec<(Slot, StationId)>,
-    next_crash: usize,
-    next_rewake: usize,
+    crashes: Peekable<std::vec::IntoIter<(Slot, StationId)>>,
+    rewakes: Peekable<std::vec::IntoIter<(Slot, StationId)>>,
     /// Seed stream of re-woken instances.
     rewake_seed: u64,
 }
@@ -1341,45 +1252,33 @@ impl ChurnEvents {
             rewakes.sort_unstable();
         }
         ChurnEvents {
-            crashes,
-            rewakes,
-            next_crash: 0,
-            next_rewake: 0,
+            crashes: crashes.into_iter().peekable(),
+            rewakes: rewakes.into_iter().peekable(),
             rewake_seed: derive_seed(run_seed, REWAKE_STREAM),
         }
     }
 
     /// Take the next crash due at or before `t`.
     fn crash_due(&mut self, t: Slot) -> Option<(Slot, StationId)> {
-        let due = self
-            .crashes
-            .get(self.next_crash)
-            .filter(|&&(c, _)| c <= t)?;
-        self.next_crash += 1;
-        Some(*due)
+        self.crashes.next_if(|&(slot, _)| slot <= t)
     }
 
     /// Take the next re-wake due at or before `t`.
     fn rewake_due(&mut self, t: Slot) -> Option<(Slot, StationId)> {
-        let due = self
-            .rewakes
-            .get(self.next_rewake)
-            .filter(|&&(r, _)| r <= t)?;
-        self.next_rewake += 1;
-        Some(*due)
+        self.rewakes.next_if(|&(slot, _)| slot <= t)
     }
 
-    /// The earliest pending churn slot — the loops must land on it
-    /// exactly, never skip or tile over it.
-    fn next_slot(&self) -> Option<Slot> {
-        let crash = self.crashes.get(self.next_crash).map(|&(slot, _)| slot);
-        let rewake = self.rewakes.get(self.next_rewake).map(|&(slot, _)| slot);
+    /// The earliest pending churn slot — the loop must land on it exactly,
+    /// never skip or tile over it.
+    fn next_slot(&mut self) -> Option<Slot> {
+        let crash = self.crashes.peek().map(|&(slot, _)| slot);
+        let rewake = self.rewakes.peek().map(|&(slot, _)| slot);
         crash.into_iter().chain(rewake).min()
     }
 }
 
-/// Per-station transmission counts of the class engine, in wake order
-/// (detail mode only — the table is O(k) by nature).
+/// Per-station transmission counts of a class run, in wake order (detail
+/// mode only — the table is O(k) by nature).
 #[derive(Default)]
 struct TxDetail {
     rows: Vec<(StationId, u64)>,
@@ -1411,61 +1310,339 @@ impl TxDetail {
     }
 }
 
-/// Append the units that feedback at `t` split off (`born`, each with fresh
-/// hint state), trace the split, and account the new unit count. Returns
-/// the index of the first newborn unit, or `None` when the live units now
-/// exceed the split `budget`.
-fn admit_splits<T: Tracer + ?Sized>(
-    units: &mut Vec<Box<dyn ClassStation>>,
-    born: Vec<Box<dyn ClassStation>>,
-    t: Slot,
-    budget: u64,
-    hints: &mut Hints,
-    ledger: &mut Ledger<'_, T>,
-) -> Option<usize> {
-    let first_new = units.len();
-    if !born.is_empty() {
-        ledger.trace.engine_event(TraceEvent::ClassSplit {
-            slot: t,
-            born: born.len() as u64,
+/// The units one run steps: concrete [`Stations`] or class units
+/// ([`Classes`]). The slot loop ([`Simulator::simulate`]) is generic over
+/// them, so each population compiles to a loop of its own, with no dispatch
+/// between the two. Units are indexed in admission order, in step with the
+/// hint scheduler's per-unit states, and never removed (a crash leaves an
+/// inert unit in place), so indices stay stable.
+trait Units<'a> {
+    /// Live units.
+    fn len(&self) -> usize;
+
+    /// Every pattern station with its wake slot (the churn script's input).
+    fn wakes(&self) -> impl Iterator<Item = (StationId, Slot)> + '_;
+
+    /// The wake slot of the next arrival not yet admitted.
+    fn next_arrival(&self) -> Option<Slot>;
+
+    /// Admit the next arrival at `t`, woken at its own wake slot, as new
+    /// units at the end of the list. Returns how many of its stations the
+    /// caller still has to trace as woken: a class batch traces its own wake
+    /// ahead of its units' hints, while concrete stations are traced
+    /// together once the slot's arrivals are in.
+    fn admit_next<T: Tracer + ?Sized>(&mut self, t: Slot, trace: &mut TraceCtx<'_, T>) -> u64;
+
+    /// Re-wake crashed station `id` at `slot` as a fresh instance seeded
+    /// from `seed`, as new units at the end of the list.
+    fn rewake(&mut self, id: StationId, slot: Slot, seed: u64);
+
+    /// Crash station `id`: a concrete station turns into an inert listener,
+    /// a class drops the member (and turns inert once emptied). Returns the
+    /// index of the unit that still held `id`, if any.
+    fn crash(&mut self, id: StationId) -> Option<usize>;
+
+    /// A fresh hint from unit `idx`, looking from `after`.
+    fn hint(&mut self, idx: usize, after: Slot) -> TxHint;
+
+    /// Poll the units `who` (every unit for `None`) at `t`: the slot's
+    /// ground truth and its number of transmitters.
+    fn poll(&mut self, t: Slot, who: Option<&[usize]>) -> (SlotOutcome, u64);
+
+    /// Deliver the feedback `fb` of slot `t` to the units `who` (every unit
+    /// for `None`).
+    fn feedback(&mut self, t: Slot, fb: Feedback, who: Option<&[usize]>);
+
+    /// The class gate: the concrete stations, which the adaptive policy and
+    /// the word kernel step, or `None` for class units, which take the hint
+    /// heap with its permanent dense lock only.
+    fn stations(&mut self) -> Option<&mut Stations<'a>>;
+
+    /// Per-station transmission counts in wake order, empty without
+    /// per-station `detail`.
+    fn per_station_tx(self, detail: bool) -> Vec<(StationId, u64)>;
+}
+
+/// Apply `f` to the units `who` of `units` (every unit for `None`).
+#[inline]
+fn each<X>(units: &mut [X], who: Option<&[usize]>, mut f: impl FnMut(&mut X)) {
+    match who {
+        None => units.iter_mut().for_each(f),
+        Some(idxs) => {
+            for &idx in idxs {
+                if let Some(unit) = units.get_mut(idx) {
+                    f(unit);
+                }
+            }
+        }
+    }
+}
+
+/// Concrete stations: one boxed [`Station`] per woken station, with its
+/// transmission count. Block patterns are materialized up front (O(k) — the
+/// documented cost of running a mega pattern concretely).
+struct Stations<'a> {
+    protocol: &'a dyn Protocol,
+    run_seed: u64,
+    /// Every wake, sorted by (slot, id).
+    wakes: Cow<'a, [(StationId, Slot)]>,
+    /// Index of the next arrival in `wakes`.
+    next_wake: usize,
+    /// (id, station, transmission count), in admission order.
+    awake: Vec<(StationId, Box<dyn Station>, u64)>,
+    /// The transmitters of the slot being resolved.
+    transmitters: Vec<StationId>,
+}
+
+impl<'a> Units<'a> for Stations<'a> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.awake.len()
+    }
+
+    fn wakes(&self) -> impl Iterator<Item = (StationId, Slot)> + '_ {
+        self.wakes.iter().copied()
+    }
+
+    #[inline]
+    fn next_arrival(&self) -> Option<Slot> {
+        self.wakes.get(self.next_wake).map(|&(_, sigma)| sigma)
+    }
+
+    fn admit_next<T: Tracer + ?Sized>(&mut self, _t: Slot, _trace: &mut TraceCtx<'_, T>) -> u64 {
+        let Some(&(id, sigma)) = self.wakes.get(self.next_wake) else {
+            return 0;
+        };
+        self.next_wake += 1;
+        let seed = derive_seed(self.run_seed, u64::from(id.0));
+        let mut station = self.protocol.station(id, seed);
+        station.wake(sigma);
+        self.awake.push((id, station, 0));
+        1
+    }
+
+    fn rewake(&mut self, id: StationId, slot: Slot, seed: u64) {
+        let mut station = self
+            .protocol
+            .station(id, derive_seed(seed, u64::from(id.0)));
+        station.wake(slot);
+        self.awake.push((id, station, 0));
+    }
+
+    fn crash(&mut self, id: StationId) -> Option<usize> {
+        let idx = self.awake.iter().rposition(|(aid, _, _)| *aid == id)?;
+        if let Some(entry) = self.awake.get_mut(idx) {
+            entry.1 = Box::new(NeverTransmit);
+        }
+        Some(idx)
+    }
+
+    #[inline]
+    fn hint(&mut self, idx: usize, after: Slot) -> TxHint {
+        self.awake
+            .get_mut(idx)
+            .map_or(TxHint::Dense, |(_, station, _)| {
+                station.next_transmission(after)
+            })
+    }
+
+    #[inline]
+    fn poll(&mut self, t: Slot, who: Option<&[usize]>) -> (SlotOutcome, u64) {
+        let transmitters = &mut self.transmitters;
+        transmitters.clear();
+        each(&mut self.awake, who, |(id, station, tx_count)| {
+            if station.act(t).is_transmit() {
+                transmitters.push(*id);
+                *tx_count += 1;
+            }
         });
-        for unit in born {
-            hints.add_unit();
-            units.push(unit);
+        let count = transmitters.len() as u64;
+        (SlotOutcome::resolve(transmitters.clone()), count)
+    }
+
+    #[inline]
+    fn feedback(&mut self, t: Slot, fb: Feedback, who: Option<&[usize]>) {
+        each(&mut self.awake, who, |(_, station, _)| {
+            station.feedback(t, fb)
+        });
+    }
+
+    fn stations(&mut self) -> Option<&mut Stations<'a>> {
+        Some(self)
+    }
+
+    fn per_station_tx(self, detail: bool) -> Vec<(StationId, u64)> {
+        if !detail {
+            Vec::new()
+        } else if self.awake.len() == self.next_wake {
+            // No re-wake fired, so every ID is in `awake` once.
+            self.awake.iter().map(|(id, _, tx)| (*id, *tx)).collect()
+        } else {
+            // Re-wakes duplicate IDs in `awake`: merge each ID's counts
+            // into its first occurrence (wake order), found by index.
+            let mut merged: Vec<(StationId, u64)> = Vec::with_capacity(self.awake.len());
+            let mut first: BTreeMap<StationId, usize> = BTreeMap::new();
+            for (id, _, tx) in &self.awake {
+                let row = *first.entry(*id).or_insert_with(|| {
+                    merged.push((*id, 0));
+                    merged.len() - 1
+                });
+                if let Some((_, count)) = merged.get_mut(row) {
+                    *count += tx;
+                }
+            }
+            merged
         }
     }
-    if units.len() as u64 > budget {
-        return None;
-    }
-    ledger.units(units.len());
-    Some(first_new)
 }
 
-/// A fresh hint from a concrete station, looking from `after`.
-fn station_hint(entry: Option<&mut (StationId, Box<dyn Station>, u64)>, after: Slot) -> TxHint {
-    entry.map_or(TxHint::Dense, |(_, station, _)| {
-        station.next_transmission(after)
-    })
+/// Class units: each wake batch runs as the protocol's class unit, or as
+/// one singleton per station when it has none ([`population::admit`]).
+/// Memory is O(live units): nothing is sized by the pattern's station
+/// count unless per-station detail asks for its table.
+struct Classes<'a> {
+    protocol: &'a dyn Protocol,
+    run_seed: u64,
+    /// The pattern's wake batches, in slot order.
+    batches: Vec<(Slot, Members)>,
+    /// Index of the next arrival in `batches`.
+    next_batch: usize,
+    units: Vec<Box<dyn ClassStation>>,
+    /// The transmitters of the slot being resolved.
+    tally: TxTally,
+    /// Per-station transmission counts, with per-station detail on.
+    detail: Option<TxDetail>,
 }
 
-/// A fresh hint from a class unit, looking from `after`.
-fn unit_hint(unit: Option<&mut Box<dyn ClassStation>>, after: Slot) -> TxHint {
-    unit.map_or(TxHint::Dense, |unit| unit.next_transmission(after))
-}
-
-/// Resolve one slot from the tally: exact IDs in the collecting regime
-/// (identical to the concrete engine's [`SlotOutcome::resolve`]), weighted
-/// counts otherwise (collision IDs are not materialized — O(1) memory at
-/// mega scale; the sole transmitter of a success always carries its ID).
-fn slot_outcome(tally: &mut TxTally) -> SlotOutcome {
-    if tally.collect_ids() {
-        SlotOutcome::resolve(tally.sorted_ids().to_vec())
-    } else {
-        match tally.winner() {
-            Some(w) => SlotOutcome::Success(w),
-            None if tally.total() == 0 => SlotOutcome::Silence,
-            None => SlotOutcome::Collision(Vec::new()),
+impl<'a> Classes<'a> {
+    fn new(
+        protocol: &'a dyn Protocol,
+        pattern: &WakePattern,
+        run_seed: u64,
+        cfg: &SimConfig,
+    ) -> Self {
+        let detail = cfg.per_station_detail;
+        Classes {
+            protocol,
+            run_seed,
+            batches: pattern.batches_by_slot(),
+            next_batch: 0,
+            units: Vec::new(),
+            // Transcripts and per-station detail need individual
+            // transmitter IDs — as does capture, whose winner is drawn from
+            // the contender list; mega runs use weighted counts only.
+            tally: TxTally::new(detail || cfg.record_transcript || cfg.channel.capture_ppm > 0),
+            detail: detail.then(TxDetail::default),
         }
+    }
+}
+
+impl<'a> Units<'a> for Classes<'a> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.units.len()
+    }
+
+    fn wakes(&self) -> impl Iterator<Item = (StationId, Slot)> + '_ {
+        self.batches
+            .iter()
+            .flat_map(|(sigma, members)| members.iter().map(move |id| (id, *sigma)))
+    }
+
+    #[inline]
+    fn next_arrival(&self) -> Option<Slot> {
+        self.batches.get(self.next_batch).map(|&(sigma, _)| sigma)
+    }
+
+    fn admit_next<T: Tracer + ?Sized>(&mut self, t: Slot, trace: &mut TraceCtx<'_, T>) -> u64 {
+        let Some((sigma, members)) = self.batches.get(self.next_batch) else {
+            return 0;
+        };
+        self.next_batch += 1;
+        trace.emit(TraceEvent::Wake {
+            slot: t,
+            stations: members.count(),
+        });
+        if let Some(detail) = self.detail.as_mut() {
+            for id in members.iter() {
+                detail.add(id);
+            }
+        }
+        for mut unit in population::admit(self.protocol, members, self.run_seed) {
+            unit.wake(*sigma);
+            self.units.push(unit);
+        }
+        0
+    }
+
+    fn rewake(&mut self, id: StationId, slot: Slot, seed: u64) {
+        // A fresh single-member unit; its transmissions accumulate into the
+        // station's original detail row.
+        if let Some(detail) = self.detail.as_mut() {
+            detail.add(id);
+        }
+        for mut unit in population::admit(self.protocol, &Members::from_sorted_ids(&[id]), seed) {
+            unit.wake(slot);
+            self.units.push(unit);
+        }
+    }
+
+    fn crash(&mut self, id: StationId) -> Option<usize> {
+        self.units
+            .iter_mut()
+            .enumerate()
+            .find_map(|(idx, unit)| match unit.remove_member(id) {
+                MemberRemoval::NotMember => None,
+                MemberRemoval::Removed { emptied } => {
+                    if emptied {
+                        *unit = Box::new(DeadClass);
+                    }
+                    Some(idx)
+                }
+            })
+    }
+
+    #[inline]
+    fn hint(&mut self, idx: usize, after: Slot) -> TxHint {
+        self.units
+            .get_mut(idx)
+            .map_or(TxHint::Dense, |unit| unit.next_transmission(after))
+    }
+
+    fn poll(&mut self, t: Slot, who: Option<&[usize]>) -> (SlotOutcome, u64) {
+        let tally = &mut self.tally;
+        tally.clear();
+        each(&mut self.units, who, |unit| unit.act(t, tally));
+        // Exact IDs in the collecting regime (identical to the concrete
+        // `SlotOutcome::resolve`), weighted counts otherwise: collision IDs
+        // are not materialized — O(1) memory at mega scale; the sole
+        // transmitter of a success always carries its ID.
+        let truth = if tally.collect_ids() {
+            let ids = tally.sorted_ids();
+            if let Some(detail) = self.detail.as_mut() {
+                detail.count(ids);
+            }
+            SlotOutcome::resolve(ids.to_vec())
+        } else {
+            match tally.winner() {
+                Some(w) => SlotOutcome::Success(w),
+                None if tally.total() == 0 => SlotOutcome::Silence,
+                None => SlotOutcome::Collision(Vec::new()),
+            }
+        };
+        (truth, tally.total())
+    }
+
+    fn feedback(&mut self, t: Slot, fb: Feedback, who: Option<&[usize]>) {
+        each(&mut self.units, who, |unit| unit.feedback(t, fb));
+    }
+
+    fn stations(&mut self) -> Option<&mut Stations<'a>> {
+        None
+    }
+
+    fn per_station_tx(self, _detail: bool) -> Vec<(StationId, u64)> {
+        self.detail.map_or_else(Vec::new, |detail| detail.rows)
     }
 }
 
@@ -1492,8 +1669,8 @@ impl Simulator {
     /// derived as `derive_seed(run_seed, id)`, so the same
     /// `(protocol, pattern, run_seed)` triple always reproduces the same run.
     ///
-    /// Dispatches on [`SimConfig::population`]: the historical per-station
-    /// engine, or the class-aggregated engine (identical outcomes, memory
+    /// The run steps one concrete station per woken station, or class units
+    /// under [`PopulationMode::Classes`] (identical outcomes, memory
     /// O(classes)).
     pub fn run(
         &self,
@@ -1520,12 +1697,7 @@ impl Simulator {
         self.run_traced_impl(protocol, pattern, run_seed, tracer)
     }
 
-    /// Dispatch on the population. A class run that crosses its split
-    /// budget ([`SimConfig::split_budget`]) is abandoned wholesale and the
-    /// pattern re-runs on the concrete engine. Outcomes are identical
-    /// either way; trace output is transactional (the abandoned attempt
-    /// leaves no events), and only the work counters show the flip
-    /// ([`Outcome::peak_units`] ≤ the budget, no class splits).
+    /// Validate the run, then step the population's units.
     fn run_traced_impl<T: Tracer + ?Sized>(
         &self,
         protocol: &dyn Protocol,
@@ -1533,61 +1705,54 @@ impl Simulator {
         run_seed: u64,
         tracer: &mut T,
     ) -> Result<Outcome, SimError> {
-        if self.cfg.population == PopulationMode::Concrete {
-            return self.run_concrete(protocol, pattern, run_seed, tracer);
-        }
-        let budget = self
-            .cfg
-            .split_budget
-            .unwrap_or_else(|| (pattern.k() as u64 / 2).max(4096));
-        let mut buffer = BufferTracer::new(tracer);
-        match self.run_classes(protocol, pattern, run_seed, &mut buffer, budget)? {
-            ClassRun::Done(out) => {
-                buffer.flush();
-                Ok(*out)
-            }
-            ClassRun::BudgetExceeded => {
-                buffer.discard();
-                self.run_concrete(protocol, pattern, run_seed, tracer)
-            }
-        }
-    }
-
-    /// Pre-run validation shared by both engines.
-    fn validate(&self, pattern: &WakePattern) -> Result<(), SimError> {
         if self.cfg.n == 0 {
             return Err(SimError::NoStations);
         }
         if let Some(id) = pattern.out_of_range(self.cfg.n) {
             return Err(SimError::StationOutOfRange { id, n: self.cfg.n });
         }
-        Ok(())
+        Ok(match self.cfg.population {
+            PopulationMode::Concrete => {
+                let units = Stations {
+                    protocol,
+                    run_seed,
+                    wakes: pattern.materialize(),
+                    next_wake: 0,
+                    awake: Vec::new(),
+                    transmitters: Vec::new(),
+                };
+                self.simulate(units, pattern, run_seed, tracer)
+            }
+            PopulationMode::Classes => {
+                let units = Classes::new(protocol, pattern, run_seed, &self.cfg);
+                self.simulate(units, pattern, run_seed, tracer)
+            }
+        })
     }
 
-    /// The historical engine: one boxed [`Station`] per woken station.
-    /// Block patterns are materialized up front (O(k) — the documented cost
-    /// of running a mega pattern concretely).
-    fn run_concrete<T: Tracer + ?Sized>(
+    /// The slot loop, generic over the [`Units`] it steps. Concrete
+    /// stations take every path: the sparse hint heap, adaptive burst
+    /// windows, scalar dense stepping and the word kernel. The class gate
+    /// ([`Units::stations`]), checked once at run start, keeps class units
+    /// on the hint heap with its permanent dense lock: they never open a
+    /// burst window or run the kernel, and [`EngineMode::Bitslab`] steps
+    /// them scalar-dense.
+    fn simulate<'a, U: Units<'a>, T: Tracer + ?Sized>(
         &self,
-        protocol: &dyn Protocol,
+        mut units: U,
         pattern: &WakePattern,
         run_seed: u64,
         tracer: &mut T,
-    ) -> Result<Outcome, SimError> {
-        self.validate(pattern)?;
-        let wakes = pattern.materialize();
-        let wakes: &[(StationId, Slot)] = &wakes;
-        let mut ledger = Ledger::new(&self.cfg, pattern.s(), wakes.len(), run_seed, tracer);
-        let mut churn = ChurnEvents::new(&self.cfg.churn, run_seed, wakes.iter().copied());
-        let mut next_wake = 0usize; // index into `wakes`
-        let mut awake: Vec<(StationId, Box<dyn Station>, u64)> = Vec::new(); // (id, station, tx count)
-        let mut transmitters: Vec<StationId> = Vec::new();
+    ) -> Outcome {
+        let hybrid = units.stations().is_some(); // the class gate
+        let mut ledger = Ledger::new(&self.cfg, pattern.s(), pattern.k(), run_seed, tracer);
+        let mut churn = ChurnEvents::new(&self.cfg.churn, run_seed, units.wakes());
 
-        // Sparse under Auto until any station answers TxHint::Dense (or a
+        // Sparse under Auto until any unit answers TxHint::Dense (or a
         // malformed scope), which locks dense polling permanently, or until
         // the adaptive policy drops into a dense burst window (from which a
         // re-probe can return to sparse).
-        let mut hints = Hints::new(self.cfg.engine, wakes.len());
+        let mut hints = Hints::new(self.cfg.engine, if hybrid { pattern.k() } else { 0 });
         let mut policy = Adaptive::default();
         // Word-kernel state (EngineMode::Bitslab always; Auto burst windows
         // until a TxHint::Dense answer): per-station claim memos reusable
@@ -1613,97 +1778,77 @@ impl Simulator {
 
         let mut t = pattern.s();
         'slots: while ledger.running() {
-            // Wake newly arriving stations (wakes are sorted by slot).
-            let batch_start = awake.len();
-            while let Some(&(id, sigma)) = wakes.get(next_wake).filter(|&&(_, w)| w <= t) {
-                let mut station = protocol.station(id, derive_seed(run_seed, u64::from(id.0)));
-                station.wake(sigma);
-                let idx = hints.add_unit();
-                if hints.sparse() {
-                    match hints.install(idx, t, station.next_transmission(t)) {
-                        Err(()) => hints.lock_dense(t, &mut ledger.trace),
-                        // Wake-time burst detection, short-circuited: a
-                        // *batch* arrival (≥ 2 stations this slot) whose
-                        // member is due immediately has nothing to skip —
-                        // drop straight into dense stepping instead of
-                        // paying hint queries for the rest of the batch.
-                        Ok(Some(due))
-                            if due <= t + 1
-                                && (awake.len() > batch_start
-                                    || wakes.get(next_wake + 1).is_some_and(|&(_, w)| w <= t)) =>
-                        {
-                            hints.open_burst(
-                                t,
-                                awake.len() + 1,
-                                BurstCause::Wake,
-                                &mut policy,
-                                &mut ledger,
-                            );
-                        }
-                        Ok(_) => {}
+            // Admit the arrivals due at or before t.
+            let batch_start = units.len();
+            let mut woken = 0;
+            while units.next_arrival().is_some_and(|sigma| sigma <= t) {
+                let first = units.len();
+                woken += units.admit_next(t, &mut ledger.trace);
+                for idx in first..units.len() {
+                    let due = hints.admit(t, &mut ledger.trace, || units.hint(idx, t));
+                    // Wake-time burst detection, short-circuited: a *batch*
+                    // arrival (≥ 2 stations this slot) whose member is due
+                    // immediately has nothing to skip — drop straight into
+                    // dense stepping instead of paying hint queries for the
+                    // rest of the batch.
+                    if hybrid
+                        && due.is_some_and(|due| due <= t + 1)
+                        && (idx > batch_start || units.next_arrival().is_some_and(|w| w <= t))
+                    {
+                        hints.open_burst(t, idx + 1, BurstCause::Wake, &mut policy, &mut ledger);
                     }
                 }
-                awake.push((id, station, 0));
-                next_wake += 1;
             }
-            if awake.len() > batch_start {
-                ledger.trace.wake(t, (awake.len() - batch_start) as u64);
+            if woken > 0 {
+                ledger.trace.emit(TraceEvent::Wake {
+                    slot: t,
+                    stations: woken,
+                });
             }
-            // Crash stations fated to die at or before t: the station is
-            // replaced by an inert listener (no dead-flag checks on the hot
-            // paths) and its live hint entry is superseded — an inert
-            // listener needs no new one. A crash never shrinks `awake`, so
-            // indices stay stable.
+            // Crash stations fated to die at or before t: the unit turns
+            // inert (or drops the member) in place — no dead-flag checks on
+            // the hot paths — and its hint is superseded or, on the sparse
+            // path, re-armed from t.
             while let Some((cslot, cid)) = churn.crash_due(t) {
-                if let Some(idx) = awake.iter().rposition(|(aid, _, _)| *aid == cid) {
-                    if let Some(entry) = awake.get_mut(idx) {
-                        entry.1 = Box::new(NeverTransmit);
-                    }
+                if let Some(idx) = units.crash(cid) {
                     if let Some(memo) = word_memos.get_mut(idx) {
                         *memo = WordMemo::Stale;
                     }
-                    hints.supersede(idx);
-                    ledger.crashed(cslot, cid);
+                    if !hints.sparse() {
+                        hints.supersede(idx);
+                    } else if hints.install(idx, t, units.hint(idx, t)).is_err() {
+                        hints.lock_dense(t, &mut ledger.trace);
+                    }
                 }
+                // Counted even when no unit holds the station any more (it
+                // retired out of its class), as a concrete run counts it.
+                ledger.crashed(cslot, cid);
             }
             // Re-wake crashed stations fated to return at or before t, as
             // fresh protocol instances under the re-wake seed stream (the
             // old instance's state died with it).
             while let Some((rslot, rid)) = churn.rewake_due(t) {
-                let mut station =
-                    protocol.station(rid, derive_seed(churn.rewake_seed, u64::from(rid.0)));
-                station.wake(rslot);
-                let idx = hints.add_unit();
-                if hints.sparse() && hints.install(idx, t, station.next_transmission(t)).is_err() {
-                    hints.lock_dense(t, &mut ledger.trace);
+                let first = units.len();
+                units.rewake(rid, rslot, churn.rewake_seed);
+                for idx in first..units.len() {
+                    hints.admit(t, &mut ledger.trace, || units.hint(idx, t));
                 }
-                awake.push((rid, station, 0));
                 ledger.rewoke(rslot, rid);
             }
-            ledger.watermark(t, hints.heap.len(), awake.len());
+            ledger.watermark(t, hints.heap.len(), units.len());
             // Full-batch burst test: after a batch arrival, if the earliest
             // live obligation in the heap is due within RESUME_GAP slots,
             // the heap has nothing to skip right now — run the burst dense.
-            if hints.sparse()
-                && awake.len() - batch_start >= 2
+            if hybrid
+                && hints.sparse()
+                && units.len() - batch_start >= 2
                 && hints.next_due().is_some_and(|due| due < t + RESUME_GAP)
             {
-                hints.open_burst(t, awake.len(), BurstCause::Wake, &mut policy, &mut ledger);
-            }
-
-            if awake.is_empty() {
-                match ledger.dead_air(t, wakes.get(next_wake).map(|&(_, sigma)| sigma)) {
-                    Some(sigma) => {
-                        t = sigma;
-                        continue 'slots;
-                    }
-                    None => break 'slots,
-                }
+                hints.open_burst(t, units.len(), BurstCause::Wake, &mut policy, &mut ledger);
             }
 
             if hints.sparse() {
-                let next_arrival = wakes.get(next_wake).map(|&(_, sigma)| sigma);
-                let event = hints.horizon(next_arrival, churn.next_slot());
+                let event = hints.horizon(units.next_arrival(), churn.next_slot());
                 debug_assert!(
                     event.is_none_or(|e| e >= t),
                     "event {event:?} behind clock {t}"
@@ -1719,10 +1864,10 @@ impl Simulator {
                 }
 
                 // Event at t: serve the due entries.
-                let served = hints.serve(t, &mut ledger.trace, |idx| {
-                    station_hint(awake.get_mut(idx), t)
-                });
-                if served.is_err() {
+                if hints
+                    .serve(t, &mut ledger.trace, |idx| units.hint(idx, t))
+                    .is_err()
+                {
                     hints.lock_dense(t, &mut ledger.trace);
                     continue 'slots; // dense path simulates slot t itself
                 }
@@ -1733,39 +1878,26 @@ impl Simulator {
                     continue 'slots;
                 }
 
-                // Transmission event at t: poll exactly the scheduled
-                // stations (everyone else is silent by promise).
-                transmitters.clear();
-                for &idx in &hints.polled {
-                    if let Some((id, station, tx_count)) = awake.get_mut(idx) {
-                        ledger.out.polls += 1;
-                        if station.act(t).is_transmit() {
-                            transmitters.push(*id);
-                            *tx_count += 1;
-                        }
-                    }
-                }
-                let truth = SlotOutcome::resolve(transmitters.clone());
-                match ledger.settle(t, truth, transmitters.len() as u64, Via::Event) {
+                // Transmission event at t: poll exactly the scheduled units
+                // (everyone else is silent by promise).
+                ledger.out.polls += hints.polled.len() as u64;
+                let (truth, contenders) = units.poll(t, Some(&hints.polled));
+                match ledger.settle(t, truth, contenders, Via::Event) {
                     Settled::Stop => break 'slots, // matches dense: no feedback delivered
                     Settled::Success(fb) => {
                         // AllResolved: a success is heard by every station,
                         // so feedback goes to the whole floor (matching
                         // dense).
-                        for (_, station, _) in awake.iter_mut() {
-                            station.feedback(t, fb);
-                        }
-                        if ledger.all_resolved(t, next_wake < wakes.len()) {
+                        units.feedback(t, fb, None);
+                        if ledger.all_resolved(t, units.next_arrival().is_some()) {
                             break 'slots;
                         }
                         // The success event invalidates every
                         // NextSuccess-scoped hint; re-query exactly those
-                        // stations (plus the polled ones) from t + 1.
+                        // units (plus the polled ones) from t + 1.
                         hints.requery_after_success();
                         if hints
-                            .rearm(t + 1, &mut ledger.trace, |idx| {
-                                station_hint(awake.get_mut(idx), t + 1)
-                            })
+                            .rearm(t + 1, &mut ledger.trace, |idx| units.hint(idx, t + 1))
                             .is_err()
                         {
                             hints.lock_dense(t + 1, &mut ledger.trace);
@@ -1775,33 +1907,27 @@ impl Simulator {
                     }
                     Settled::NoSuccess(fb) => {
                         // Non-success feedback goes only to the polled
-                        // stations: Forever-scoped stations are oblivious,
+                        // units: Forever-scoped ones are oblivious,
                         // NextSuccess-scoped ones must ignore anything but
                         // a success, by contract.
-                        for &idx in &hints.polled {
-                            if let Some((_, station, _)) = awake.get_mut(idx) {
-                                station.feedback(t, fb);
-                            }
-                        }
-                        // Re-arm the polled stations' hints (their entries
-                        // were consumed); nothing else was invalidated.
+                        units.feedback(t, fb, Some(&hints.polled));
+                        // Re-arm the polled units' hints (their entries were
+                        // consumed); nothing else was invalidated.
                         hints.requery_polled();
-                        let rearmed = hints.rearm(t + 1, &mut ledger.trace, |idx| {
-                            station_hint(awake.get_mut(idx), t + 1)
-                        });
+                        let rearmed =
+                            hints.rearm(t + 1, &mut ledger.trace, |idx| units.hint(idx, t + 1));
                         if rearmed.is_err() {
                             hints.lock_dense(t + 1, &mut ledger.trace);
-                        } else {
+                        } else if hybrid {
                             // Back-to-back collisions among stations that
                             // are not waiting for the next success: the
                             // heap has nothing to skip until one of them
                             // wins, so a streak of them goes to the kernel.
-                            let contended =
-                                transmitters.len() >= 2 && !hints.polled_success_scoped();
+                            let contended = contenders >= 2 && !hints.polled_success_scoped();
                             if policy.streak_event(t, contended) {
                                 hints.open_burst(
                                     t + 1,
-                                    awake.len(),
+                                    units.len(),
                                     BurstCause::Streak,
                                     &mut policy,
                                     &mut ledger,
@@ -1816,9 +1942,9 @@ impl Simulator {
 
             // Dense stepping. When the word kernel is live — always under
             // EngineMode::Bitslab, and in Auto burst windows that survived
-            // their scalar warmup, until a TxHint::Dense answer — whole
-            // tiles of up to 64 slots are
-            // resolved by popcount over transposed per-station bit columns,
+            // their scalar warmup, until a TxHint::Dense answer; never for
+            // class units — whole tiles of up to 64 slots are resolved by
+            // popcount over transposed per-station bit columns,
             // materializing feedback/trace only on real channel events.
             // Otherwise one scalar slot is polled. Both converge on the
             // shared adaptive tail below.
@@ -1831,7 +1957,7 @@ impl Simulator {
             let mut stepped = 1u64; // slots consumed by this iteration
             let mut step_success = false;
             let mut ran_tile = false;
-            if kernel_live {
+            if let Some(st) = units.stations().filter(|_| kernel_live) {
                 // Tile horizon: the ramp width, then stop at the next
                 // arrival (the wake loop at the top of 'slots admits
                 // batches), at the next churn event (processed at the loop
@@ -1843,7 +1969,7 @@ impl Simulator {
                     WORD_RAMP_SEED
                 };
                 let mut tile_h = t + word_ramp;
-                if let Some(&(_, sigma)) = wakes.get(next_wake) {
+                if let Some(sigma) = st.next_arrival() {
                     tile_h = tile_h.min(sigma);
                 }
                 if let Some(churn_slot) = churn.next_slot() {
@@ -1860,11 +1986,11 @@ impl Simulator {
                 if word_cont != t {
                     word_memos.clear();
                 }
-                word_memos.resize(awake.len(), WordMemo::Stale);
+                word_memos.resize(st.awake.len(), WordMemo::Stale);
                 word_generic.clear();
-                word_generic.resize(awake.len(), false);
+                word_generic.resize(st.awake.len(), false);
                 word_cols.clear();
-                word_cols.resize(awake.len(), 0);
+                word_cols.resize(st.awake.len(), 0);
 
                 // Fill one column of transmit bits per station. Each claim
                 // is scoped per the TxHint obligations, and `tile_h` shrinks
@@ -1875,15 +2001,12 @@ impl Simulator {
                 let mut fill_err = false;
                 let columns = word_cols.iter_mut().zip(word_generic.iter_mut());
                 for (((_, station, _), memo), (col, generic)) in
-                    awake.iter_mut().zip(word_memos.iter_mut()).zip(columns)
+                    st.awake.iter_mut().zip(word_memos.iter_mut()).zip(columns)
                 {
                     // A still-valid claim from a previous tile?
                     let memo_claim = match *memo {
                         WordMemo::Hint { next, until } => {
-                            let live = match until {
-                                Until::Forever | Until::NextSuccess => true,
-                                Until::Slot(tb) => t < tb,
-                            };
+                            let live = !matches!(until, Until::Slot(tb) if tb <= t);
                             debug_assert!(
                                 next.is_none_or(|p| p >= t),
                                 "stale word memo: next={next:?} at tile base {t}"
@@ -1910,32 +2033,24 @@ impl Simulator {
                                 continue;
                             }
                             // …generic per-station fill from the hint protocol.
-                            match station.next_transmission(t) {
+                            let (next, until) = match station.next_transmission(t) {
                                 TxHint::Dense => {
                                     fill_err = true;
                                     break;
                                 }
-                                TxHint::At(p, until) => {
-                                    let p = p.max(t);
-                                    match until {
-                                        Until::Slot(tb) if tb <= t => {
-                                            fill_err = true;
-                                            break;
-                                        }
-                                        // Scope boundary before the claimed
-                                        // transmission: only the silence up
-                                        // to `tb` is usable.
-                                        Until::Slot(tb) if p >= tb => (None, until),
-                                        _ => (Some(p), until),
-                                    }
+                                TxHint::At(p, until) => (Some(p.max(t)), until),
+                                TxHint::Never(until) => (None, until),
+                            };
+                            match until {
+                                Until::Slot(tb) if tb <= t => {
+                                    fill_err = true;
+                                    break;
                                 }
-                                TxHint::Never(until) => match until {
-                                    Until::Slot(tb) if tb <= t => {
-                                        fill_err = true;
-                                        break;
-                                    }
-                                    _ => (None, until),
-                                },
+                                // Scope boundary before the claimed
+                                // transmission: only the silence up to `tb`
+                                // is usable.
+                                Until::Slot(tb) => (next.filter(|&p| p < tb), until),
+                                Until::Forever | Until::NextSuccess => (next, until),
                             }
                         }
                     };
@@ -1971,7 +2086,7 @@ impl Simulator {
                     // after transposing each 64-station block, word `j` of a
                     // block holds that block's transmit bits for slot t + j.
                     word_blocks.clear();
-                    word_blocks.resize(awake.len().div_ceil(64), [0u64; 64]);
+                    word_blocks.resize(st.awake.len().div_ceil(64), [0u64; 64]);
                     for (blk, cols) in word_blocks.iter_mut().zip(word_cols.chunks(64)) {
                         for (row, &col) in blk.iter_mut().zip(cols) {
                             *row = col & wmask;
@@ -1998,7 +2113,7 @@ impl Simulator {
                             ledger.silence(silent_from, silent_run, Via::Word);
                             silent_run = 0;
                         }
-                        transmitters.clear();
+                        st.transmitters.clear();
                         word_tx_idx.clear();
                         for (b, blk) in word_blocks.iter().enumerate() {
                             let mut bits = row(blk);
@@ -2008,7 +2123,7 @@ impl Simulator {
                             }
                         }
                         for &idx in &word_tx_idx {
-                            let Some((id, station, tx_count)) = awake.get_mut(idx) else {
+                            let Some((id, station, tx_count)) = st.awake.get_mut(idx) else {
                                 continue;
                             };
                             if word_generic.get(idx) == Some(&true) {
@@ -2024,20 +2139,19 @@ impl Simulator {
                                     *memo = WordMemo::Stale;
                                 }
                             }
-                            transmitters.push(*id);
+                            st.transmitters.push(*id);
                             *tx_count += 1;
                         }
-                        let truth = SlotOutcome::resolve(transmitters.clone());
-                        match ledger.settle(slot, truth, transmitters.len() as u64, Via::Word) {
+                        let truth = SlotOutcome::resolve(st.transmitters.clone());
+                        let contenders = st.transmitters.len() as u64;
+                        match ledger.settle(slot, truth, contenders, Via::Word) {
                             Settled::Stop => break 'slots, // matches scalar: no feedback
                             Settled::Success(fb) => {
                                 step_success = true;
                                 // AllResolved: the success is heard by the
                                 // whole floor (matching both scalar paths).
-                                for (_, station, _) in awake.iter_mut() {
-                                    station.feedback(slot, fb);
-                                }
-                                if ledger.all_resolved(slot, next_wake < wakes.len()) {
+                                st.feedback(slot, fb, None);
+                                if ledger.all_resolved(slot, st.next_arrival().is_some()) {
                                     break 'slots;
                                 }
                                 // The success voids every NextSuccess-scoped
@@ -2060,11 +2174,7 @@ impl Simulator {
                                 // transmitters (the sparse-path contract;
                                 // everyone else ignores it by scope). A
                                 // silence here is an erased success.
-                                for &idx in &word_tx_idx {
-                                    if let Some((_, station, _)) = awake.get_mut(idx) {
-                                        station.feedback(slot, fb);
-                                    }
-                                }
+                                st.feedback(slot, fb, Some(&word_tx_idx));
                             }
                         }
                     }
@@ -2077,18 +2187,11 @@ impl Simulator {
                 }
             }
             if !ran_tile {
-                // Scalar dense slot: poll every awake station, then deliver
-                // feedback to every awake station.
-                transmitters.clear();
-                ledger.out.polls += awake.len() as u64;
-                for (id, station, tx_count) in awake.iter_mut() {
-                    if station.act(t).is_transmit() {
-                        transmitters.push(*id);
-                        *tx_count += 1;
-                    }
-                }
-                let truth = SlotOutcome::resolve(transmitters.clone());
-                let fb = match ledger.settle(t, truth, transmitters.len() as u64, Via::Dense) {
+                // Scalar dense slot: poll every awake unit, then deliver
+                // feedback to every awake unit.
+                ledger.out.polls += units.len() as u64;
+                let (truth, contenders) = units.poll(t, None);
+                let fb = match ledger.settle(t, truth, contenders, Via::Dense) {
                     Settled::Stop => break 'slots,
                     Settled::Success(fb) => {
                         step_success = true;
@@ -2096,12 +2199,10 @@ impl Simulator {
                     }
                     Settled::NoSuccess(fb) => fb,
                 };
-                for (_, station, _) in awake.iter_mut() {
-                    station.feedback(t, fb);
-                }
+                units.feedback(t, fb, None);
                 // The final feedback lets the last winner learn of its own
                 // success before the run stops.
-                if step_success && ledger.all_resolved(t, next_wake < wakes.len()) {
+                if step_success && ledger.all_resolved(t, units.next_arrival().is_some()) {
                     break 'slots;
                 }
                 t += 1;
@@ -2115,38 +2216,33 @@ impl Simulator {
             if hints.path == Path::Burst {
                 policy.burst_remaining = policy.burst_remaining.saturating_sub(stepped);
                 if policy.burst_remaining == 0 || step_success {
-                    // Re-query every awake station for a fresh hint from t.
+                    // Re-query every awake unit for a fresh hint from t.
                     hints.reset();
                     hints.requery.clear();
-                    hints.requery.extend(0..awake.len());
+                    hints.requery.extend(0..units.len());
                     if hints
-                        .rearm(t, &mut ledger.trace, |idx| {
-                            station_hint(awake.get_mut(idx), t)
-                        })
+                        .rearm(t, &mut ledger.trace, |idx| units.hint(idx, t))
                         .is_err()
                     {
                         hints.lock_dense(t, &mut ledger.trace);
                         continue 'slots;
                     }
-                    let next_arrival = wakes.get(next_wake).map(|&(_, sigma)| sigma);
-                    let event = hints.horizon(next_arrival, None);
+                    let event = hints.horizon(units.next_arrival(), None);
                     // Resume sparse only when there is an actual gap to
                     // skip (or provable silence to the cap).
                     if event.is_none_or(|e| e >= t + RESUME_GAP) {
                         hints.path = Path::Sparse;
                         ledger.out.mode_switches += 1;
                         policy.resume_sparse();
-                        ledger
-                            .trace
-                            .engine_event(TraceEvent::BurstClose { slot: t });
-                        ledger.trace.engine_event(TraceEvent::ModeSwitch {
+                        ledger.trace.emit(TraceEvent::BurstClose { slot: t });
+                        ledger.trace.emit(TraceEvent::ModeSwitch {
                             slot: t,
                             dense: false,
                         });
                     } else {
-                        policy.backoff(awake.len());
+                        policy.backoff(units.len());
                         hints.heap.clear();
-                        ledger.trace.engine_event(TraceEvent::BurstOpen {
+                        ledger.trace.emit(TraceEvent::BurstOpen {
                             slot: t,
                             window: policy.burst_len,
                             cause: BurstCause::Backoff,
@@ -2156,306 +2252,7 @@ impl Simulator {
             }
         }
 
-        let per_station_tx = if !self.cfg.per_station_detail {
-            Vec::new()
-        } else if churn.next_rewake == 0 {
-            // No re-wake fired, so every ID is in `awake` once.
-            awake.iter().map(|(id, _, tx)| (*id, *tx)).collect()
-        } else {
-            // Re-wakes duplicate IDs in `awake`: merge each ID's counts
-            // into its first occurrence (wake order), found by index.
-            let mut merged: Vec<(StationId, u64)> = Vec::with_capacity(awake.len());
-            let mut first: BTreeMap<StationId, usize> = BTreeMap::new();
-            for (id, _, tx) in awake.iter() {
-                match first.entry(*id) {
-                    Entry::Occupied(row) => {
-                        if let Some((_, count)) = merged.get_mut(*row.get()) {
-                            *count += *tx;
-                        }
-                    }
-                    Entry::Vacant(row) => {
-                        row.insert(merged.len());
-                        merged.push((*id, *tx));
-                    }
-                }
-            }
-            merged
-        };
-        Ok(ledger.finish(per_station_tx))
-    }
-
-    /// The **class engine**: stations waking at the same slot are admitted
-    /// as weighted units ([`ClassStation`]s); the run loop mirrors the
-    /// concrete engine's sparse event discipline (the same hint scheduler,
-    /// fixpoint re-query at events, success broadcast under
-    /// [`StopRule::AllResolved`]) with one entry per *unit* rather than per
-    /// station, and falls back to per-slot dense polling permanently when
-    /// any unit answers [`TxHint::Dense`]. No adaptive burst policy runs
-    /// here — outcomes are path-independent, so only the work counters
-    /// differ from the concrete engine.
-    ///
-    /// Outcomes and transcripts are bit-identical to the concrete engine
-    /// for the same config; memory is O(live units), reported via
-    /// [`Outcome::peak_units`]. One attempt runs under a live-unit
-    /// `budget`: it returns [`ClassRun::BudgetExceeded`] the moment the
-    /// unit count crosses the budget — at batch admission or at any split
-    /// site — so the caller can fall back to the concrete engine.
-    fn run_classes<T: Tracer + ?Sized>(
-        &self,
-        protocol: &dyn Protocol,
-        pattern: &WakePattern,
-        run_seed: u64,
-        tracer: &mut T,
-        budget: u64,
-    ) -> Result<ClassRun, SimError> {
-        self.validate(pattern)?;
-        let batches = pattern.batches_by_slot();
-        let mut ledger = Ledger::new(&self.cfg, pattern.s(), pattern.k(), run_seed, tracer);
-        let mut churn = ChurnEvents::new(
-            &self.cfg.churn,
-            run_seed,
-            batches
-                .iter()
-                .flat_map(|(sigma, members)| members.iter().map(move |id| (id, *sigma))),
-        );
-        let mut next_batch = 0usize; // index into `batches`
-        let mut units: Vec<Box<dyn ClassStation>> = Vec::new();
-        let detail = self.cfg.per_station_detail;
-        let mut tx_detail = TxDetail::default();
-        // Transcripts and per-station detail need individual transmitter
-        // IDs — as does capture, whose winner is drawn from the contender
-        // list; mega runs use weighted counts only.
-        let mut tally =
-            TxTally::new(detail || self.cfg.record_transcript || self.cfg.channel.capture_ppm > 0);
-        // Sparse until any unit answers TxHint::Dense or a malformed scope,
-        // which locks dense polling permanently (no adaptive policy here).
-        let mut hints = Hints::new(self.cfg.engine, 0);
-
-        let mut t = pattern.s();
-        'slots: while ledger.running() {
-            // Admit batches due at or before t (batches are slot-sorted),
-            // then re-wake crashed stations as fresh single-member units
-            // under the re-wake seed stream (matching the concrete
-            // engine's re-wake instances; transmission counts accumulate
-            // into the station's original detail row).
-            while let Some((sigma, members)) = batches.get(next_batch).filter(|(s, _)| *s <= t) {
-                ledger.trace.wake(t, members.count());
-                if detail {
-                    members.iter().for_each(|id| tx_detail.add(id));
-                }
-                for mut unit in population::admit(protocol, members, run_seed) {
-                    unit.wake(*sigma);
-                    let idx = hints.add_unit();
-                    if hints.sparse() && hints.install(idx, t, unit.next_transmission(t)).is_err() {
-                        hints.lock_dense(t, &mut ledger.trace);
-                    }
-                    units.push(unit);
-                }
-                next_batch += 1;
-            }
-            // Crash stations fated to die at or before t: remove the member
-            // from its class. Classes that cannot (protocol-owned
-            // aggregates answer [`MemberRemoval::Unsupported`]) abandon the
-            // attempt wholesale — the concrete engine handles churn
-            // natively. An emptied unit is replaced by an inert
-            // [`DeadClass`] so indices stay stable.
-            while let Some((cslot, cid)) = churn.crash_due(t) {
-                let mut hit = None;
-                for (idx, unit) in units.iter_mut().enumerate() {
-                    match unit.remove_member(cid) {
-                        MemberRemoval::NotMember => {}
-                        MemberRemoval::Removed { emptied } => {
-                            hit = Some((idx, emptied));
-                            break;
-                        }
-                        MemberRemoval::Unsupported => return Ok(ClassRun::BudgetExceeded),
-                    }
-                }
-                if let Some((idx, unit, emptied)) =
-                    hit.and_then(|(idx, emptied)| Some((idx, units.get_mut(idx)?, emptied)))
-                {
-                    if emptied {
-                        *unit = Box::new(DeadClass);
-                    }
-                    // The unit's schedule changed: supersede its hint and
-                    // (on the sparse path) re-arm it from t.
-                    if !hints.sparse() {
-                        hints.supersede(idx);
-                    } else if hints.install(idx, t, unit.next_transmission(t)).is_err() {
-                        hints.lock_dense(t, &mut ledger.trace);
-                    }
-                }
-                // Count and trace the crash even when no unit held the
-                // member (it already retired out of its class): the
-                // concrete engine keeps retired stations in `awake`, so it
-                // counts the crash — fault accounting is engine-path-
-                // independent.
-                ledger.crashed(cslot, cid);
-            }
-            while let Some((rslot, rid)) = churn.rewake_due(t) {
-                if detail {
-                    tx_detail.add(rid);
-                }
-                let members = Members::from_sorted_ids(&[rid]);
-                for mut unit in population::admit(protocol, &members, churn.rewake_seed) {
-                    unit.wake(rslot);
-                    let idx = hints.add_unit();
-                    if hints.sparse() && hints.install(idx, t, unit.next_transmission(t)).is_err() {
-                        hints.lock_dense(t, &mut ledger.trace);
-                    }
-                    units.push(unit);
-                }
-                ledger.rewoke(rslot, rid);
-            }
-            if units.len() as u64 > budget {
-                return Ok(ClassRun::BudgetExceeded);
-            }
-            ledger.watermark(t, hints.heap.len(), units.len());
-
-            if units.is_empty() {
-                match ledger.dead_air(t, batches.get(next_batch).map(|&(sigma, _)| sigma)) {
-                    Some(sigma) => {
-                        t = sigma;
-                        continue 'slots;
-                    }
-                    None => break 'slots,
-                }
-            }
-
-            if hints.sparse() {
-                let next_arrival = batches.get(next_batch).map(|&(sigma, _)| sigma);
-                let event = hints.horizon(next_arrival, churn.next_slot());
-                debug_assert!(
-                    event.is_none_or(|e| e >= t),
-                    "event {event:?} behind clock {t}"
-                );
-                if event != Some(t) {
-                    match ledger.skip_to(t, event) {
-                        Some(next) => {
-                            t = next;
-                            continue 'slots; // re-checks the cap / batch arrivals
-                        }
-                        None => break 'slots,
-                    }
-                }
-                if hints
-                    .serve(t, &mut ledger.trace, |idx| unit_hint(units.get_mut(idx), t))
-                    .is_err()
-                {
-                    hints.lock_dense(t, &mut ledger.trace);
-                    continue 'slots; // dense path simulates slot t itself
-                }
-                if hints.polled.is_empty() {
-                    // Pure re-query event: the slot joins the next silent
-                    // gap instead of being simulated individually.
-                    continue 'slots;
-                }
-
-                // Transmission event at t: poll exactly the scheduled units
-                // (everyone else is silent by promise).
-                tally.clear();
-                for &idx in &hints.polled {
-                    if let Some(unit) = units.get_mut(idx) {
-                        ledger.out.polls += 1;
-                        unit.act(t, &mut tally);
-                    }
-                }
-                let truth = slot_outcome(&mut tally);
-                if detail {
-                    tx_detail.count(tally.sorted_ids());
-                }
-                let mut born: Vec<Box<dyn ClassStation>> = Vec::new();
-                match ledger.settle(t, truth, tally.total(), Via::Event) {
-                    Settled::Stop => break 'slots, // matches concrete: no feedback
-                    Settled::Success(fb) => {
-                        // AllResolved: a success is heard by every unit, and
-                        // classes may split on it (the winner retires out).
-                        for unit in units.iter_mut() {
-                            born.append(&mut unit.feedback(t, fb));
-                        }
-                        let Some(first_new) =
-                            admit_splits(&mut units, born, t, budget, &mut hints, &mut ledger)
-                        else {
-                            return Ok(ClassRun::BudgetExceeded);
-                        };
-                        if ledger.all_resolved(t, next_batch < batches.len()) {
-                            break 'slots;
-                        }
-                        // The success invalidates every NextSuccess-scoped
-                        // hint; re-query those, the polled units (entries
-                        // consumed), and newborn splits, from t + 1.
-                        hints.requery_after_success();
-                        hints.requery.extend(first_new..units.len());
-                    }
-                    Settled::NoSuccess(fb) => {
-                        // Non-success feedback goes only to the polled units
-                        // (the concrete sparse contract); splits are
-                        // possible here too.
-                        for &idx in &hints.polled {
-                            if let Some(unit) = units.get_mut(idx) {
-                                born.append(&mut unit.feedback(t, fb));
-                            }
-                        }
-                        let Some(first_new) =
-                            admit_splits(&mut units, born, t, budget, &mut hints, &mut ledger)
-                        else {
-                            return Ok(ClassRun::BudgetExceeded);
-                        };
-                        // Re-arm the polled units (entries consumed) and
-                        // newborn splits; nothing else was invalidated.
-                        hints.requery_polled();
-                        hints.requery.extend(first_new..units.len());
-                    }
-                }
-                if hints
-                    .rearm(t + 1, &mut ledger.trace, |idx| {
-                        unit_hint(units.get_mut(idx), t + 1)
-                    })
-                    .is_err()
-                {
-                    hints.lock_dense(t + 1, &mut ledger.trace);
-                }
-                t += 1;
-                continue 'slots;
-            }
-
-            // Dense path: poll every unit every slot.
-            tally.clear();
-            ledger.out.polls += units.len() as u64;
-            for unit in units.iter_mut() {
-                unit.act(t, &mut tally);
-            }
-            let truth = slot_outcome(&mut tally);
-            if detail {
-                tx_detail.count(tally.sorted_ids());
-            }
-            let fb = match ledger.settle(t, truth, tally.total(), Via::Dense) {
-                Settled::Stop => break 'slots,
-                Settled::Success(fb) if ledger.all_resolved(t, next_batch < batches.len()) => {
-                    // Deliver the final feedback so the winner learns of
-                    // its own success, then stop.
-                    for unit in units.iter_mut() {
-                        let _ = unit.feedback(t, fb);
-                    }
-                    break 'slots;
-                }
-                Settled::Success(fb) | Settled::NoSuccess(fb) => fb,
-            };
-            // Deliver feedback to every unit; append any splits (they are
-            // polled from the next slot, like everyone else on the dense
-            // path — the members they carry already received this slot's
-            // feedback through their parent).
-            let mut born: Vec<Box<dyn ClassStation>> = Vec::new();
-            for unit in units.iter_mut() {
-                born.append(&mut unit.feedback(t, fb));
-            }
-            if admit_splits(&mut units, born, t, budget, &mut hints, &mut ledger).is_none() {
-                return Ok(ClassRun::BudgetExceeded);
-            }
-            t += 1;
-        }
-
-        Ok(ClassRun::Done(Box::new(ledger.finish(tx_detail.rows))))
+        ledger.finish(units.per_station_tx(self.cfg.per_station_detail))
     }
 }
 
@@ -3282,174 +3079,5 @@ mod tests {
             .unwrap();
         assert_eq!(out.resolved, vec![(StationId(3), 3)]);
         assert!(out.all_resolved_at.is_none());
-    }
-
-    /// A protocol whose class fragments into singletons on the very first
-    /// feedback — the worst case the split-budget guard exists for.
-    /// Stations all transmit at their wake slot (collision), then each at
-    /// `σ + 1 + id` (staggered successes); the class mirrors that exactly
-    /// but splits off every member past the first after the collision.
-    struct Fragmenting;
-    struct FragStation {
-        id: StationId,
-        s: Slot,
-    }
-    impl Station for FragStation {
-        fn wake(&mut self, sigma: Slot) {
-            self.s = sigma;
-        }
-        fn act(&mut self, t: Slot) -> Action {
-            Action::from_bool(t == self.s || t == self.s + 1 + u64::from(self.id.0))
-        }
-    }
-    struct FragClass {
-        members: Vec<StationId>,
-        s: Slot,
-        split_done: bool,
-    }
-    impl crate::population::ClassStation for FragClass {
-        fn weight(&self) -> u64 {
-            self.members.len() as u64
-        }
-        fn wake(&mut self, sigma: Slot) {
-            self.s = sigma;
-        }
-        fn act(&mut self, t: Slot, tally: &mut TxTally) {
-            for &id in &self.members {
-                if t == self.s || t == self.s + 1 + u64::from(id.0) {
-                    tally.push(id);
-                }
-            }
-        }
-        fn feedback(
-            &mut self,
-            _t: Slot,
-            _fb: crate::channel::Feedback,
-        ) -> Vec<Box<dyn crate::population::ClassStation>> {
-            if self.split_done {
-                return Vec::new();
-            }
-            self.split_done = true;
-            let s = self.s;
-            self.members
-                .drain(1..)
-                .map(|id| {
-                    Box::new(FragClass {
-                        members: vec![id],
-                        s,
-                        split_done: true,
-                    }) as Box<dyn crate::population::ClassStation>
-                })
-                .collect()
-        }
-    }
-    impl Protocol for Fragmenting {
-        fn station(&self, id: StationId, _seed: u64) -> Box<dyn Station> {
-            Box::new(FragStation { id, s: 0 })
-        }
-        fn class_station(
-            &self,
-            members: &crate::population::Members,
-            _run_seed: u64,
-        ) -> Option<Box<dyn crate::population::ClassStation>> {
-            Some(Box::new(FragClass {
-                members: members.iter().collect(),
-                s: 0,
-                split_done: false,
-            }))
-        }
-        fn name(&self) -> String {
-            "fragmenting".into()
-        }
-    }
-
-    #[test]
-    fn split_budget_flips_fragmenting_class_run_to_concrete() {
-        use crate::tracer::RecordingTracer;
-        let n = 16u32;
-        let k: Vec<StationId> = (0..8).map(StationId).collect();
-        let pattern = WakePattern::simultaneous(&k, 5).unwrap();
-        let cfg = SimConfig::new(n).with_max_slots(64).with_transcript();
-
-        let concrete = Simulator::new(cfg.clone())
-            .run(&Fragmenting, &pattern, 0)
-            .unwrap();
-
-        // Unguarded class run: the collision feedback fragments the class
-        // into 8 singletons, visible as a ClassSplit trace event.
-        let mut unguarded_trace = RecordingTracer::new();
-        let unguarded =
-            Simulator::new(cfg.clone().with_classes().with_split_budget(Some(u64::MAX)))
-                .run_traced(&Fragmenting, &pattern, 0, &mut unguarded_trace)
-                .unwrap();
-        assert_eq!(unguarded.peak_units, 8);
-        assert!(
-            unguarded_trace
-                .events()
-                .iter()
-                .any(|e| e.kind() == TraceKind::ClassSplit),
-            "fragmentation did not split"
-        );
-
-        // Guarded run: 8 units exceed a budget of 4, the class attempt is
-        // abandoned and the concrete engine produces the outcome. The
-        // abandoned attempt must leave no trace events behind.
-        let mut guarded_trace = RecordingTracer::new();
-        let guarded = Simulator::new(cfg.with_classes().with_split_budget(Some(4)))
-            .run_traced(&Fragmenting, &pattern, 0, &mut guarded_trace)
-            .unwrap();
-        assert_eq!(guarded.first_success, concrete.first_success);
-        assert_eq!(guarded.winner, concrete.winner);
-        assert_eq!(guarded.transmissions, concrete.transmissions);
-        assert_eq!(guarded.per_station_tx, concrete.per_station_tx);
-        assert_eq!(guarded.transcript, concrete.transcript);
-        assert_eq!(guarded.polls, concrete.polls);
-        assert!(
-            guarded_trace
-                .events()
-                .iter()
-                .all(|e| e.kind() != TraceKind::ClassSplit),
-            "abandoned class attempt leaked trace events"
-        );
-        // The deterministic (channel) streams agree between the flipped run
-        // and the unguarded class run — the flip is work-counter-only.
-        let det = |tr: &RecordingTracer| {
-            tr.events()
-                .iter()
-                .copied()
-                .filter(|e| e.kind().deterministic())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(det(&guarded_trace), det(&unguarded_trace));
-    }
-
-    #[test]
-    fn split_budget_exceeded_at_admission_flips_too() {
-        // A protocol with no class form falls back to one singleton per
-        // station: admission alone crosses a small budget.
-        let n = 8u32;
-        let pattern = WakePattern::simultaneous(&ids(&[0, 1, 2, 3, 4]), 0).unwrap();
-        let cfg = SimConfig::new(n).with_max_slots(32).with_transcript();
-        let concrete = Simulator::new(cfg.clone())
-            .run(&RetiringRr { n }, &pattern, 0)
-            .unwrap();
-        let guarded = Simulator::new(cfg.with_classes().with_split_budget(Some(2)))
-            .run(&RetiringRr { n }, &pattern, 0)
-            .unwrap();
-        assert_eq!(guarded.first_success, concrete.first_success);
-        assert_eq!(guarded.transcript, concrete.transcript);
-        assert_eq!(guarded.per_station_tx, concrete.per_station_tx);
-    }
-
-    #[test]
-    fn default_split_budget_leaves_small_class_runs_alone() {
-        // None → max(4096, k/2): a small fragmenting run stays classed.
-        let n = 16u32;
-        let k: Vec<StationId> = (0..8).map(StationId).collect();
-        let pattern = WakePattern::simultaneous(&k, 0).unwrap();
-        let out = Simulator::new(SimConfig::new(n).with_max_slots(64).with_classes())
-            .run(&Fragmenting, &pattern, 0)
-            .unwrap();
-        assert_eq!(out.peak_units, 8, "small run should not flip");
     }
 }

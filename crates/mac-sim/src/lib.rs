@@ -37,7 +37,7 @@
 //!   bad wake-up patterns against a concrete protocol.
 //! * [`trace`] — per-slot transcripts and model-invariant checkers.
 //! * [`tracer`] — structured engine event tracing ([`Tracer`],
-//!   [`TraceEvent`]): slot outcomes, mode switches, class splits, streamed
+//!   [`TraceEvent`]): slot outcomes, mode switches, burst windows, streamed
 //!   or ring-buffered, compiled away by default.
 //! * [`metrics`] — latency / energy (transmission-count) accounting.
 //! * [`rng`] — small deterministic mixing utilities for reproducible seeding.
@@ -109,8 +109,7 @@ pub use population::{
 pub use station::{Action, Protocol, Station, TxHint, TxWord, Until};
 pub use trace::Transcript;
 pub use tracer::{
-    BufferTracer, BurstCause, NoopTracer, RecordingTracer, TraceEvent, TraceFilter, TraceKind,
-    Tracer,
+    BurstCause, NoopTracer, RecordingTracer, TraceEvent, TraceFilter, TraceKind, Tracer,
 };
 
 /// Convenient glob import for downstream crates and examples.
@@ -132,7 +131,6 @@ pub mod prelude {
     pub use crate::station::{Action, Protocol, Station, TxHint, TxWord, Until};
     pub use crate::trace::Transcript;
     pub use crate::tracer::{
-        BufferTracer, BurstCause, NoopTracer, RecordingTracer, TraceEvent, TraceFilter, TraceKind,
-        Tracer,
+        BurstCause, NoopTracer, RecordingTracer, TraceEvent, TraceFilter, TraceKind, Tracer,
     };
 }

@@ -15,10 +15,9 @@
 //! * [`ClassStation`] — the class-aggregated counterpart of
 //!   [`Station`]: it answers for *all* its members
 //!   at once (weighted transmission counts, aggregate
-//!   [`TxHint`]s) and **splits lazily** when
-//!   feedback makes members diverge (e.g. one member succeeds and retires
-//!   while the rest stay contending);
-//! * [`SingletonClass`] — a weight-1 unit wrapping one concrete station:
+//!   [`TxHint`]s). Members only ever leave a class — by retiring after their
+//!   own success, or by a churn crash — so a class never spawns new units;
+//! * [`SingletonClass`] — a one-member unit wrapping one concrete station:
 //!   under [`PopulationMode::Classes`] a wake batch becomes the protocol's
 //!   class-aggregated unit
 //!   ([`Protocol::class_station`](crate::station::Protocol)), or one
@@ -137,9 +136,8 @@ impl Members {
         self.runs.get(i).map(|&(lo, _)| lo.max(x))
     }
 
-    /// Remove one ID (a member retiring after its own success — the lazy
-    /// split of a class into "resolved" and "still contending"). Returns
-    /// `false` if `id` was not a member.
+    /// Remove one ID (a member retiring after its own success, or
+    /// crashing). Returns `false` if `id` was not a member.
     pub fn remove(&mut self, id: u32) -> bool {
         let i = self.runs.partition_point(|&(_, hi)| hi <= id);
         let Some(&(lo, hi)) = self.runs.get(i) else {
@@ -363,16 +361,12 @@ impl TxRow for selectors::kautz_singleton::KsRow<'_> {
 ///   slot is the earliest slot at which *any* member may transmit;
 /// * `feedback` receives what every member perceives (feedback is uniform
 ///   across stations — see
-///   [`FeedbackModel::perceive`](crate::channel::FeedbackModel::perceive))
-///   and may **split** the class when members diverge: the returned units
-///   are appended to the population (already awake; they are polled and
-///   re-queried from `t + 1`). A member retiring on its own success is the
-///   degenerate split — the class simply drops it
-///   ([`weight`](ClassStation::weight) decreases) and no new unit is born.
+///   [`FeedbackModel::perceive`](crate::channel::FeedbackModel::perceive)).
+///
+/// Members only leave a class: a member retiring on its own success drops
+/// out of it, and so does one that crashes
+/// ([`remove_member`](ClassStation::remove_member)).
 pub trait ClassStation {
-    /// Number of live members this unit stands in for.
-    fn weight(&self) -> u64;
-
     /// The whole class wakes at `sigma` (all members of a class share one
     /// wake slot by construction).
     fn wake(&mut self, sigma: Slot);
@@ -380,12 +374,10 @@ pub trait ClassStation {
     /// Report every member transmitting at slot `t` into `tally`.
     fn act(&mut self, t: Slot, tally: &mut TxTally);
 
-    /// Channel feedback for slot `t`, as every member perceives it. May
-    /// return new units split off the class (they are already awake).
-    /// Default: ignore, never split (oblivious classes).
-    fn feedback(&mut self, t: Slot, fb: Feedback) -> Vec<Box<dyn ClassStation>> {
+    /// Channel feedback for slot `t`, as every member perceives it.
+    /// Default: ignore (oblivious classes).
+    fn feedback(&mut self, t: Slot, fb: Feedback) {
         let _ = (t, fb);
-        Vec::new()
     }
 
     /// When will **any** member transmit next, looking from `after`?
@@ -398,14 +390,8 @@ pub trait ClassStation {
     }
 
     /// Remove member `id` from the class (a churn crash: the member leaves
-    /// exactly like a retired one, without a success). Default:
-    /// [`MemberRemoval::Unsupported`] — the engine then falls back to a
-    /// concrete run for churned populations, preserving correctness for
-    /// class implementations that predate churn.
-    fn remove_member(&mut self, id: StationId) -> MemberRemoval {
-        let _ = id;
-        MemberRemoval::Unsupported
-    }
+    /// exactly like a retired one, without a success).
+    fn remove_member(&mut self, id: StationId) -> MemberRemoval;
 }
 
 /// Result of [`ClassStation::remove_member`].
@@ -416,25 +402,19 @@ pub enum MemberRemoval {
     /// `id` was removed; `emptied` is `true` when the unit's last member
     /// left (the engine replaces it with an inert [`DeadClass`]).
     Removed {
-        /// `true` iff the unit now has weight 0.
+        /// `true` iff the unit has no member left.
         emptied: bool,
     },
-    /// This class implementation cannot remove members mid-run.
-    Unsupported,
 }
 
-/// An inert unit standing in for crashed members: weight 0, never
-/// transmits, never splits. What a [`ClassStation`] becomes when churn
+/// An inert unit standing in for crashed members: no members, never
+/// transmits. What a [`ClassStation`] becomes when churn
 /// empties it (the class-engine analogue of replacing a crashed concrete
 /// station with [`NeverTransmit`](crate::station::NeverTransmit)).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DeadClass;
 
 impl ClassStation for DeadClass {
-    fn weight(&self) -> u64 {
-        0
-    }
-
     fn wake(&mut self, _sigma: Slot) {}
 
     fn act(&mut self, _t: Slot, _tally: &mut TxTally) {}
@@ -448,7 +428,7 @@ impl ClassStation for DeadClass {
     }
 }
 
-/// A weight-1 [`ClassStation`] wrapping one concrete [`Station`] — the
+/// A one-member [`ClassStation`] wrapping one concrete [`Station`] — the
 /// universal fallback that lets *every* protocol run under a class
 /// population with bit-identical outcomes, aggregated or not.
 pub struct SingletonClass {
@@ -461,18 +441,9 @@ impl SingletonClass {
     pub fn new(id: StationId, inner: Box<dyn Station>) -> Self {
         SingletonClass { id, inner }
     }
-
-    /// The wrapped station's ID.
-    pub fn id(&self) -> StationId {
-        self.id
-    }
 }
 
 impl ClassStation for SingletonClass {
-    fn weight(&self) -> u64 {
-        1
-    }
-
     fn wake(&mut self, sigma: Slot) {
         self.inner.wake(sigma);
     }
@@ -483,9 +454,8 @@ impl ClassStation for SingletonClass {
         }
     }
 
-    fn feedback(&mut self, t: Slot, fb: Feedback) -> Vec<Box<dyn ClassStation>> {
+    fn feedback(&mut self, t: Slot, fb: Feedback) {
         self.inner.feedback(t, fb);
-        Vec::new()
     }
 
     fn next_transmission(&mut self, after: Slot) -> TxHint {
@@ -514,7 +484,11 @@ pub enum PopulationMode {
     Concrete,
     /// Class-aggregated units via [`Protocol::class_station`], singleton
     /// fallback per station otherwise — O(classes) memory for protocols
-    /// with class support.
+    /// with class support. A class run takes the sparse hint path until a
+    /// unit answers [`TxHint::Dense`], then steps every unit densely for
+    /// good: it never opens an adaptive burst window or runs the word
+    /// kernel, so [`EngineMode::Bitslab`](crate::engine::EngineMode) steps
+    /// it scalar-dense.
     Classes,
 }
 
@@ -528,7 +502,7 @@ pub(crate) fn admit(
     batch: &Members,
     run_seed: u64,
 ) -> Vec<Box<dyn ClassStation>> {
-    match protocol.class_station(batch, run_seed) {
+    match protocol.class_station(batch) {
         Some(class) => vec![class],
         None => batch
             .iter()
@@ -655,13 +629,12 @@ mod tests {
     #[test]
     fn dead_class_is_inert() {
         let mut d = DeadClass;
-        assert_eq!(d.weight(), 0);
         d.wake(0);
         let mut tally = TxTally::new(true);
         d.act(5, &mut tally);
+        d.feedback(5, Feedback::Silence);
         assert_eq!(tally.total(), 0);
         assert_eq!(d.next_transmission(0), TxHint::never());
-        assert!(d.feedback(5, Feedback::Silence).is_empty());
         assert_eq!(d.remove_member(StationId(0)), MemberRemoval::NotMember);
     }
 }

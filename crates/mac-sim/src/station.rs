@@ -297,10 +297,9 @@ pub trait Protocol {
     ///
     /// Implementations must make the returned unit behave exactly like the
     /// per-member [`station`](Protocol::station)s it stands in for (see
-    /// [`ClassStation`]); `run_seed` is the run seed (classes of
-    /// deterministic protocols ignore it).
-    fn class_station(&self, members: &Members, run_seed: u64) -> Option<Box<dyn ClassStation>> {
-        let _ = (members, run_seed);
+    /// [`ClassStation`]).
+    fn class_station(&self, members: &Members) -> Option<Box<dyn ClassStation>> {
+        let _ = members;
         None
     }
 }
@@ -312,8 +311,8 @@ impl<P: Protocol + ?Sized> Protocol for &P {
     fn name(&self) -> String {
         (**self).name()
     }
-    fn class_station(&self, members: &Members, run_seed: u64) -> Option<Box<dyn ClassStation>> {
-        (**self).class_station(members, run_seed)
+    fn class_station(&self, members: &Members) -> Option<Box<dyn ClassStation>> {
+        (**self).class_station(members)
     }
 }
 
@@ -324,8 +323,8 @@ impl<P: Protocol + ?Sized> Protocol for Box<P> {
     fn name(&self) -> String {
         (**self).name()
     }
-    fn class_station(&self, members: &Members, run_seed: u64) -> Option<Box<dyn ClassStation>> {
-        (**self).class_station(members, run_seed)
+    fn class_station(&self, members: &Members) -> Option<Box<dyn ClassStation>> {
+        (**self).class_station(members)
     }
 }
 

@@ -1,9 +1,9 @@
 //! Structured event tracing for the engine's hot paths.
 //!
 //! A [`Tracer`] receives [`TraceEvent`]s as the engine simulates: slot
-//! outcomes, hint re-queries, adaptive mode switches, burst windows, class
-//! splits, and heap/live-unit watermarks. The engine run loops are generic
-//! over the tracer, so the default [`NoopTracer`] monomorphizes every
+//! outcomes, hint re-queries, adaptive mode switches, burst windows, and
+//! heap/live-unit watermarks. The engine's slot loop is generic over the
+//! tracer, so the default [`NoopTracer`] monomorphizes every
 //! emission site away — an untraced run pays nothing for the subsystem.
 //!
 //! Event kinds split into two determinism tiers (the discipline the
@@ -16,8 +16,8 @@
 //!   [`EngineMode`](crate::engine::EngineMode)s, population modes, and — when
 //!   an ensemble folds per-run traces in seed order — thread counts. Traces
 //!   restricted to these kinds are diffable artifacts.
-//! * **Engine** kinds (hint re-queries, mode switches, burst windows, class
-//!   splits, watermarks) describe *how* a particular engine got there, and
+//! * **Engine** kinds (hint re-queries, mode switches, burst windows,
+//!   watermarks) describe *how* a particular engine got there, and
 //!   legitimately differ across engine and population modes. Writers keep
 //!   them out of deterministic streams (see
 //!   [`TraceFilter::deterministic`]).
@@ -68,8 +68,6 @@ pub enum TraceKind {
     BurstOpen,
     /// A dense burst window closed — sparsity resumed (engine-specific).
     BurstClose,
-    /// An equivalence class split off new units (engine-specific).
-    ClassSplit,
     /// Heap size / live-unit high-water advanced (engine-specific).
     Watermark,
     /// The channel erased a successful transmission to silence
@@ -86,7 +84,7 @@ pub enum TraceKind {
 }
 
 /// Number of distinct [`TraceKind`]s.
-pub const KIND_COUNT: usize = 15;
+pub const KIND_COUNT: usize = 14;
 
 impl TraceKind {
     /// Every kind, in index order.
@@ -100,7 +98,6 @@ impl TraceKind {
         TraceKind::ModeSwitch,
         TraceKind::BurstOpen,
         TraceKind::BurstClose,
-        TraceKind::ClassSplit,
         TraceKind::Watermark,
         TraceKind::FaultErasure,
         TraceKind::FaultCapture,
@@ -126,7 +123,6 @@ impl TraceKind {
             TraceKind::ModeSwitch => "mode_switch",
             TraceKind::BurstOpen => "burst_open",
             TraceKind::BurstClose => "burst_close",
-            TraceKind::ClassSplit => "class_split",
             TraceKind::Watermark => "watermark",
             TraceKind::FaultErasure => "fault_erasure",
             TraceKind::FaultCapture => "fault_capture",
@@ -263,13 +259,6 @@ pub enum TraceEvent {
         /// The slot sparsity resumed at.
         slot: Slot,
     },
-    /// Class feedback at `slot` split `born` new units off their classes.
-    ClassSplit {
-        /// The feedback slot.
-        slot: Slot,
-        /// Number of newly created units.
-        born: u64,
-    },
     /// A memory high-water advanced at `slot`.
     Watermark {
         /// The slot of the new high-water.
@@ -326,7 +315,6 @@ impl TraceEvent {
             TraceEvent::ModeSwitch { .. } => TraceKind::ModeSwitch,
             TraceEvent::BurstOpen { .. } => TraceKind::BurstOpen,
             TraceEvent::BurstClose { .. } => TraceKind::BurstClose,
-            TraceEvent::ClassSplit { .. } => TraceKind::ClassSplit,
             TraceEvent::Watermark { .. } => TraceKind::Watermark,
             TraceEvent::FaultErasure { .. } => TraceKind::FaultErasure,
             TraceEvent::FaultCapture { .. } => TraceKind::FaultCapture,
@@ -347,7 +335,6 @@ impl TraceEvent {
             | TraceEvent::ModeSwitch { slot, .. }
             | TraceEvent::BurstOpen { slot, .. }
             | TraceEvent::BurstClose { slot }
-            | TraceEvent::ClassSplit { slot, .. }
             | TraceEvent::Watermark { slot, .. }
             | TraceEvent::FaultErasure { slot, .. }
             | TraceEvent::FaultCapture { slot, .. }
@@ -406,9 +393,6 @@ impl TraceEvent {
             }
             TraceEvent::BurstClose { slot } => {
                 let _ = write!(s, ",\"slot\":{slot}");
-            }
-            TraceEvent::ClassSplit { slot, born } => {
-                let _ = write!(s, ",\"slot\":{slot},\"born\":{born}");
             }
             TraceEvent::Watermark { slot, heap, units } => {
                 let _ = write!(s, ",\"slot\":{slot},\"heap\":{heap},\"units\":{units}");
@@ -622,91 +606,9 @@ impl Tracer for RecordingTracer {
     }
 }
 
-/// A transactional tracer wrapper: events are buffered and reach the inner
-/// tracer only on [`flush`](BufferTracer::flush). The engine uses this for
-/// runs it may abandon (the class engine's split-budget guard): an
-/// abandoned attempt is [`discard`](BufferTracer::discard)ed, so the inner
-/// tracer's stream shows only the run that actually produced the outcome.
-///
-/// Filtering and sampling stay with the inner tracer: `wants` forwards, so
-/// only events the inner tracer would accept are buffered, and the flush
-/// replays them through its `record` in original order.
-#[derive(Debug)]
-pub struct BufferTracer<'a, T: Tracer + ?Sized> {
-    inner: &'a mut T,
-    events: Vec<TraceEvent>,
-}
-
-impl<'a, T: Tracer + ?Sized> BufferTracer<'a, T> {
-    /// Buffer events destined for `inner`.
-    pub fn new(inner: &'a mut T) -> Self {
-        BufferTracer {
-            inner,
-            events: Vec::new(),
-        }
-    }
-
-    /// Commit: replay every buffered event into the inner tracer.
-    pub fn flush(self) {
-        for ev in &self.events {
-            self.inner.record(ev);
-        }
-    }
-
-    /// Abort: drop the buffered events without touching the inner tracer.
-    pub fn discard(self) {}
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl<T: Tracer + ?Sized> Tracer for BufferTracer<'_, T> {
-    #[inline]
-    fn wants(&self, kind: TraceKind) -> bool {
-        self.inner.wants(kind)
-    }
-
-    fn record(&mut self, ev: &TraceEvent) {
-        self.events.push(*ev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_events() -> Vec<TraceEvent> {
-        vec![
-            TraceEvent::Wake {
-                slot: 3,
-                stations: 2,
-            },
-            TraceEvent::Silence { slot: 4, slots: 10 },
-            TraceEvent::Collision {
-                slot: 14,
-                contenders: 2,
-            },
-            TraceEvent::ModeSwitch {
-                slot: 14,
-                dense: true,
-            },
-            TraceEvent::Success {
-                slot: 15,
-                winner: StationId(7),
-            },
-            TraceEvent::RunEnd {
-                slots: 13,
-                first_success: Some(15),
-            },
-        ]
-    }
 
     #[test]
     fn kind_index_matches_all_order() {
@@ -833,38 +735,6 @@ mod tests {
         for s in sampled.events() {
             assert!(it.any(|f| f == s), "sampled event not in order in full");
         }
-    }
-
-    #[test]
-    fn buffer_tracer_flushes_or_discards() {
-        let mut rec = RecordingTracer::new();
-        let mut buf = BufferTracer::new(&mut rec);
-        for ev in sample_events() {
-            if buf.wants(ev.kind()) {
-                buf.record(&ev);
-            }
-        }
-        assert_eq!(buf.len(), 6);
-        assert!(!buf.is_empty());
-        buf.discard();
-        assert!(rec.events().is_empty(), "discarded events leaked through");
-
-        let mut buf = BufferTracer::new(&mut rec);
-        for ev in sample_events() {
-            if buf.wants(ev.kind()) {
-                buf.record(&ev);
-            }
-        }
-        buf.flush();
-        assert_eq!(rec.events(), &sample_events()[..]);
-    }
-
-    #[test]
-    fn buffer_tracer_forwards_inner_filter() {
-        let mut det = RecordingTracer::with_filter(TraceFilter::deterministic());
-        let buf = BufferTracer::new(&mut det);
-        assert!(buf.wants(TraceKind::Silence));
-        assert!(!buf.wants(TraceKind::ModeSwitch));
     }
 
     #[test]

@@ -12,18 +12,19 @@
 //! fault draw shows up here as a changed fixture line.
 //!
 //! The matrix reaches every engine path — the sparse hint heap, scalar
-//! dense stepping, the word kernel (forced and inside adaptive bursts), the
-//! class engine (sparse and dense, ID-collecting and count-only tallies,
-//! class splits), and the permanent dense fallback of hintless protocols
-//! and of hints that turn dense mid-run — under both stop rules, on the
-//! ideal channel and under erasure + capture + false collisions + churn.
+//! dense stepping, the word kernel (forced and inside adaptive bursts),
+//! class units (sparse and dense, ID-collecting and count-only tallies,
+//! members leaving by churn), and the permanent dense fallback of hintless
+//! protocols and of hints that turn dense mid-run — under both stop rules,
+//! on the ideal channel and under erasure + capture + false collisions +
+//! churn.
 //!
 //! The fixture (`tests/fixtures/engine_pin.txt`) is one line per run. It is
 //! a record of engine behaviour, not a specification: regenerate it only in
 //! a change that intends to move these numbers, and say so.
 
 use mac_sim::engine::StopRule;
-use mac_sim::population::{ClassStation, Members, TxTally};
+use mac_sim::population::{ClassStation, MemberRemoval, Members, TxTally};
 use mac_sim::trace::Transcript;
 use mac_wakeup::prelude::*;
 
@@ -162,10 +163,10 @@ impl Protocol for LateDense {
     }
 }
 
-/// A hinted protocol whose class splits on its first feedback: every
+/// A hinted protocol whose members diverge after their wake slot: every
 /// station transmits at its wake slot (a collision for batches) and then
-/// alone at `σ + 1 + id`; the class mirrors that and sheds every
-/// member past the first into its own unit after the first feedback.
+/// alone at `σ + 1 + id`; one class unit answers for a whole batch, and
+/// crashed members leave it.
 struct Fragmenting;
 struct FragStation {
     id: u32,
@@ -192,12 +193,8 @@ impl Station for FragStation {
 struct FragClass {
     members: Vec<StationId>,
     sigma: Slot,
-    split_done: bool,
 }
 impl ClassStation for FragClass {
-    fn weight(&self) -> u64 {
-        self.members.len() as u64
-    }
     fn wake(&mut self, sigma: Slot) {
         self.sigma = sigma;
     }
@@ -216,22 +213,6 @@ impl ClassStation for FragClass {
             c => tally.add_anonymous(c as u64),
         }
     }
-    fn feedback(&mut self, _t: Slot, _fb: Feedback) -> Vec<Box<dyn ClassStation>> {
-        if std::mem::replace(&mut self.split_done, true) {
-            return Vec::new();
-        }
-        let sigma = self.sigma;
-        self.members
-            .drain(1..)
-            .map(|id| {
-                Box::new(FragClass {
-                    members: vec![id],
-                    sigma,
-                    split_done: true,
-                }) as Box<dyn ClassStation>
-            })
-            .collect()
-    }
     fn next_transmission(&mut self, after: Slot) -> TxHint {
         let sigma = self.sigma;
         match self
@@ -244,16 +225,26 @@ impl ClassStation for FragClass {
             None => TxHint::never(),
         }
     }
+    fn remove_member(&mut self, id: StationId) -> MemberRemoval {
+        match self.members.iter().position(|&m| m == id) {
+            Some(pos) => {
+                self.members.remove(pos);
+                MemberRemoval::Removed {
+                    emptied: self.members.is_empty(),
+                }
+            }
+            None => MemberRemoval::NotMember,
+        }
+    }
 }
 impl Protocol for Fragmenting {
     fn station(&self, id: StationId, _seed: u64) -> Box<dyn Station> {
         Box::new(FragStation { id: id.0, sigma: 0 })
     }
-    fn class_station(&self, members: &Members, _run_seed: u64) -> Option<Box<dyn ClassStation>> {
+    fn class_station(&self, members: &Members) -> Option<Box<dyn ClassStation>> {
         Some(Box::new(FragClass {
             members: members.iter().collect(),
             sigma: 0,
-            split_done: false,
         }))
     }
     fn name(&self) -> String {

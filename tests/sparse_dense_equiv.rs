@@ -716,7 +716,7 @@ fn classes_equal_concrete_on_structured_patterns() {
     // The deterministic grid: block wakes (the mega-station shape), batch
     // and staggered arrivals, the whole zoo under both stop rules × both
     // feedback models, plus the forced-dense class engine (per-slot unit
-    // polling) against the same reference.
+    // polling) against the same reference and forced Bitslab against it.
     for n in [64u32, 256] {
         let ids: Vec<StationId> = (0..6).map(|i| StationId(i * (n / 8) + 1)).collect();
         let patterns = [
@@ -778,15 +778,55 @@ fn classes_equal_concrete_on_structured_patterns() {
         );
         assert_eq!(classed_dense.first_success, concrete.first_success);
         assert_eq!(classed_dense.per_station_tx, concrete.per_station_tx);
+        // Forced Bitslab never reaches class units: the class gate steps them
+        // scalar-dense, so the run is the forced-Dense class run, work
+        // counters included, and the word kernel never runs.
+        let classed_bitslab =
+            Simulator::new(cfg.clone().with_classes().with_engine(EngineMode::Bitslab))
+                .run(protocol.as_ref(), &pattern, 7)
+                .unwrap();
+        let fields = |o: &Outcome| {
+            (
+                o.first_success,
+                o.winner,
+                o.slots_simulated,
+                o.transmissions,
+                o.per_station_tx.clone(),
+                o.collisions,
+                o.silent_slots,
+                o.skipped_slots,
+                o.peak_units,
+                o.resolved.clone(),
+                o.all_resolved_at,
+                o.faults,
+            )
+        };
+        let name = protocol.name();
+        assert_eq!(
+            classed_bitslab.transcript, classed_dense.transcript,
+            "bitslab class transcript: {name}"
+        );
+        assert_eq!(
+            fields(&classed_bitslab),
+            fields(&classed_dense),
+            "bitslab class outcome: {name}"
+        );
+        assert_eq!(
+            (classed_bitslab.polls, classed_bitslab.dense_steps),
+            (classed_dense.polls, classed_dense.dense_steps),
+            "bitslab class polls and dense steps: {name}"
+        );
+        assert_eq!(classed_bitslab.word_slots, 0, "word slots: {name}");
+        assert_eq!(classed_bitslab.mode_switches, 0, "mode switches: {name}");
     }
 }
 
 #[test]
 fn class_splits_mid_run_on_divergent_feedback() {
-    // Purpose-built split scenario: a retiring round-robin batch wakes as
-    // ONE class; every own-success retires exactly one member, so the class
-    // must shed members one at a time (divergent feedback mid-run) while
-    // the outcome stays bit-identical to eight concrete stations.
+    // Purpose-built retirement scenario: a retiring round-robin batch wakes
+    // as ONE class; every own-success retires exactly one member, so the
+    // class must shed members one at a time (divergent feedback mid-run)
+    // while the outcome stays bit-identical to eight concrete stations.
     let n = 64u32;
     let ids: Vec<StationId> = (0..8u32).map(|i| StationId(i * 7 + 2)).collect();
     let pattern = WakePattern::simultaneous(&ids, 11).unwrap();

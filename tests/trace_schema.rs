@@ -33,7 +33,6 @@ fn sample(kind: TraceKind) -> TraceEvent {
             cause: BurstCause::Streak,
         },
         TraceKind::BurstClose => TraceEvent::BurstClose { slot },
-        TraceKind::ClassSplit => TraceEvent::ClassSplit { slot, born: 1 },
         TraceKind::Watermark => TraceEvent::Watermark {
             slot,
             heap: 1,
