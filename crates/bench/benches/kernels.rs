@@ -330,8 +330,8 @@ fn engine_dense_vs_sparse(c: &mut Criterion) {
     }
 
     // Full conflict resolution (Komlós–Greenberg) under AllResolved: the
-    // feedback-driven workload that epoch-scoped (Until::NextSuccess)
-    // hints moved off the forced-dense path.
+    // feedback-driven workload that hints with retirement moved off the
+    // forced-dense path.
     let kg_ids: Vec<StationId> = (0..16u32).map(|i| StationId(i * 60 + 7)).collect();
     let kg_pattern = WakePattern::simultaneous(&kg_ids, 9).unwrap();
     for (label, mode) in [("dense", EngineMode::Dense), ("sparse", EngineMode::Auto)] {
@@ -359,8 +359,8 @@ fn engine_dense_vs_sparse(c: &mut Criterion) {
     }
 
     // Retiring round-robin at n = 2^16 under AllResolved: Θ(n) silent
-    // slots between the k turns — the shape where success-scoped skipping
-    // is transformative (dense is O(n·k) polls, sparse is O(k) events).
+    // slots between the k turns — the shape where skipping is
+    // transformative (dense is O(n·k) polls, sparse is O(k) events).
     let big_n = 65536u32;
     let rr_ids2: Vec<StationId> = (0..8u32).map(|i| StationId(i * 8000 + 11)).collect();
     let rr_pattern2 = WakePattern::simultaneous(&rr_ids2, 5).unwrap();
@@ -469,9 +469,12 @@ fn hybrid_policy(_c: &mut Criterion) {
         &format!("staggered Scenario C lost its sparse win ({st_ratio:.2}x)"),
     );
 
-    // Row 4 — the Komlós–Greenberg resolver must stay on the pure sparse
-    // path (its hints wait for the next success, which keeps its collisions
-    // out of a streak; wall-clock there is sparse-favourable already).
+    // Row 4 — the Komlós–Greenberg resolver keeps its skipping. Its hints
+    // are unconditional (a station changes only at its own success), so its
+    // back-to-back collisions open a streak window that its closed-form
+    // tile fill carries without polls, and the silent stretches between
+    // contested ones stay on the heap: far fewer polls than dense, and no
+    // slower.
     let kg_ids: Vec<StationId> = (0..16u32).map(|i| StationId(i * 60 + 7)).collect();
     let kg_pattern = WakePattern::simultaneous(&kg_ids, 9).unwrap();
     let kg = FullResolution::new(n, 16, FamilyProvider::default());
@@ -616,10 +619,11 @@ fn bitslab_burst(_c: &mut Criterion) {
     );
 
     // Row 2 — mid-burst retirement: retiring round-robin under AllResolved
-    // on the same block. Every success invalidates the planned words of the
-    // retiring station, so tiles re-plan k times mid-burst — through the
-    // kernel's *generic* fill (the protocol has no fill_tx_word), proving
-    // the hint-assembled path carries the 10× too.
+    // on the same block. Every success closes the tile, so the burst runs
+    // as k short tiles — through the kernel's *generic* fill (the station
+    // has no word of its own: its hint, one turn per n slots, stays claimed
+    // in the word memo across those tiles), proving the hint-assembled path
+    // carries the 10× too.
     let ret_ids: Vec<StationId> = (n - k..n).map(StationId).collect();
     let ret_pattern = WakePattern::simultaneous(&ret_ids, 5).unwrap();
     row(

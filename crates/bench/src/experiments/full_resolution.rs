@@ -6,10 +6,11 @@
 //! round-robin (`Θ(n)`), as ensembles under `StopRule::AllResolved` (a
 //! run's latency ends when its last station has transmitted alone), and
 //! fits the measured full-resolution latency against `k·log(n/k)+1` and
-//! `n`. Since the epoch-scoped hint refactor, full-resolution runs execute
-//! on the **sparse** engine (`Until::NextSuccess` hints: retirement is
-//! feedback-driven, but only successes invalidate the schedule), so the
-//! sweep reaches the same `n` as EXP-A/B.
+//! `n`. Full-resolution runs execute on the **sparse** engine: retirement is
+//! feedback-driven, but a station changes only at its own success, a slot
+//! the engine polls it in, so its hints are unconditional and the sweep
+//! reaches the same `n` as EXP-A/B. Contested stretches go to the word
+//! kernel, whose slots cost no polls.
 //! Each row reports the sparse work counters next to the dense-equivalent
 //! cost: on a simultaneous burst every pattern station stays awake for the
 //! whole run, so the dense engine would pay exactly `slots × k` polls.

@@ -9,17 +9,20 @@
 //! the first success, their algorithm *is* a wake-up algorithm — §1).
 //!
 //! [`FullResolution`] is the natural executable form built from this
-//! repository's selective families: stations cycle the doubling schedule
-//! `⟨F₁, …, F_top⟩` and **retire** once they hear their own message echoed
-//! back ([`Feedback::Heard`] carrying their ID — every station receives a
-//! successful transmission, including its sender). As stations retire, the
-//! live contention `|X|` shrinks, and the family matching the shrunken size
-//! keeps isolating fresh stations. Each full cycle pass retires at least one
-//! station whenever `|X| ≥ 1` (some family brackets `|X|`), so everyone is
-//! resolved within `O(k)` passes of length `O(k log(n/k))` in the worst
-//! case — and empirically in a small constant number of passes (EXP-KG
-//! regenerates the measured shape; the optimal KG construction itself is
-//! existential, so it runs as a seeded sample, see `selectors::random`).
+//! repository's selective families: wait_and_go's schedule — the doubling
+//! sequence `⟨F₁, …, F_top⟩` cycled on the global clock, entered at the
+//! first family boundary after the wake — with **retirement**: a station
+//! falls silent for good once it hears its own message echoed back
+//! ([`Feedback::Heard`](mac_sim::Feedback) carrying its ID — every station
+//! receives a successful transmission, including its sender). As stations
+//! retire, the live contention `|X|` shrinks, and the family matching the
+//! shrunken size keeps isolating fresh stations. Each full cycle pass
+//! retires at least one station whenever `|X| ≥ 1` (some family brackets
+//! `|X|`), so everyone is resolved within `O(k)` passes of length
+//! `O(k log(n/k))` in the worst case — and empirically in a small constant
+//! number of passes (EXP-KG regenerates the measured shape; the optimal KG
+//! construction itself is existential, so it runs as a seeded sample, see
+//! `selectors::random`).
 //!
 //! Run under [`StopRule::AllResolved`](mac_sim::engine::StopRule) — e.g.
 //! `SimConfig::new(n).until_all_resolved()` — and read
@@ -27,15 +30,19 @@
 //!
 //! [`RetiringRoundRobin`] is the matching baseline: plain time division with
 //! retirement, resolving everyone within `n` slots of the last wake-up.
+//!
+//! Both are the retiring form of the oblivious expression
+//! (`crate::oblivious`): a station changes state only at its own success,
+//! a slot in which it transmitted, so its hints stay unconditional.
+//! `FullResolution` fills its own tiles in closed form; `RetiringRoundRobin`
+//! takes one turn per `n` slots and leaves its tiles to the engine's
+//! generic fill.
 
 use crate::family_provider::FamilyProvider;
-use crate::oblivious::next_member_turn;
-use crate::select_among_first::{DoublingSchedule, NextPositionCache};
-use mac_sim::{
-    Action, ClassStation, Feedback, MemberRemoval, Members, Protocol, Slot, Station, StationId,
-    TxHint, TxTally, Until,
-};
-use selectors::math::{log_n, next_congruent};
+use crate::oblivious::{Gate, Oblivious};
+use crate::select_among_first::DoublingSchedule;
+use crate::wait_and_go::WaitAndGo;
+use mac_sim::{ClassStation, Members, Protocol, Station, StationId};
 use std::sync::Arc;
 
 /// Selective-family conflict resolution with retirement on own success.
@@ -43,110 +50,47 @@ use std::sync::Arc;
 pub struct FullResolution {
     n: u32,
     k: u32,
-    schedule: Arc<DoublingSchedule>,
+    expr: Arc<Oblivious>,
 }
 
 impl FullResolution {
     /// Build for `n` stations and contention bound `k` (the schedule runs
     /// families `F₁ … F_⌈log k⌉`, cycled).
     pub fn new(n: u32, k: u32, provider: FamilyProvider) -> Self {
-        let top = Self::top(n, k);
-        FullResolution {
-            n,
-            k,
-            schedule: Arc::new(DoublingSchedule::new(&provider, n, top)),
-        }
+        let top = WaitAndGo::top(n, k);
+        Self::over(n, k, Arc::new(DoublingSchedule::new(&provider, n, top)))
     }
 
     /// Like [`new`](Self::new), but the resolution schedule comes out of
     /// `cache` — built once per `(n, k, provider)` per ensemble and shared
-    /// across runs, **including** the per-station position indices that the
-    /// resolver's success re-queries lean on.
+    /// across runs, **including** the per-station position indices that
+    /// long resolutions lean on.
     pub fn cached(
         n: u32,
         k: u32,
         provider: &FamilyProvider,
         cache: &crate::cache::ConstructionCache,
     ) -> Self {
-        let top = Self::top(n, k);
+        Self::over(n, k, cache.schedule(provider, n, WaitAndGo::top(n, k)))
+    }
+
+    fn over(n: u32, k: u32, schedule: Arc<DoublingSchedule>) -> Self {
         FullResolution {
             n,
             k,
-            schedule: cache.schedule(provider, n, top),
-        }
-    }
-
-    fn top(n: u32, k: u32) -> u32 {
-        assert!(n >= 1);
-        assert!((1..=n).contains(&k), "k={k} outside 1..={n}");
-        if k == 1 {
-            0
-        } else {
-            log_n(u64::from(k))
+            expr: Oblivious::new(None, Some((schedule, Gate::NextBoundary)), true),
         }
     }
 
     /// The cyclic period of the underlying schedule.
     pub fn period(&self) -> u64 {
-        self.schedule.period()
-    }
-}
-
-struct FullResolutionStation {
-    id: StationId,
-    done: bool,
-    go_slot: Slot,
-    schedule: Arc<DoublingSchedule>,
-    /// Memoized schedule walk behind both `act` and the hint — the schedule
-    /// part is oblivious, so a computed hit survives success re-queries.
-    cache: NextPositionCache,
-}
-
-impl Station for FullResolutionStation {
-    fn wake(&mut self, sigma: Slot) {
-        // Same boundary wait as wait_and_go: keeps family participant sets
-        // stable within each family execution.
-        self.go_slot = self.schedule.next_boundary(sigma);
-    }
-
-    fn act(&mut self, t: Slot) -> Action {
-        if self.done || t < self.go_slot {
-            return Action::Listen;
-        }
-        Action::from_bool(self.cache.transmits_at(&self.schedule, self.id.0, t))
-    }
-
-    fn feedback(&mut self, _t: Slot, fb: Feedback) {
-        if fb.is_own_success(self.id) {
-            self.done = true; // message delivered: retire
-        }
-    }
-
-    fn next_transmission(&mut self, after: Slot) -> TxHint {
-        // Retirement is permanent; between successes the schedule walk is
-        // oblivious, and only a success (our own) can change it — exactly
-        // the `Until::NextSuccess` contract, which is what lets
-        // Komlós–Greenberg runs skip their silent slots.
-        if self.done {
-            return TxHint::never();
-        }
-        let from = after.max(self.go_slot);
-        match self.cache.query(&self.schedule, self.id.0, from) {
-            Some(p) => TxHint::At(p, Until::NextSuccess),
-            None => TxHint::Never(Until::NextSuccess),
-        }
+        self.expr.schedule().expect("the doubling track").period()
     }
 }
 
 impl Protocol for FullResolution {
     fn station(&self, id: StationId, _seed: u64) -> Box<dyn Station> {
-        Box::new(FullResolutionStation {
-            id,
-            done: false,
-            go_slot: 0,
-            schedule: Arc::clone(&self.schedule),
-            cache: NextPositionCache::default(),
-        })
+        self.expr.station(id)
     }
 
     fn name(&self) -> String {
@@ -156,112 +100,32 @@ impl Protocol for FullResolution {
 
 /// Baseline: round-robin with retirement — every awake station transmits in
 /// its own turn exactly once (the time-division-multiplexing solution the
-/// paper's introduction contrasts against).
-#[derive(Clone, Copy, Debug)]
+/// paper's introduction contrasts against). Its class covers a wake batch
+/// as one unit whose members retire out of the RLE member set.
+#[derive(Clone, Debug)]
 pub struct RetiringRoundRobin {
     n: u32,
+    expr: Arc<Oblivious>,
 }
 
 impl RetiringRoundRobin {
     /// Time division over `n` stations with retirement.
     pub fn new(n: u32) -> Self {
         assert!(n >= 1);
-        RetiringRoundRobin { n }
-    }
-}
-
-struct RetiringRoundRobinStation {
-    id: StationId,
-    n: u32,
-    done: bool,
-}
-
-impl Station for RetiringRoundRobinStation {
-    fn wake(&mut self, _sigma: Slot) {}
-
-    fn act(&mut self, t: Slot) -> Action {
-        Action::from_bool(!self.done && t % u64::from(self.n) == u64::from(self.id.0))
-    }
-
-    fn feedback(&mut self, _t: Slot, fb: Feedback) {
-        if fb.is_own_success(self.id) {
-            self.done = true;
-        }
-    }
-
-    fn next_transmission(&mut self, after: Slot) -> TxHint {
-        if self.done {
-            return TxHint::never();
-        }
-        TxHint::At(
-            next_congruent(after, u64::from(self.id.0), u64::from(self.n)),
-            Until::NextSuccess,
-        )
-    }
-}
-
-/// One equivalence class of retiring round-robin stations: all members
-/// share the oblivious `t ≡ u (mod n)` schedule, and a member that succeeds
-/// retires out of the RLE member set ([`Members::remove`]; retired stations
-/// are silent forever, so they need no unit of their own). State stays
-/// O(runs) however many members resolve.
-struct RetiringRoundRobinClass {
-    members: Members,
-    n: u32,
-}
-
-impl ClassStation for RetiringRoundRobinClass {
-    fn wake(&mut self, _sigma: Slot) {}
-
-    fn act(&mut self, t: Slot, tally: &mut TxTally) {
-        let owner = (t % u64::from(self.n)) as u32;
-        if self.members.contains(owner) {
-            tally.push(StationId(owner));
-        }
-    }
-
-    fn feedback(&mut self, _t: Slot, fb: Feedback) {
-        if let Feedback::Heard(w) = fb {
-            // Only the member that hears *its own* success retires.
-            self.members.remove(w.0);
-        }
-    }
-
-    fn next_transmission(&mut self, after: Slot) -> TxHint {
-        // The earliest slot ≥ after owned by a live member.
-        match next_member_turn(&self.members, self.n, after) {
-            Some(slot) => TxHint::At(slot, Until::NextSuccess),
-            None => TxHint::never(), // everyone resolved: silent forever
-        }
-    }
-
-    fn remove_member(&mut self, id: StationId) -> MemberRemoval {
-        // A churned member leaves the class exactly the way a retired one
-        // does: out of the RLE set, silent forever.
-        if self.members.remove(id.0) {
-            MemberRemoval::Removed {
-                emptied: self.members.is_empty(),
-            }
-        } else {
-            MemberRemoval::NotMember
+        RetiringRoundRobin {
+            n,
+            expr: Oblivious::new(Some(n), None, true),
         }
     }
 }
 
 impl Protocol for RetiringRoundRobin {
     fn station(&self, id: StationId, _seed: u64) -> Box<dyn Station> {
-        Box::new(RetiringRoundRobinStation {
-            id,
-            n: self.n,
-            done: false,
-        })
+        self.expr.station(id)
     }
 
     fn class_station(&self, members: &Members) -> Option<Box<dyn ClassStation>> {
-        Some(Box::new(RetiringRoundRobinClass {
-            members: members.clone(),
-            n: self.n,
-        }))
+        Some(self.expr.class(members))
     }
 
     fn name(&self) -> String {

@@ -1,18 +1,22 @@
-//! One expression for the paper's oblivious deterministic protocols (§3–§4).
+//! One expression for the paper's oblivious deterministic protocols (§3–§4),
+//! and for the two full-resolution resolvers built on them (§1).
 //!
 //! The Scenario A and B algorithms compose three oblivious pieces:
 //! round-robin over `n`, the doubling sequence `⟨F₁, F₂, …⟩` of
 //! `(n, 2^i)`-selective families ([`DoublingSchedule`]) behind a gate fixed
 //! at wake, and the global-clock even/odd interleave that §3 calls "a very
-//! easy operation". An [`Oblivious`] expression holds up to two tracks:
+//! easy operation". An [`Oblivious`] expression holds up to two tracks, and
+//! a retirement rule:
 //!
-//! | protocol | round-robin track | doubling track | gate |
-//! |---|---|---|---|
-//! | `RoundRobin` | every slot | — | — |
-//! | `SelectAmongFirst` | — | every slot | [`Gate::WokeAt`] `s` |
-//! | `WaitAndGo` | — | every slot | [`Gate::NextBoundary`] |
-//! | `WakeupWithS` | slot `2p` | slot `2p + 1` | [`Gate::WokeAt`] `s` |
-//! | `WakeupWithK` | slot `2p` | slot `2p + 1` | [`Gate::NextBoundary`] |
+//! | protocol | round-robin track | doubling track | gate | retires |
+//! |---|---|---|---|---|
+//! | `RoundRobin` | every slot | — | — | — |
+//! | `SelectAmongFirst` | — | every slot | [`Gate::WokeAt`] `s` | — |
+//! | `WaitAndGo` | — | every slot | [`Gate::NextBoundary`] | — |
+//! | `WakeupWithS` | slot `2p` | slot `2p + 1` | [`Gate::WokeAt`] `s` | — |
+//! | `WakeupWithK` | slot `2p` | slot `2p + 1` | [`Gate::NextBoundary`] | — |
+//! | `FullResolution` | — | every slot | [`Gate::NextBoundary`] | on its own success |
+//! | `RetiringRoundRobin` | every slot | — | — | on its own success |
 //!
 //! A track alone runs on every slot: its position `p` is slot `p`. Two
 //! tracks interleave: round-robin position `p` is slot `2p`, and doubling
@@ -21,16 +25,26 @@
 //! doubling track, the first track position at which it may transmit, and
 //! the track position at which the schedule starts counting (its origin).
 //!
+//! A retiring station goes silent for good once it hears its own success
+//! (`Feedback::Heard` naming it). That is the only feedback any station
+//! reacts to, and it falls in a slot where the station transmitted, which
+//! the engine polls and re-queries: so every hint, retiring or not, keeps
+//! the [`Until::Forever`] scope. A retiring doubling-track station fills
+//! its tiles in closed form, scoped [`Until::NextSuccess`] (its bits past
+//! its own success no longer hold); a retiring round-robin station leaves
+//! them to the engine's generic fill.
+//!
 //! This module is the only place where slots map to positions. One
 //! [`Station`] answers `act`, its hint and its tile fill for every
-//! expression, and one [`ClassStation`] does the same for a wake batch.
+//! expression (wrapped, for a retiring doubling track, in one that carries
+//! its last fill), and one [`ClassStation`] does the same for a wake batch.
 
 use crate::select_among_first::{
     AnyMemberScan, DoublingSchedule, NextPositionCache, Scan, CLASS_SCAN_BUDGET,
 };
 use mac_sim::{
-    Action, ClassStation, MemberRemoval, Members, Slot, Station, StationId, TxHint, TxTally,
-    TxWord, Until,
+    Action, ClassStation, Feedback, MemberRemoval, Members, Slot, Station, StationId, TxHint,
+    TxTally, TxWord, Until,
 };
 use selectors::math::next_congruent;
 use std::sync::Arc;
@@ -108,20 +122,25 @@ impl Doubling {
     }
 }
 
-/// An oblivious schedule of up to two tracks (see the module docs).
+/// An oblivious schedule of up to two tracks, with or without retirement
+/// (see the module docs).
 #[derive(Debug)]
 pub(crate) struct Oblivious {
     /// Round-robin over `n` stations, and its slots.
     round_robin: Option<(u32, Track)>,
     doubling: Option<Doubling>,
+    /// Does a station go silent for good once it hears its own success?
+    retiring: bool,
 }
 
 impl Oblivious {
     /// Round-robin over `n` stations and the gated doubling schedule,
-    /// either alone or (given both) interleaved.
+    /// either alone or (given both) interleaved; `retiring` stations go
+    /// silent for good at their own success.
     pub(crate) fn new(
         n: Option<u32>,
         doubling: Option<(Arc<DoublingSchedule>, Gate)>,
+        retiring: bool,
     ) -> Arc<Self> {
         let (even, odd) = match (n, &doubling) {
             (Some(_), Some(_)) => (Track::Even, Track::Odd),
@@ -142,17 +161,34 @@ impl Oblivious {
         Arc::new(Oblivious {
             round_robin: n.map(|n| (n, even)),
             doubling,
+            retiring,
         })
+    }
+
+    /// The doubling track's schedule, if the expression has that track.
+    pub(crate) fn schedule(&self) -> Option<&Arc<DoublingSchedule>> {
+        self.doubling.as_ref().map(|d| &d.schedule)
     }
 
     /// Station `id` of this expression.
     pub(crate) fn station(self: &Arc<Self>, id: StationId) -> Box<dyn Station> {
-        Box::new(TrackStation {
+        let station = TrackStation {
             id: id.0,
+            retiring: self.retiring,
+            retired: false,
             go: None,
             expr: Arc::clone(self),
             cache: NextPositionCache::default(),
-        })
+        };
+        if self.retiring && self.round_robin.is_none() {
+            Box::new(CarryingStation {
+                station,
+                end: 0,
+                bits: 0,
+            })
+        } else {
+            Box::new(station)
+        }
     }
 
     /// The wake batch `members` of this expression as one class unit.
@@ -230,11 +266,40 @@ fn earliest(a: Option<Slot>, b: Option<Slot>) -> TxHint {
 /// [`Station::fill_tx_word`] on refills).
 struct TrackStation {
     id: u32,
+    /// The expression's retirement rule.
+    retiring: bool,
+    /// Set once a retiring station hears its own success: silent for good.
+    retired: bool,
     /// The first doubling-track position at which the station may
     /// transmit, fixed at wake; `None` if it never walks that track.
     go: Option<u64>,
     expr: Arc<Oblivious>,
     cache: NextPositionCache,
+}
+
+impl TrackStation {
+    /// The station's transmissions over slots `[from, to)`, bit `j`
+    /// standing for slot `base + j` (`base ≤ from`, `to ≤ base + 64`):
+    /// round-robin turns in closed form, one bounded walk over the
+    /// doubling positions.
+    fn bits(&self, base: Slot, from: Slot, to: Slot) -> u64 {
+        let mut bits = 0u64;
+        if let Some((n, track)) = self.expr.round_robin {
+            let (n, id) = (u64::from(n), u64::from(self.id));
+            let mut p = next_congruent(track.first_from(from), id, n);
+            while track.slot(p) < to {
+                bits |= 1u64 << (track.slot(p) - base);
+                p += n;
+            }
+        }
+        if let Some((d, q0)) = self.expr.walk_from(from, self.go) {
+            let q1 = d.track.first_from(to).saturating_sub(d.origin);
+            for q in d.schedule.positions_in(self.id, q0, q1) {
+                bits |= 1u64 << (d.slot(q) - base);
+            }
+        }
+        bits
+    }
 }
 
 impl Station for TrackStation {
@@ -243,6 +308,9 @@ impl Station for TrackStation {
     }
 
     fn act(&mut self, t: Slot) -> Action {
+        if self.retired {
+            return Action::Listen;
+        }
         if let Some(owner) = self.expr.owner(t) {
             return Action::from_bool(owner == self.id);
         }
@@ -252,7 +320,16 @@ impl Station for TrackStation {
         }
     }
 
+    fn feedback(&mut self, _t: Slot, fb: Feedback) {
+        if self.retiring && fb.is_own_success(StationId(self.id)) {
+            self.retired = true;
+        }
+    }
+
     fn next_transmission(&mut self, after: Slot) -> TxHint {
+        if self.retired {
+            return TxHint::never();
+        }
         let turn = self.expr.round_robin.map(|(n, track)| {
             let p = next_congruent(track.first_from(after), u64::from(self.id), u64::from(n));
             track.slot(p)
@@ -265,26 +342,70 @@ impl Station for TrackStation {
     }
 
     fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
+        // A retiring round-robin station transmits once per `n` slots: its
+        // hint stays claimed in the engine's word memo across the tiles
+        // that successes close, where a word would be refilled at each.
+        if self.retiring {
+            return None;
+        }
         // Every track is oblivious and the gate is fixed at wake, so the
-        // tile is an unconditional fact: round-robin turns in closed form,
-        // one bounded walk over the tile's doubling positions.
+        // tile is an unconditional fact.
         let end = base + u64::from(width);
-        let mut bits = 0u64;
-        if let Some((n, track)) = self.expr.round_robin {
-            let (n, id) = (u64::from(n), u64::from(self.id));
-            let mut p = next_congruent(track.first_from(base), id, n);
-            while track.slot(p) < end {
-                bits |= 1u64 << (track.slot(p) - base);
-                p += n;
-            }
+        Some(TxWord::forever(self.bits(base, base, end)))
+    }
+}
+
+/// The station of a retiring doubling track, which transmits many times
+/// per tile and so fills its own. Every success closes a tile and the
+/// refill starts inside the old one, so the last fill's bits answer the
+/// overlap and only slots past `end` are walked: each slot once per
+/// station per run. Bit `63 − i` of `bits` is the station's transmission
+/// at slot `end − 1 − i`.
+struct CarryingStation {
+    station: TrackStation,
+    end: Slot,
+    bits: u64,
+}
+
+impl Station for CarryingStation {
+    fn wake(&mut self, sigma: Slot) {
+        self.station.wake(sigma);
+    }
+
+    fn act(&mut self, t: Slot) -> Action {
+        self.station.act(t)
+    }
+
+    fn feedback(&mut self, t: Slot, fb: Feedback) {
+        self.station.feedback(t, fb);
+    }
+
+    fn next_transmission(&mut self, after: Slot) -> TxHint {
+        self.station.next_transmission(after)
+    }
+
+    fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
+        if self.station.retired {
+            return Some(TxWord::forever(0));
         }
-        if let Some((d, from)) = self.expr.walk_from(base, self.go) {
-            let to = d.track.first_from(end).saturating_sub(d.origin);
-            for q in d.schedule.positions_in(self.id, from, to) {
-                bits |= 1u64 << (d.slot(q) - base);
-            }
+        let end = base + u64::from(width);
+        // `base` never decreases, so a base below the last fill's end lies
+        // inside that fill.
+        let (mut bits, from) = if base < self.end {
+            (self.bits >> (base + 64 - self.end), self.end)
+        } else {
+            (0, base)
+        };
+        if from < end {
+            bits |= self.station.bits(base, from, end);
         }
-        Some(TxWord::forever(bits))
+        self.end = end.max(from);
+        self.bits = bits << (64 - (self.end - base));
+        // Its bits past the station's own success no longer hold.
+        Some(TxWord {
+            bits,
+            until: Until::NextSuccess,
+        })
     }
 }
 
@@ -295,7 +416,8 @@ impl Station for TrackStation {
 /// members' next round-robin turn and a budgeted [`AnyMemberScan`] of the
 /// doubling track capped at that turn: a window proven silent yields the
 /// turn itself, and a budget stop yields a `Never(Until::Slot(…))`
-/// re-query point strictly past `after`.
+/// re-query point strictly past `after`. A retiring member that hears its
+/// own success leaves the member set, as a churned one does.
 struct TrackClass {
     members: Members,
     go: Option<u64>,
@@ -336,6 +458,14 @@ impl ClassStation for TrackClass {
             // `after` (b > q0), and the bound stays below the turn.
             Scan::SilentBelow(b) if b < q_lim => TxHint::Never(Until::Slot(d.slot(b))),
             Scan::SilentBelow(_) | Scan::Never => earliest(turn, None),
+        }
+    }
+
+    fn feedback(&mut self, _t: Slot, fb: Feedback) {
+        // Only the member that hears its own success retires, and it
+        // leaves the class as a churned member does.
+        if let (true, Feedback::Heard(w)) = (self.expr.retiring, fb) {
+            self.remove_member(w);
         }
     }
 

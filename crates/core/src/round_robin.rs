@@ -34,7 +34,7 @@ impl RoundRobin {
         assert!(n >= 1, "round-robin needs n ≥ 1");
         RoundRobin {
             n,
-            expr: Oblivious::new(Some(n), None),
+            expr: Oblivious::new(Some(n), None, false),
         }
     }
 

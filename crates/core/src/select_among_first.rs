@@ -427,7 +427,7 @@ impl SelectAmongFirst {
             n,
             s,
             period: schedule.period(),
-            expr: Oblivious::new(None, Some((schedule, Gate::WokeAt(s)))),
+            expr: Oblivious::new(None, Some((schedule, Gate::WokeAt(s))), false),
         }
     }
 

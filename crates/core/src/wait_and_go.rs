@@ -33,7 +33,6 @@ use std::sync::Arc;
 pub struct WaitAndGo {
     n: u32,
     k: u32,
-    schedule: Arc<DoublingSchedule>,
     expr: Arc<Oblivious>,
 }
 
@@ -61,18 +60,16 @@ impl WaitAndGo {
     }
 
     fn over(n: u32, k: u32, schedule: Arc<DoublingSchedule>) -> Self {
-        let expr = Oblivious::new(None, Some((Arc::clone(&schedule), Gate::NextBoundary)));
         WaitAndGo {
             n,
             k,
-            schedule,
-            expr,
+            expr: Oblivious::new(None, Some((schedule, Gate::NextBoundary)), false),
         }
     }
 
     /// The family-sequence height `⌈log k⌉` (0 for `k = 1`); validates
     /// `1 ≤ k ≤ n`.
-    fn top(n: u32, k: u32) -> u32 {
+    pub(crate) fn top(n: u32, k: u32) -> u32 {
         assert!(n >= 1);
         assert!((1..=n).contains(&k), "k={k} outside 1..={n}");
         if k == 1 {
@@ -89,12 +86,12 @@ impl WaitAndGo {
 
     /// The cyclic period `z` of the schedule.
     pub fn period(&self) -> u64 {
-        self.schedule.period()
+        self.schedule().period()
     }
 
     /// The shared doubling schedule (family boundaries, period).
     pub fn schedule(&self) -> &Arc<DoublingSchedule> {
-        &self.schedule
+        self.expr.schedule().expect("the doubling track")
     }
 }
 

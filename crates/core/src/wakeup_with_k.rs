@@ -57,6 +57,7 @@ impl WakeupWithK {
             expr: Oblivious::new(
                 Some(n),
                 Some((Arc::clone(wag.schedule()), Gate::NextBoundary)),
+                false,
             ),
         }
     }

@@ -47,7 +47,7 @@ impl WakeupWithS {
         WakeupWithS {
             n,
             s,
-            expr: Oblivious::new(Some(n), Some((schedule, Gate::WokeAt(s)))),
+            expr: Oblivious::new(Some(n), Some((schedule, Gate::WokeAt(s))), false),
         }
     }
 

@@ -25,16 +25,20 @@ use crate::population::{ClassStation, Members};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Until {
     /// Unconditional: the hint holds for the rest of the run regardless of
-    /// channel events. Only purely oblivious schedules (a function of
-    /// `(id, σ, t)` and protocol parameters) may use this scope.
+    /// channel events. Oblivious schedules (a function of `(id, σ, t)` and
+    /// protocol parameters) may use this scope, and so may a schedule that
+    /// changes only at slots where the station itself transmits (its own
+    /// success, a spent energy budget): the engine polls the station there
+    /// and re-queries it after the slot's feedback.
     Forever,
     /// Valid until the next **successful** slot. After any success at slot
     /// `t' ≥ after`, the hint is void and the engine re-queries the station
     /// with `after = t' + 1` — having first delivered the success feedback
     /// ([`Feedback::Heard`](crate::channel::Feedback)), so the
     /// station answers from its post-success state. This is the scope for
-    /// success-reactive protocols (retirement à la Komlós–Greenberg):
-    /// between successes their schedule is oblivious.
+    /// protocols that react to **other** stations' successes: between
+    /// successes their schedule is oblivious. (Retirement on the station's
+    /// own success needs only [`Until::Forever`].)
     NextSuccess,
     /// Valid for slots in `[after, t)` only; the engine re-queries the
     /// station at slot `t` (a pure "call me back" — the boundary itself
@@ -101,7 +105,9 @@ impl TxHint {
 ///   unconditionally.
 /// * [`Until::NextSuccess`] — every bit holds until the next successful
 ///   slot; after a success the engine discards the unconsumed remainder of
-///   the tile and asks again.
+///   the tile and asks again. A station that retires on its own success
+///   uses this scope for its words even where its hints are
+///   [`Until::Forever`]: a word may plan past that success.
 /// * [`Until::Slot(t)`](Until::Slot) — only bits for slots `< t` are
 ///   claimed (and hold unconditionally over `[base, t)`); the engine
 ///   ignores bits at positions `≥ t - base` and re-queries at `t`. Must
@@ -194,14 +200,19 @@ pub trait Station {
     ///
     /// | scope | invalidated by | engine's follow-up |
     /// |-------|----------------|--------------------|
-    /// | [`Until::Forever`] | nothing | re-query only after polling you |
+    /// | [`Until::Forever`] | nothing (you change only where you transmit) | re-query only after polling you |
     /// | [`Until::NextSuccess`] | any successful slot `t'` | success feedback is delivered, then you are re-queried at `t' + 1` |
     /// | [`Until::Slot(t)`](Until::Slot) | the clock reaching `t` | you are re-queried at `t` |
     ///
     /// Obligations taken on by answering with a scope:
     ///
-    /// * [`Until::Forever`] — the schedule is *oblivious*: a pure function
-    ///   of `(id, σ, t)` and protocol parameters, insensitive to feedback.
+    /// * [`Until::Forever`] — the schedule is *oblivious* (a pure function
+    ///   of `(id, σ, t)` and protocol parameters, insensitive to feedback),
+    ///   or it changes only at slots where the station itself transmits:
+    ///   its own success (retirement), a spent energy budget. The engine
+    ///   polls a station at every slot it transmits in and re-queries it
+    ///   after that slot's feedback, so such a change never outlives a
+    ///   hint.
     /// * [`Until::NextSuccess`] — the schedule may change **only** in
     ///   response to success feedback
     ///   ([`Feedback::Heard`](crate::channel::Feedback)); silence and

@@ -5,9 +5,10 @@
 //! rules × feedback models. Only the work counters (`polls`,
 //! `skipped_slots`) may differ between the two paths.
 //!
-//! With epoch-scoped hints this covers the feedback-reactive protocols too:
-//! `StopRule::AllResolved` runs (retirement on own success) execute sparse
-//! via `Until::NextSuccess` hints and must still match dense bit for bit.
+//! This covers the feedback-reactive protocols too: `StopRule::AllResolved`
+//! runs (retirement on own success) execute sparse on unconditional hints
+//! and must still match dense bit for bit. (The engine's own tests cover
+//! `Until::NextSuccess` hints, which no in-tree protocol uses.)
 //!
 //! The **adaptive hybrid policy** of `EngineMode::Auto` (dense stepping on
 //! burst-shaped stretches, wake-time batch detection, success re-probes) is
@@ -21,6 +22,7 @@
 //! across runs is pinned against dense too.
 
 use mac_sim::engine::StopRule;
+use mac_sim::tracer::{RecordingTracer, TraceEvent};
 use mac_wakeup::prelude::*;
 use proptest::collection::btree_set;
 use proptest::prelude::*;
@@ -423,6 +425,44 @@ fn komlos_greenberg_all_resolved_runs_on_the_sparse_path() {
         "auto polls {} vs dense polls {} — sparse path not engaged",
         auto.polls,
         dense.polls
+    );
+}
+
+#[test]
+fn retiring_resolvers_requery_only_the_winner_at_a_success() {
+    // A retiring station changes state only at its own success, a slot in
+    // which it transmitted, so the engine polls it there and re-queries it
+    // anyway: its hints are unconditional, and a success re-queries the
+    // winner alone instead of every live resolver. The stagger keeps every
+    // arrival and success apart, so no burst window opens (a window's
+    // re-probe would re-query every awake station).
+    let n = 64u32;
+    let ids: Vec<StationId> = (0..16u32).map(|i| StationId(i * 4 + 2)).collect();
+    let pattern = WakePattern::staggered(&ids, 3, 5).unwrap();
+    let protocol = RetiringRoundRobin::new(n);
+    let cfg = SimConfig::new(n).until_all_resolved().with_transcript();
+    let mut rec = RecordingTracer::new();
+    let auto = Simulator::new(cfg.clone())
+        .run_traced(&protocol, &pattern, 0, &mut rec)
+        .unwrap();
+    let dense = Simulator::new(cfg.with_engine(EngineMode::Dense))
+        .run(&protocol, &pattern, 0)
+        .unwrap();
+    assert_eq!(auto.resolved.len(), ids.len(), "all stations must resolve");
+    assert_eq!(auto.transcript, dense.transcript);
+    assert_eq!(auto.mode_switches, 0, "a burst window opened");
+    let requeries: Vec<u64> = rec
+        .events()
+        .iter()
+        .filter_map(|ev| match ev {
+            TraceEvent::HintRequery { queries, .. } => Some(*queries),
+            _ => None,
+        })
+        .collect();
+    assert!(!requeries.is_empty(), "no success re-queried its winner");
+    assert!(
+        requeries.iter().all(|&q| q == 1),
+        "hint re-queries per event: {requeries:?}"
     );
 }
 
