@@ -39,10 +39,15 @@
 //! * `trace_overhead` — the tracing subsystem's zero-cost contract: the
 //!   `NoopTracer` path must stay within 5% of the plain `run` (median of
 //!   interleaved pairs) on the emission-dense round-robin block row, with
-//!   a recording-tracer cost line for reference.
+//!   a recording-tracer cost line for reference;
+//! * `pattern_draws` — the cost of a random wake pattern: ns per ChaCha8
+//!   `next_u64`, and ms per `IdChoice::Random` pick of 256 ids (an n-step
+//!   Fisher–Yates shuffle, n − 1 draws) at n = 2^16 and 2^20. Timing only.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mac_sim::prelude::*;
+use rand::{RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use selectors::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
@@ -1063,6 +1068,36 @@ fn verification_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+fn pattern_draws(_c: &mut Criterion) {
+    // Every random wake pattern the experiments and perfbench build is an
+    // `IdChoice::Random` pick, whose cost is its n − 1 generator draws.
+    // Timing only, no floor: on a shared 2-core VM these rows swing by
+    // ~1.5× between runs of the same build.
+    let quick = std::env::var_os("BENCH_QUICK").is_some();
+    let draws: u32 = if quick { 1 << 16 } else { 1 << 24 };
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let t0 = Instant::now();
+    for _ in 0..draws {
+        black_box(rng.next_u64());
+    }
+    println!(
+        "pattern_draws/next_u64                     {:.2} ns per draw ({draws} draws)",
+        t0.elapsed().as_secs_f64() * 1e9 / f64::from(draws),
+    );
+    for (log_n, full_picks) in [(16u32, 256u64), (20, 16)] {
+        let picks = if quick { 1 } else { full_picks };
+        let t0 = Instant::now();
+        for seed in 0..picks {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            black_box(IdChoice::Random.pick(1 << log_n, 256, &mut rng));
+        }
+        println!(
+            "pattern_draws/random_pick_n2^{log_n}_k256       {:.3} ms per pick ({picks} picks)",
+            t0.elapsed().as_secs_f64() * 1e3 / picks as f64,
+        );
+    }
+}
+
 criterion_group!(
     benches,
     family_construction,
@@ -1076,6 +1111,7 @@ criterion_group!(
     mega_station,
     trace_overhead,
     adversary_kernels,
-    verification_kernels
+    verification_kernels,
+    pattern_draws
 );
 criterion_main!(benches);

@@ -19,7 +19,8 @@ pub trait RngCore {
     /// The next 64 random bits.
     fn next_u64(&mut self) -> u64;
 
-    /// The next 32 random bits (high half of [`RngCore::next_u64`]).
+    /// The next 32 random bits (by default the high half of
+    /// [`RngCore::next_u64`]).
     fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
@@ -28,6 +29,12 @@ pub trait RngCore {
 impl<R: RngCore + ?Sized> RngCore for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
+    }
+
+    // Forwarded, not defaulted: a generator with its own `next_u32` must
+    // yield the same stream whether it is held by value or by reference.
+    fn next_u32(&mut self) -> u32 {
+        (**self).next_u32()
     }
 }
 

@@ -426,6 +426,12 @@ impl IdChoice {
                 let mut all: Vec<u32> = (0..n).collect();
                 all.shuffle(rng);
                 all.truncate(k);
+                // The collect below reuses this buffer in place, so shrink it
+                // first or the k ids keep all n words alive. Shrinking in
+                // place, not copying the k ids out, also lets the allocator
+                // release the rest: a k-sized copy made while `all` is alive
+                // sits above it on the heap and kept its n words resident.
+                all.shrink_to_fit();
                 all.sort_unstable();
                 all.into_iter().map(StationId).collect()
             }
@@ -736,6 +742,14 @@ mod tests {
         let set: std::collections::BTreeSet<_> = picked.iter().collect();
         assert_eq!(set.len(), 10);
         assert!(picked.iter().all(|id| id.0 < 100));
+    }
+
+    #[test]
+    fn id_choice_random_returns_a_k_sized_vector() {
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let picked = IdChoice::Random.pick(1 << 16, 256, &mut rng);
+        assert_eq!(picked.len(), 256);
+        assert!(picked.capacity() < 2 * 256, "{}", picked.capacity());
     }
 
     #[test]
