@@ -449,9 +449,10 @@ impl ClassStation for TrackClass {
         };
         // Only doubling slots below the round-robin turn can beat it.
         let q_lim = turn.map_or(u64::MAX, |t| d.track.first_from(t).saturating_sub(d.origin));
+        let (row, period) = (|q| d.schedule.row(q), d.schedule.period());
         match self
             .scan
-            .next_hit(&d.schedule, &self.members, q0, q_lim, CLASS_SCAN_BUDGET)
+            .next_hit(row, period, &self.members, q0, q_lim, CLASS_SCAN_BUDGET)
         {
             Scan::Hit(q) => TxHint::at(d.slot(q)),
             // Budget stop inside the window: silence holds strictly past

@@ -308,12 +308,13 @@ pub(crate) enum Scan {
 }
 
 /// Budgeted "earliest position where **any** member transmits" scanner over
-/// a [`DoublingSchedule`] — the class-aggregated counterpart of
+/// a sequence of rows — a [`DoublingSchedule`]'s positions or a waking
+/// matrix's slots — and the class-aggregated counterpart of
 /// [`NextPositionCache`]. Positions are tested one by one with an
 /// early-exit membership loop; a high-water mark records proven silence and
 /// a memoized hit survives re-queries, so monotone query points (the
-/// engine's `after` clock) never re-scan a position. A full silent period
-/// proves permanent silence.
+/// engine's `after` clock) never re-scan a position. Over rows that repeat,
+/// a full silent period proves permanent silence.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct AnyMemberScan {
     /// Every position `< proven` is proven transmission-free (or was a
@@ -327,13 +328,17 @@ pub(crate) struct AnyMemberScan {
 }
 
 impl AnyMemberScan {
-    /// Earliest position `q ∈ [q0, q_lim)` at which any member transmits.
-    /// Query points must be non-decreasing across calls. At least one new
-    /// position is always completed (when the window is non-empty and
-    /// unproven), so a [`Scan::SilentBelow`] bound strictly advances.
-    pub(crate) fn next_hit(
+    /// Earliest position `q ∈ [q0, q_lim)` at which any member is in
+    /// `row(q)`. Rows that repeat every `period` positions prove permanent
+    /// silence after one silent period; rows that never repeat pass
+    /// `u64::MAX`. Query points must be non-decreasing across calls. At
+    /// least one new position is always completed (when the window is
+    /// non-empty and unproven), so a [`Scan::SilentBelow`] bound strictly
+    /// advances.
+    pub(crate) fn next_hit<R: TxRow>(
         &mut self,
-        schedule: &DoublingSchedule,
+        row: impl Fn(u64) -> R,
+        period: u64,
         members: &Members,
         q0: u64,
         q_lim: u64,
@@ -355,7 +360,6 @@ impl AnyMemberScan {
         if start >= q_lim {
             return Scan::SilentBelow(q_lim); // window already proven silent
         }
-        let period = schedule.period();
         let mut tests = 0u64;
         let mut p = start;
         while p < q_lim {
@@ -364,7 +368,7 @@ impl AnyMemberScan {
             if tests >= budget && p > start {
                 return Scan::SilentBelow(p);
             }
-            let row = schedule.row(p);
+            let row = row(p);
             let mut any = false;
             'runs: for &(lo, hi) in members.runs() {
                 for u in lo..hi {
@@ -390,6 +394,18 @@ impl AnyMemberScan {
             }
         }
         Scan::SilentBelow(q_lim)
+    }
+
+    /// Where a query from `q0` resumes: at the memoized hit or past the
+    /// proven-silent prefix.
+    pub(crate) fn resume(&self, q0: u64) -> u64 {
+        self.proven.max(q0)
+    }
+
+    /// A member left: the silence proven so far still holds, but the
+    /// memoized hit may have been the departed member's.
+    pub(crate) fn drop_hit(&mut self) {
+        self.hit = None;
     }
 }
 
@@ -640,7 +656,8 @@ mod tests {
                 // Drive the budgeted scan to a definitive answer, checking
                 // each SilentBelow bound strictly advances.
                 let got = loop {
-                    match scan.next_hit(&sched, &members, q0, u64::MAX, budget) {
+                    let row = |q| sched.row(q);
+                    match scan.next_hit(row, sched.period(), &members, q0, u64::MAX, budget) {
                         Scan::Hit(q) => break Some(q),
                         Scan::Never => break None,
                         Scan::SilentBelow(b) => assert!(b > q0, "stalled at q0={q0}"),

@@ -20,18 +20,25 @@
 //!
 //! Theorem 5.3: success within `O(k log n log log n)` slots of `s`.
 //!
-//! The paper's protocol *ends* after the last row (`i = log n`); the
-//! analysis guarantees success long before. Because our matrix is a sampled
-//! ensemble member rather than a certified waking matrix, a run can in
-//! principle exhaust the scan; [`WakeupN::with_restart`] optionally makes
-//! stations restart the walk (off by default to match the paper — capped
-//! runs surface as censored samples in the experiments instead).
+//! The protocol *ends* after the last row (`i = log n`); the analysis
+//! guarantees success long before. Because our matrix is a sampled ensemble
+//! member rather than a certified waking matrix, a run can in principle
+//! exhaust the scan; capped runs surface as censored samples in the
+//! experiments.
+//!
+//! Where a station stands on its walk has one answer,
+//! [`WakingMatrix::segment`]: slot `t` maps to its row and that row's
+//! global slots, or to nothing before `µ(σ)` and after the scan. A station
+//! caches its current segment with the row's PRF prefix for its id and
+//! answers `act`, hints and tile fills from it; a class caches its segment
+//! too, and its hint is the oblivious classes' budgeted any-member scan
+//! over the row's matrix entries.
 
-use crate::select_among_first::CLASS_SCAN_BUDGET;
-use crate::waking_matrix::{MatrixParams, WakingMatrix};
+use crate::select_among_first::{AnyMemberScan, Scan, CLASS_SCAN_BUDGET};
+use crate::waking_matrix::{MatrixParams, Segment, WakingMatrix};
 use mac_sim::{
     Action, ClassStation, MemberRemoval, Members, Protocol, Slot, Station, StationId, TxHint,
-    TxRow, TxTally, TxWord, Until,
+    TxTally, TxWord, Until,
 };
 use selectors::prf::GapScanner;
 use std::sync::Arc;
@@ -40,37 +47,23 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct WakeupN {
     matrix: Arc<WakingMatrix>,
-    restart: bool,
 }
 
 impl WakeupN {
     /// Build from matrix parameters.
     pub fn new(params: MatrixParams) -> Self {
-        WakeupN {
-            matrix: Arc::new(WakingMatrix::new(params)),
-            restart: false,
-        }
+        WakeupN::with_matrix(Arc::new(WakingMatrix::new(params)))
     }
 
     /// Build over an existing (shared) matrix.
     pub fn with_matrix(matrix: Arc<WakingMatrix>) -> Self {
-        WakeupN {
-            matrix,
-            restart: false,
-        }
+        WakeupN { matrix }
     }
 
     /// Like [`new`](Self::new), but the waking matrix comes out of `cache` —
     /// built once per parameter set per ensemble and shared across runs.
     pub fn cached(params: MatrixParams, cache: &crate::cache::ConstructionCache) -> Self {
         WakeupN::with_matrix(cache.matrix(params))
-    }
-
-    /// Make stations restart the row walk after exhausting the matrix
-    /// (liveness extension beyond the paper's protocol).
-    pub fn with_restart(mut self, restart: bool) -> Self {
-        self.restart = restart;
-        self
     }
 
     /// The shared waking matrix.
@@ -80,277 +73,157 @@ impl WakeupN {
 }
 
 struct WakeupNStation {
-    id: StationId,
+    id: u32,
     matrix: Arc<WakingMatrix>,
-    restart: bool,
-    /// Slot at which the station becomes operative (µ(σ)).
+    /// µ(σ), where the walk starts.
     mu: Slot,
-    /// First walk's start µ(σ) — unlike `mu`, never advanced by restarts;
-    /// the anchor for the stateless hint geometry.
-    mu0: Slot,
-    /// Current row (1-based); rows() + 1 once the scan is done.
-    row: u32,
-    /// First slot after the current row's dwell.
-    row_end: Slot,
-    /// Cached hint-scan segment: the row the last `next_transmission`
-    /// landed in, as global slots `[start, end)`, with its PRF row prefix.
-    /// Queries are non-decreasing, so the cache is valid until the clock
-    /// leaves the row.
-    scan: Option<RowScan>,
+    /// The segment the last question landed in, with the row's PRF prefix
+    /// for this station (questions mostly stay in one row).
+    seg: Option<(Segment, GapScanner)>,
 }
 
-/// One row's scan state (see [`WakeupNStation::scan`]).
-struct RowScan {
-    row: u32,
-    start: Slot,
-    end: Slot,
-    scanner: GapScanner,
+impl WakeupNStation {
+    /// The segment holding slot `t`, with the station's prefix of its row;
+    /// `None` off the walk.
+    fn segment(&mut self, t: Slot) -> Option<(Segment, GapScanner)> {
+        match self.seg {
+            Some(c @ (s, _)) if s.start <= t && t < s.end => Some(c),
+            _ => {
+                let s = self.matrix.segment(self.mu, t)?;
+                self.seg = Some((s, self.matrix.row_scanner(s.row, self.id)));
+                self.seg
+            }
+        }
+    }
 }
 
 impl Station for WakeupNStation {
     fn wake(&mut self, sigma: Slot) {
         self.mu = self.matrix.mu(sigma);
-        self.mu0 = self.mu;
-        self.row = 1;
-        self.row_end = self.mu + self.matrix.dwell(1);
     }
 
     fn act(&mut self, t: Slot) -> Action {
-        if t < self.mu {
-            return Action::Listen; // waiting for the window boundary
-        }
-        // Advance rows (amortized O(1): each row advances once).
-        while t >= self.row_end {
-            if self.row >= self.matrix.rows() {
-                if self.restart {
-                    // Re-enter the walk at the next window boundary.
-                    self.mu = self.matrix.mu(self.row_end);
-                    self.row = 1;
-                    self.row_end = self.mu + self.matrix.dwell(1);
-                    if t < self.mu {
-                        return Action::Listen;
-                    }
-                    continue;
-                }
-                self.row = self.matrix.rows() + 1;
-                return Action::Listen; // scan over (paper's protocol ends)
-            }
-            self.row += 1;
-            self.row_end += self.matrix.dwell(self.row);
-        }
-        Action::from_bool(self.matrix.member(self.row, t, self.id.0))
+        // One coin on the cached prefix: 2 of `member`'s 5 mixing rounds.
+        let tx = self.segment(t).is_some_and(|(s, scanner)| {
+            self.matrix
+                .next_member_scanned(&scanner, s.row, t, t + 1)
+                .is_some()
+        });
+        Action::from_bool(tx)
     }
 
     fn next_transmission(&mut self, after: Slot) -> TxHint {
-        // Stateless walk geometry anchored at µ(σ): the stateful `row`
-        // cursor is untouched, and `act` tolerates jumps. Restart walks
-        // tile contiguously (the total scan is a multiple of the window
-        // length, so each walk ends exactly on the next walk's µ), which
-        // makes `delta mod total` the position inside the current walk.
-        let m = &self.matrix;
-        let from = after.max(self.mu0);
-        // Queries are non-decreasing, so the row segment and its PRF prefix
-        // from the previous query usually still apply (collision re-arms
-        // hit the same row over and over).
-        let cached = matches!(&self.scan, Some(s) if s.start <= from && from < s.end);
-        if !cached {
-            let total = m.total_scan();
-            let delta = from - self.mu0;
-            if !self.restart && delta >= total {
-                // Scan exhausted: the paper's protocol ends; the station
-                // is silent forever.
-                return TxHint::never();
-            }
-            let delta_in_walk = delta % total;
-            let walk_start = from - delta_in_walk;
-            let row = m
-                .row_at_offset(delta_in_walk)
-                .expect("delta_in_walk < total_scan has a row");
-            let (row_start, row_end) = m.row_span(row);
-            self.scan = Some(RowScan {
-                row,
-                start: walk_start + row_start,
-                end: walk_start + row_end,
-                scanner: m.row_scanner(row, self.id.0),
-            });
-        }
-        let seg = self.scan.as_ref().expect("segment cached above");
         // Structure-aware per-row skip: jump to the next PRF membership in
         // the *current* row only (expected O(2^{i+ρ}) cheap coins). If the
         // row has no further hit, answer "silent until the row boundary"
         // and let the engine call back there — bounded lookahead instead of
         // scanning exponentially longer later rows that a success may make
         // moot.
-        match m.next_member_scanned(&seg.scanner, seg.row, from, seg.end) {
+        let from = after.max(self.mu);
+        let Some((s, scanner)) = self.segment(from) else {
+            return TxHint::never(); // the scan is over: the protocol ended
+        };
+        match self
+            .matrix
+            .next_member_scanned(&scanner, s.row, from, s.end)
+        {
             Some(t) => TxHint::at(t),
-            None if !self.restart && seg.row == m.rows() => TxHint::never(),
-            None => TxHint::Never(Until::Slot(seg.end)),
+            None if s.row == self.matrix.rows() => TxHint::never(),
+            None => TxHint::Never(Until::Slot(s.end)),
         }
     }
 
     fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
-        // The walk is oblivious (restarts included: a deterministic function
-        // of σ and t), so the tile is an unconditional fact. Same stateless
-        // geometry as `next_transmission`; the PRF row prefix is hoisted
-        // once per row span inside the tile.
-        let m = &self.matrix;
-        let total = m.total_scan();
+        // The walk is oblivious, so the tile is an unconditional fact: the
+        // hits of each row the tile crosses.
+        let tile_end = base + u64::from(width);
         let mut bits = 0u64;
-        let mut j = 0u64;
-        while j < u64::from(width) {
-            let t = base + j;
-            if t < self.mu0 {
-                j += 1; // waiting for the window boundary
-                continue;
-            }
-            let delta = t - self.mu0;
-            if !self.restart && delta >= total {
-                break; // scan over: silent for the rest of the tile
-            }
-            let delta_in_walk = delta % total;
-            let row = m
-                .row_at_offset(delta_in_walk)
-                .expect("delta_in_walk < total_scan has a row");
-            let (_, row_end) = m.row_span(row);
-            let seg_end = (t - delta_in_walk + row_end).min(base + u64::from(width));
-            let scanner = m.row_scanner(row, self.id.0);
-            let mut s = t;
-            while let Some(hit) = m.next_member_scanned(&scanner, row, s, seg_end) {
+        let mut t = base.max(self.mu);
+        while t < tile_end {
+            let Some((s, scanner)) = self.segment(t) else {
+                break; // the scan is over: silent for the rest of the tile
+            };
+            let end = s.end.min(tile_end);
+            while let Some(hit) = self.matrix.next_member_scanned(&scanner, s.row, t, end) {
                 bits |= 1u64 << (hit - base);
-                s = hit + 1;
+                t = hit + 1;
             }
-            j = seg_end - base;
+            t = end;
         }
         Some(TxWord::forever(bits))
     }
 }
 
 /// One equivalence class of `wakeup(n)` stations. A wake batch shares `σ`,
-/// hence `µ(σ)` and the entire row-walk geometry — only the PRF membership
-/// test depends on the station id, so one unit carries the whole batch and
-/// per-slot work is a single [`TxTally::record_members`] sweep. Hints scan
-/// the current row slot by slot for **any** member hit under a membership
-/// budget; a proven-silent prefix is remembered (queries are monotone), a
-/// budget stop answers `Never(Until::Slot(bound))` strictly past `after`,
-/// and a hit-free final row without restart is permanent silence.
+/// hence `µ(σ)` and the entire walk — only the PRF membership test depends
+/// on the station id, so one unit carries the whole batch and per-slot work
+/// is a single [`TxTally::record_members`] sweep. The hint scans the current
+/// row for **any** member hit under a membership budget; a budget stop
+/// answers `Never(Until::Slot(bound))` strictly past `after`, and a hit-free
+/// last row is permanent silence.
 struct WakeupNClass {
     members: Members,
     matrix: Arc<WakingMatrix>,
-    restart: bool,
+    /// µ(σ), where the walk starts.
     mu: Slot,
-    mu0: Slot,
-    row: u32,
-    row_end: Slot,
-    /// Every slot in `[mu0, proven)` is proven free of member transmissions
-    /// (or was a memoized hit since passed).
-    proven: Slot,
-    /// Memoized earliest hit at or after `proven`, if found.
-    hit: Option<Slot>,
+    /// The segment the last question landed in.
+    seg: Option<Segment>,
+    scan: AnyMemberScan,
+}
+
+impl WakeupNClass {
+    /// The segment holding slot `t`; `None` off the walk.
+    fn segment(&mut self, t: Slot) -> Option<Segment> {
+        match self.seg {
+            Some(s) if s.start <= t && t < s.end => Some(s),
+            _ => {
+                self.seg = self.matrix.segment(self.mu, t);
+                self.seg
+            }
+        }
+    }
 }
 
 impl ClassStation for WakeupNClass {
     fn wake(&mut self, sigma: Slot) {
         self.mu = self.matrix.mu(sigma);
-        self.mu0 = self.mu;
-        self.row = 1;
-        self.row_end = self.mu + self.matrix.dwell(1);
-        self.proven = self.mu;
-        self.hit = None;
     }
 
     fn act(&mut self, t: Slot, tally: &mut TxTally) {
-        if t < self.mu {
-            return; // waiting for the window boundary
+        if let Some(s) = self.segment(t) {
+            tally.record_members(&self.members, self.matrix.row(s.row, t));
         }
-        // Same amortized row advance as the concrete station.
-        while t >= self.row_end {
-            if self.row >= self.matrix.rows() {
-                if self.restart {
-                    self.mu = self.matrix.mu(self.row_end);
-                    self.row = 1;
-                    self.row_end = self.mu + self.matrix.dwell(1);
-                    if t < self.mu {
-                        return;
-                    }
-                    continue;
-                }
-                self.row = self.matrix.rows() + 1;
-                return; // scan over (paper's protocol ends)
-            }
-            self.row += 1;
-            self.row_end += self.matrix.dwell(self.row);
-        }
-        tally.record_members(&self.members, self.matrix.row(self.row, t));
     }
 
     fn next_transmission(&mut self, after: Slot) -> TxHint {
+        // The scan resumes at its memoized hit or past its proven silence
+        // and runs to the end of that slot's row; later rows are left to
+        // re-queries at the boundary, as the station's lookahead is.
+        let from = after.max(self.mu);
+        let Some(s) = self.segment(self.scan.resume(from)) else {
+            return TxHint::never(); // the scan is over: the protocol ended
+        };
         let m = &self.matrix;
-        let from = after.max(self.mu0);
-        if let Some(h) = self.hit {
-            if h >= from {
-                return TxHint::at(h);
-            }
-            self.hit = None; // query point moved past the memoized hit
-        }
-        // Stateless walk geometry anchored at µ(σ), as in the concrete
-        // station: restart walks tile contiguously, so `delta mod total`
-        // locates the position inside the current walk.
-        let start = from.max(self.proven);
-        let total = m.total_scan();
-        let delta = start - self.mu0;
-        if !self.restart && delta >= total {
-            return TxHint::never();
-        }
-        let delta_in_walk = delta % total;
-        let walk_start = start - delta_in_walk;
-        let row = m
-            .row_at_offset(delta_in_walk)
-            .expect("delta_in_walk < total_scan has a row");
-        let (_, row_end) = m.row_span(row);
-        let seg_end = walk_start + row_end;
-        // Budgeted any-member scan over the rest of the current row; later
-        // rows are left to re-queries at the boundary, matching the
-        // concrete station's bounded per-row lookahead.
-        let mut budget = CLASS_SCAN_BUDGET;
-        let mut t = start;
-        while t < seg_end {
-            if budget == 0 && t > from {
-                self.proven = t;
-                return TxHint::Never(Until::Slot(t));
-            }
-            let entry = m.row(row, t);
-            let mut any = false;
-            'runs: for &(lo, hi) in self.members.runs() {
-                for u in lo..hi {
-                    budget = budget.saturating_sub(1);
-                    if entry.contains(u) {
-                        any = true;
-                        break 'runs;
-                    }
-                }
-            }
-            if any {
-                self.proven = t;
-                self.hit = Some(t);
-                return TxHint::at(t);
-            }
-            t += 1;
-            self.proven = t;
-        }
-        if !self.restart && row == m.rows() {
-            TxHint::never()
-        } else {
-            TxHint::Never(Until::Slot(seg_end))
+        let row = |t| m.row(s.row, t);
+        // Rows change along the walk, so no silent stretch is silence for
+        // good: the entries have no period.
+        match self
+            .scan
+            .next_hit(row, u64::MAX, &self.members, from, s.end, CLASS_SCAN_BUDGET)
+        {
+            Scan::Hit(t) => TxHint::at(t),
+            // A budget stop: silence holds strictly past `after`.
+            Scan::SilentBelow(b) if b < s.end => TxHint::Never(Until::Slot(b)),
+            _ if s.row == m.rows() => TxHint::never(),
+            _ => TxHint::Never(Until::Slot(s.end)),
         }
     }
 
     fn remove_member(&mut self, id: StationId) -> MemberRemoval {
-        // Walk geometry is batch-shared and unaffected; only the membership
-        // sweep shrinks. The proven-silent prefix stays valid (removal can
-        // only remove transmissions), but the memoized hit may be the
-        // departed member's, so drop it.
+        // The walk is batch-shared and unaffected; only the membership
+        // sweep shrinks.
         if self.members.remove(id.0) {
-            self.hit = None;
+            self.scan.drop_hit();
             MemberRemoval::Removed {
                 emptied: self.members.is_empty(),
             }
@@ -362,15 +235,14 @@ impl ClassStation for WakeupNClass {
 
 impl Protocol for WakeupN {
     fn station(&self, id: StationId, _seed: u64) -> Box<dyn Station> {
+        if id.0 >= self.matrix.n() {
+            return Box::new(mac_sim::station::NeverTransmit); // in no M_{i,j}
+        }
         Box::new(WakeupNStation {
-            id,
+            id: id.0,
             matrix: Arc::clone(&self.matrix),
-            restart: self.restart,
             mu: 0,
-            mu0: 0,
-            row: 1,
-            row_end: 0,
-            scan: None,
+            seg: None,
         })
     }
 
@@ -378,13 +250,9 @@ impl Protocol for WakeupN {
         Some(Box::new(WakeupNClass {
             members: members.clone(),
             matrix: Arc::clone(&self.matrix),
-            restart: self.restart,
             mu: 0,
-            mu0: 0,
-            row: 1,
-            row_end: 0,
-            proven: 0,
-            hit: None,
+            seg: None,
+            scan: AnyMemberScan::default(),
         }))
     }
 
@@ -413,8 +281,8 @@ mod tests {
 
     #[test]
     fn station_follows_the_matrix_walk_exactly() {
-        // The stateful station must agree with the stateless predicate
-        // WakingMatrix::transmits on every slot.
+        // The station's cached segment must agree with the stateless
+        // predicate WakingMatrix::transmits on every slot.
         let p = WakeupN::new(MatrixParams::new(64).with_seed(5));
         let m = Arc::clone(p.matrix());
         let sigma = 7u64;
@@ -502,60 +370,59 @@ mod tests {
     }
 
     #[test]
-    fn restart_keeps_station_active_after_scan() {
+    fn station_is_silent_after_its_scan() {
         let n = 4u32; // tiny matrix so the scan ends quickly
         let params = MatrixParams::new(n).with_c(1);
         let m = WakingMatrix::new(params);
         let total = m.total_scan();
 
-        let p_norestart = WakeupN::new(params);
-        let mut st = p_norestart.station(StationId(1), 0);
+        let p = WakeupN::new(params);
+        let mut st = p.station(StationId(1), 0);
         st.wake(0);
-        // After the scan, a non-restarting station is permanently silent.
+        // After the scan, the station is permanently silent.
         let mut any_tx = false;
         for t in 0..total + 200 {
             if st.act(t).is_transmit() && t >= total {
                 any_tx = true;
             }
         }
-        assert!(!any_tx, "non-restarting station transmitted after its scan");
+        assert!(!any_tx, "station transmitted after its scan");
+        assert_eq!(st.next_transmission(total), TxHint::never());
+    }
 
-        let p_restart = WakeupN::new(params).with_restart(true);
-        let mut st = p_restart.station(StationId(1), 0);
+    #[test]
+    fn stations_outside_the_universe_never_transmit() {
+        // No transmission set holds an id ≥ n (`WakingMatrix::member`), so
+        // act, hint and tile all say silence.
+        let p = WakeupN::new(MatrixParams::new(8).with_c(1));
+        let mut st = p.station(StationId(8), 0);
         st.wake(0);
-        let mut post_scan_tx = false;
-        for t in 0..4 * total {
-            if st.act(t).is_transmit() && t >= total {
-                post_scan_tx = true;
-            }
-        }
-        assert!(post_scan_tx, "restarting station stayed silent after scan");
+        assert!((0..500).all(|t| !st.act(t).is_transmit()));
+        assert_eq!(st.next_transmission(0), TxHint::never());
     }
 
     #[test]
     fn class_engine_matches_concrete() {
-        // Batched and staggered wakes, with and without restart: outcomes
-        // and transcripts must be bit-identical to the concrete engine.
+        // Batched and staggered wakes: outcomes and transcripts must be
+        // bit-identical to the concrete engine.
         let n = 128u32;
         let chosen = ids(&[3, 17, 40, 63, 90, 101, 115, 127]);
-        for restart in [false, true] {
-            let p = WakeupN::new(MatrixParams::new(n).with_seed(9)).with_restart(restart);
-            for pattern in [
-                WakePattern::batches(&chosen, 0, 50, &[4, 4]).unwrap(),
-                WakePattern::staggered(&chosen, 5, 9).unwrap(),
-            ] {
-                let cfg = SimConfig::new(n).with_max_slots(5_000).with_transcript();
-                let concrete = Simulator::new(cfg.clone()).run(&p, &pattern, 0).unwrap();
-                let classed = Simulator::new(cfg.with_classes())
-                    .run(&p, &pattern, 0)
-                    .unwrap();
-                assert_eq!(concrete.first_success, classed.first_success);
-                assert_eq!(concrete.winner, classed.winner);
-                assert_eq!(concrete.transmissions, classed.transmissions);
-                assert_eq!(concrete.per_station_tx, classed.per_station_tx);
-                assert_eq!(concrete.transcript, classed.transcript);
-                assert!(classed.peak_units <= chosen.len() as u64);
-            }
+        let p = WakeupN::new(MatrixParams::new(n).with_seed(9));
+        for pattern in [
+            WakePattern::batches(&chosen, 0, 50, &[4, 4]).unwrap(),
+            WakePattern::staggered(&chosen, 5, 9).unwrap(),
+        ] {
+            let cfg = SimConfig::new(n).with_max_slots(5_000).with_transcript();
+            let concrete = Simulator::new(cfg.clone()).run(&p, &pattern, 0).unwrap();
+            let classed = Simulator::new(cfg.with_classes())
+                .run(&p, &pattern, 0)
+                .unwrap();
+            assert_eq!(concrete.first_success, classed.first_success);
+            assert_eq!(concrete.winner, classed.winner);
+            assert_eq!(concrete.transmissions, classed.transmissions);
+            assert_eq!(concrete.per_station_tx, classed.per_station_tx);
+            assert_eq!(concrete.transcript, classed.transcript);
+            assert!(classed.peak_units <= chosen.len() as u64);
         }
     }
 

@@ -116,6 +116,7 @@ impl WakingMatrix {
             rho_sweep,
         } = params;
         assert!(n >= 1, "waking matrix needs n ≥ 1");
+        assert!(c >= 1, "waking matrix needs c ≥ 1");
         let rows = log_n(u64::from(n));
         let window = log_log_n(u64::from(n));
         let lw = u64::from(rows) * u64::from(window);
@@ -306,48 +307,35 @@ impl WakingMatrix {
         }
     }
 
-    /// The offset interval `[start, end)` (relative to `µ(σ)`) that row `i`
-    /// occupies within one scan (`i` 1-based).
-    pub fn row_span(&self, i: u32) -> (u64, u64) {
-        assert!(
-            (1..=self.rows).contains(&i),
-            "row {i} out of 1..={}",
-            self.rows
-        );
-        (self.cum[(i - 1) as usize], self.cum[i as usize])
-    }
-
-    /// The row a station occupies `delta` slots after its `µ(σ)`
-    /// (1-based), or `None` once the scan is over (`delta ≥ total_scan`).
-    pub fn row_at_offset(&self, delta: u64) -> Option<u32> {
-        if delta >= self.total_scan() {
-            return None;
-        }
-        // cum is strictly increasing; find i with cum[i] ≤ delta < cum[i+1].
-        let i = match self.cum.binary_search(&delta) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        Some(i as u32 + 1)
+    /// Where global slot `t` falls on the walk that starts at `mu = µ(σ)`:
+    /// the row the station dwells in and that row's global slots, or `None`
+    /// off the walk (`t < mu`, or `t ≥ mu + total_scan()` once the scan is
+    /// over). The walk's one mapping: `wakeup(n)`'s stations and classes,
+    /// [`row_at`](Self::row_at) and [`transmits`](Self::transmits) all
+    /// answer from it.
+    pub fn segment(&self, mu: Slot, t: Slot) -> Option<Segment> {
+        let delta = t.checked_sub(mu)?;
+        // `cum` rises strictly from `cum[0] = 0`: row i covers the offsets
+        // [cum[i − 1], cum[i]), so i counts the prefix sums ≤ delta.
+        let row = self.cum.partition_point(|&c| c <= delta);
+        let end = *self.cum.get(row)?;
+        Some(Segment {
+            row: row as u32,
+            start: mu + self.cum[row - 1],
+            end: mu + end,
+        })
     }
 
     /// The row of a station woken at `sigma`, at global slot `t`
     /// (`None` while waiting `t < µ(σ)` or after the scan).
     pub fn row_at(&self, sigma: Slot, t: Slot) -> Option<u32> {
-        let mu = self.mu(sigma);
-        if t < mu {
-            return None;
-        }
-        self.row_at_offset(t - mu)
+        self.segment(self.mu(sigma), t).map(|s| s.row)
     }
 
     /// Does a station woken at `sigma` transmit at global slot `t`?
     /// (The protocol's transmission predicate, stateless form.)
     pub fn transmits(&self, u: u32, sigma: Slot, t: Slot) -> bool {
-        match self.row_at(sigma, t) {
-            Some(i) => self.member(i, t, u),
-            None => false,
-        }
+        self.row_at(sigma, t).is_some_and(|i| self.member(i, t, u))
     }
 
     /// The window index of slot `j` (windows are `[p·W, (p+1)·W)`).
@@ -355,6 +343,17 @@ impl WakingMatrix {
     pub fn window_index(&self, j: Slot) -> u64 {
         j / u64::from(self.window)
     }
+}
+
+/// One row's dwell on a station's walk (see [`WakingMatrix::segment`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Segment {
+    /// The row, 1-based.
+    pub row: u32,
+    /// The first global slot of the dwell.
+    pub start: Slot,
+    /// The first global slot after it.
+    pub end: Slot,
 }
 
 /// One entry `M_{i,j}` of a [`WakingMatrix`] (see [`WakingMatrix::row`]).
@@ -630,12 +629,26 @@ mod tests {
     #[test]
     fn row_at_offset_walks_rows_in_order() {
         let m = matrix(64); // rows = 6
-        assert_eq!(m.row_at_offset(0), Some(1));
-        assert_eq!(m.row_at_offset(m.dwell(1) - 1), Some(1));
-        assert_eq!(m.row_at_offset(m.dwell(1)), Some(2));
-        let before_last = m.total_scan() - 1;
-        assert_eq!(m.row_at_offset(before_last), Some(6));
-        assert_eq!(m.row_at_offset(m.total_scan()), None);
+        let mu = 9u64;
+        let (m1, m2) = (m.dwell(1), m.dwell(2));
+        let seg = |row, start, end| Some(Segment { row, start, end });
+        assert_eq!(m.segment(mu, mu - 1), None);
+        assert_eq!(m.segment(mu, mu), seg(1, mu, mu + m1));
+        assert_eq!(m.segment(mu, mu + m1 - 1), seg(1, mu, mu + m1));
+        assert_eq!(m.segment(mu, mu + m1), seg(2, mu + m1, mu + m1 + m2));
+        let end = mu + m.total_scan();
+        assert_eq!(m.segment(mu, end - 1), seg(6, end - m.dwell(6), end));
+        assert_eq!(m.segment(mu, end), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "c ≥ 1")]
+    fn c_zero_is_rejected() {
+        // `c` is a public field, so `with_c`'s check alone does not hold:
+        // c = 0 would make ℓ = 0 and an empty scan.
+        let mut p = MatrixParams::new(64);
+        p.c = 0;
+        let _ = WakingMatrix::new(p);
     }
 
     #[test]

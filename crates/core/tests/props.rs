@@ -20,19 +20,27 @@ proptest! {
     }
 
     #[test]
-    fn row_at_offset_partitions_the_scan(n in 2u32..500, probe in 0u64..50_000) {
+    fn row_at_offset_partitions_the_scan(
+        n in 2u32..500,
+        mu in 0u64..1_000,
+        probe in 0u64..50_000,
+    ) {
         let m = WakingMatrix::new(MatrixParams::new(n));
         let delta = probe % (m.total_scan() + 100);
-        match m.row_at_offset(delta) {
-            Some(row) => {
-                prop_assert!((1..=m.rows()).contains(&row));
-                // delta lies inside row's dwell interval.
-                let before: u64 = (1..row).map(|i| m.dwell(i)).sum();
+        match m.segment(mu, mu + delta) {
+            Some(seg) => {
+                prop_assert!((1..=m.rows()).contains(&seg.row));
+                // The segment is the row's dwell interval, and holds delta.
+                let before: u64 = (1..seg.row).map(|i| m.dwell(i)).sum();
+                prop_assert_eq!(seg.start, mu + before);
+                prop_assert_eq!(seg.end, seg.start + m.dwell(seg.row));
                 prop_assert!(delta >= before);
-                prop_assert!(delta < before + m.dwell(row));
+                prop_assert!(delta < before + m.dwell(seg.row));
             }
             None => prop_assert!(delta >= m.total_scan()),
         }
+        // Before the walk starts there is no segment.
+        prop_assert!(mu == 0 || m.segment(mu, mu - 1).is_none());
     }
 
     #[test]
@@ -59,7 +67,7 @@ proptest! {
     }
 
     #[test]
-    fn stateful_station_equals_stateless_predicate(
+    fn station_equals_stateless_predicate(
         n in 4u32..200,
         sigma in 0u64..500,
         span in 1u64..800,
