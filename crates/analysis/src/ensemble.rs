@@ -672,8 +672,8 @@ where
 
 /// [`run_ensemble_stream`] with an ensemble-wide [`ConstructionCache`]:
 /// the factory receives the cache next to the run seed, so seed-independent
-/// structure (selective families, doubling schedules and their per-station
-/// position indices, waking matrices) is built **once per ensemble** and
+/// structure (doubling schedules and their per-station position indices,
+/// waking matrices) is built **once per ensemble** and
 /// shared read-only across runs and work-stealing workers, while per-run
 /// state stays in the stations. Outcomes are bit-identical to the uncached
 /// path — the cache holds only immutable structure.

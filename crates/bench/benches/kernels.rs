@@ -2,7 +2,8 @@
 //!
 //! * `family_construction` — building selective families (random explicit,
 //!   random oracle, Kautz–Singleton) at the sizes EXP-A/B consume, and the
-//!   whole random doubling sequence an uncached `WakeupWithS::new` sizes;
+//!   whole random doubling sequence an uncached `WakeupWithS::new` builds
+//!   (memo hits for the lengths after the first iteration);
 //! * `matrix_oracle` — waking-matrix membership evaluation, the inner loop
 //!   of Scenario C (EXP-C);
 //! * `simulator_throughput` — slots/second of the channel engine (all
@@ -26,9 +27,9 @@
 //!   bit-identity pinned, and the summary written to `BENCH_kernels.json`
 //!   when `BENCH_KERNELS_JSON` is set;
 //! * `construction_cache` — a whole ensemble with and without the
-//!   [`ConstructionCache`]: seed-independent schedules built once per
-//!   ensemble instead of once per run, with a ≥ 2× speedup floor on the
-//!   median of interleaved uncached/cached pairs;
+//!   [`ConstructionCache`], bit-identity pinned: with family lengths sized
+//!   once per process, an uncached ensemble that seeds its families per run
+//!   must cost ≤ 1.25× a cached one (median of interleaved pairs);
 //! * `mega_station` — the class-aggregated population engine on a block
 //!   wake of half the universe at n = 2^24: the guard asserts a ≥ 100×
 //!   memory reduction (stations represented per live simulation unit) for
@@ -157,8 +158,9 @@ fn family_construction(c: &mut Criterion) {
             |b, &(n, k)| b.iter(|| black_box(KautzSingleton::new(n, k).len())),
         );
     }
-    // What an uncached `WakeupWithS::new` pays per run: sizing every
-    // family F₁ … F_{⌈log n⌉} of the doubling sequence.
+    // What an uncached `WakeupWithS::new` pays per run for the doubling
+    // sequence F₁ … F_{⌈log n⌉}: the first iteration sizes every family,
+    // every later one hits the process-wide length memo.
     let provider = FamilyProvider::default();
     for n in [1u32 << 16, 1 << 20] {
         let top = selectors::math::log_n(u64::from(n));
@@ -754,93 +756,80 @@ fn bitslab_burst(_c: &mut Criterion) {
 }
 
 fn construction_cache(c: &mut Criterion) {
-    // A whole ensemble of wakeup_with_s runs: the doubling schedule up to
-    // F_{log n} costs ~100 µs to size and build at n = 4096 (2-core Xeon)
-    // — more than simulating one sparse run — and is seed-independent, so
-    // the cache builds it once per ensemble instead of once per run.
+    // A whole ensemble of wakeup_with_s runs with and without the cache.
+    // Family lengths are sized once per process (`selectors::random`), so
+    // building the doubling schedule per run costs a few µs even when the
+    // families are seeded per run, as the staggered-sweep benchmark cells
+    // seed theirs: the cache must no longer buy a large factor. Each
+    // uncached ensemble draws fresh family seeds, so a sizing memo that
+    // missed per seed would size every family of every run and fail the
+    // guard.
     let n = 4096u32;
     let runs = 64u64;
     let provider = FamilyProvider::default();
     let spec = EnsembleSpec::new(n, runs);
     let pattern_for = |seed: u64| wakeup_bench::burst_pattern(n, 8, 0, seed);
+    let salt = std::sync::atomic::AtomicU64::new(1);
+    let uncached = || {
+        let salt = salt.fetch_add(1, std::sync::atomic::Ordering::Relaxed) << 32;
+        run_ensemble_stream(
+            &spec,
+            |seed| {
+                let provider = FamilyProvider::random_with_seed(seed ^ salt);
+                Box::new(WakeupWithS::new(n, 0, provider))
+            },
+            pattern_for,
+        )
+    };
+    // The cache lives exactly as long as the ensemble — its construction
+    // and first-build cost are inside the measurement.
+    let cached = || {
+        run_ensemble_stream_cached(
+            &spec,
+            &ConstructionCache::new(),
+            |cache, _| Box::new(WakeupWithS::cached(n, 0, &provider, cache)),
+            pattern_for,
+        )
+    };
 
-    // Correctness pin: cached and uncached ensembles are bit-identical.
+    // Correctness pin: cached and uncached ensembles of one provider are
+    // bit-identical.
     let plain = run_ensemble_stream(
         &spec,
         |_| Box::new(WakeupWithS::new(n, 0, provider)),
         pattern_for,
     );
-    let cache = ConstructionCache::new();
-    let cached = run_ensemble_stream_cached(
-        &spec,
-        &cache,
-        |cache, _| Box::new(WakeupWithS::cached(n, 0, &provider, cache)),
-        pattern_for,
-    );
-    assert_eq!(plain.solved, cached.solved);
-    assert_eq!(plain.mean().to_bits(), cached.mean().to_bits());
-    assert_eq!(plain.worst, cached.worst);
-    assert_eq!(plain.energy, cached.energy);
-    assert_eq!(plain.work, cached.work);
+    let pinned = cached();
+    assert_eq!(plain.solved, pinned.solved);
+    assert_eq!(plain.mean().to_bits(), pinned.mean().to_bits());
+    assert_eq!(plain.worst, pinned.worst);
+    assert_eq!(plain.energy, pinned.energy);
+    assert_eq!(plain.work, pinned.work);
 
     let mut group = c.benchmark_group("construction_cache");
-    group.bench_function("uncached_wakeup_with_s_n4096_r64", |b| {
-        b.iter(|| {
-            run_ensemble_stream(
-                &spec,
-                |_| Box::new(WakeupWithS::new(n, 0, provider)),
-                pattern_for,
-            )
-            .runs
-        })
+    group.bench_function("uncached_fresh_seeds_wakeup_with_s_n4096_r64", |b| {
+        b.iter(|| uncached().runs)
     });
     group.bench_function("cached_wakeup_with_s_n4096_r64", |b| {
-        b.iter(|| {
-            // The cache lives exactly as long as the ensemble — its
-            // construction and first-build cost are inside the measurement.
-            let cache = ConstructionCache::new();
-            run_ensemble_stream_cached(
-                &spec,
-                &cache,
-                |cache, _| Box::new(WakeupWithS::cached(n, 0, &provider, cache)),
-                pattern_for,
-            )
-            .runs
-        })
+        b.iter(|| cached().runs)
     });
     group.finish();
 
     // Summary with the ratio spelled out: the median over interleaved pairs.
-    let (uncached_t, cached_t, ratio) = median_pair_ratio(
-        || {
-            let t0 = Instant::now();
-            black_box(run_ensemble_stream(
-                &spec,
-                |_| Box::new(WakeupWithS::new(n, 0, provider)),
-                pattern_for,
-            ));
-            t0.elapsed().as_secs_f64()
-        },
-        || {
-            let t0 = Instant::now();
-            let cache = ConstructionCache::new();
-            black_box(run_ensemble_stream_cached(
-                &spec,
-                &cache,
-                |cache, _| Box::new(WakeupWithS::cached(n, 0, &provider, cache)),
-                pattern_for,
-            ));
-            t0.elapsed().as_secs_f64()
-        },
-    );
+    let time = |ensemble: &dyn Fn() -> EnsembleSummary| {
+        let t0 = Instant::now();
+        black_box(ensemble());
+        t0.elapsed().as_secs_f64()
+    };
+    let (uncached_t, cached_t, ratio) = median_pair_ratio(|| time(&uncached), || time(&cached));
     println!(
-        "construction_cache summary: uncached {:.2}ms | cached {:.2}ms | speedup {ratio:.1}x (median of {PAIRS} pairs)",
+        "construction_cache summary: uncached {:.2}ms | cached {:.2}ms | uncached/cached {ratio:.2}x (median of {PAIRS} pairs)",
         uncached_t * 1e3,
         cached_t * 1e3,
     );
     assert_timing(
-        ratio >= 2.0,
-        &format!("construction cache speedup only {ratio:.1}x (expected >= 2x)"),
+        ratio <= 1.25,
+        &format!("uncached ensemble costs {ratio:.2}x a cached one (expected <= 1.25x)"),
     );
 }
 

@@ -61,8 +61,8 @@ fn run(ctx: &mut Ctx<'_>) {
     // sweep caps the k universe at 64).
     // One construction cache across the whole sweep: the per-run provider
     // seeds recur in every `(n, k)` cell (same base seed, same run count),
-    // so the nested family sequences are built once per `n` and shared by
-    // every cell and worker after that.
+    // so each run seed's doubling schedule is built once per `(n, ⌈log k⌉)`
+    // and shared by every cell and worker after that.
     let cache = wakeup_core::ConstructionCache::new();
     for &n in &ctx.ns() {
         for &k in &ctx.ks(64.min(n)) {

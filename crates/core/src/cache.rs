@@ -1,26 +1,22 @@
-//! Ensemble-wide construction cache: selective families, doubling
-//! schedules and waking matrices built **once per `(n, k, provider)` per
-//! ensemble** and shared read-only across runs.
+//! Ensemble-wide construction cache: doubling schedules and waking matrices
+//! built **once per ensemble** and shared read-only across runs.
 //!
-//! Every run of an ensemble used to rebuild its protocol's combinatorial
-//! structure from scratch — the `(n, 2^i)`-selective family sequence, the
-//! [`DoublingSchedule`] over it, the [`WakingMatrix`] — even though these
-//! are pure functions of the seed and therefore identical across the
-//! thousands of runs at the same parameters. [`ConstructionCache`] memoizes
-//! them behind [`Arc`]s:
+//! Every run of an ensemble re-creates its protocol, but the
+//! [`DoublingSchedule`] and the [`WakingMatrix`] are pure functions of their
+//! parameters. [`ConstructionCache`] memoizes them behind [`Arc`]s:
 //!
 //! * handles are **shared across work-stealing workers** (the cache is
 //!   `Sync`; one short mutex hold per lookup, construction itself happens
 //!   outside any lock for the common hit path);
-//! * sharing one [`Arc<DoublingSchedule>`] across runs additionally shares
-//!   the schedule's interior per-station
+//! * a shared [`Arc<DoublingSchedule>`] shares its interior per-station
 //!   [`PositionIndex`](crate::PositionIndex) memo
 //!   ([`DoublingSchedule::shared_index`]), so the `O(period)` index scan
 //!   happens once per *ensemble* instead of once per *run*;
-//! * per-run mutable state stays station-local (the existing
-//!   `NextPositionCache`, row-scan cursors, retirement flags) — the cache
-//!   holds only immutable structure, so outcomes are bit-identical with and
-//!   without it.
+//! * per-run mutable state stays station-local — the cache holds only
+//!   immutable structure, so outcomes are bit-identical with and without it.
+//!
+//! Families are not cached: `selectors::random` sizes each family length
+//! once per process, so building a family costs about as much as a lookup.
 //!
 //! The maps are **bounded**: ensembles that derive a fresh provider seed
 //! per run (sampling over constructions) would otherwise grow one entry
@@ -33,7 +29,7 @@
 //! layer threads it through
 //! [`run_ensemble_stream_cached`](../../wakeup_analysis/ensemble/fn.run_ensemble_stream_cached.html).
 
-use crate::family_provider::{DynFamily, FamilyProvider};
+use crate::family_provider::FamilyProvider;
 use crate::select_among_first::DoublingSchedule;
 use crate::waking_matrix::{MatrixParams, WakingMatrix};
 use std::collections::BTreeMap;
@@ -68,8 +64,6 @@ impl ProviderKey {
 /// order reproducible (lookups stay `O(log CACHE_CAP)` on tiny maps).
 #[derive(Debug, Default)]
 struct Maps {
-    /// `(provider, n, k)` → realized selective family (cheap handle).
-    families: BTreeMap<(ProviderKey, u32, u32), DynFamily>,
     /// `(provider, n, top)` → shared doubling schedule.
     schedules: BTreeMap<(ProviderKey, u32, u32), Arc<DoublingSchedule>>,
     /// Matrix parameters → shared waking matrix.
@@ -101,29 +95,6 @@ impl ConstructionCache {
         ConstructionCache::default()
     }
 
-    /// The `(n, k)`-selective family realized by `provider`, built on first
-    /// use. [`DynFamily`] handles are a few machine words, so hits clone.
-    pub fn family(&self, provider: &FamilyProvider, n: u32, k: u32) -> DynFamily {
-        let key = (ProviderKey::of(provider), n, k);
-        if let Some(f) = self.inner.lock().unwrap().families.get(&key) {
-            return f.clone();
-        }
-        let built = provider.family(n, k);
-        bounded_insert(&mut self.inner.lock().unwrap().families, key, built)
-    }
-
-    /// The doubling-family sequence `F₁ … F_top`, each family pulled
-    /// through [`family`](Self::family) — so a larger `top` reuses every
-    /// family a smaller one already built (the sequences nest).
-    pub fn doubling_sequence(&self, provider: &FamilyProvider, n: u32, top: u32) -> Vec<DynFamily> {
-        if top == 0 {
-            return vec![self.family(provider, n, 1)];
-        }
-        (1..=top)
-            .map(|i| self.family(provider, n, (1u32 << i.min(31)).min(n)))
-            .collect()
-    }
-
     /// The shared [`DoublingSchedule`] `⟨F₁ … F_top⟩` for `provider`. All
     /// runs holding the same handle also share its interior per-station
     /// [`PositionIndex`](crate::PositionIndex) memo.
@@ -132,9 +103,7 @@ impl ConstructionCache {
         if let Some(s) = self.inner.lock().unwrap().schedules.get(&key) {
             return Arc::clone(s);
         }
-        let built = Arc::new(DoublingSchedule::from_families(
-            self.doubling_sequence(provider, n, top),
-        ));
+        let built = Arc::new(DoublingSchedule::new(provider, n, top));
         bounded_insert(&mut self.inner.lock().unwrap().schedules, key, built)
     }
 
@@ -150,7 +119,7 @@ impl ConstructionCache {
     /// Number of cached entries across all maps (diagnostics and tests).
     pub fn len(&self) -> usize {
         let m = self.inner.lock().unwrap();
-        m.families.len() + m.schedules.len() + m.matrices.len()
+        m.schedules.len() + m.matrices.len()
     }
 
     /// `true` iff nothing has been cached yet.
@@ -197,33 +166,31 @@ mod tests {
     }
 
     #[test]
-    fn nested_sequences_reuse_families() {
-        let cache = ConstructionCache::new();
-        let p = FamilyProvider::random_with_seed(1);
-        cache.doubling_sequence(&p, 64, 2);
-        let before = cache.len();
-        // top = 4 adds exactly the two new families (F₃, F₄).
-        cache.doubling_sequence(&p, 64, 4);
-        assert_eq!(cache.len(), before + 2);
-    }
-
-    #[test]
     fn distinct_providers_do_not_collide() {
         let cache = ConstructionCache::new();
-        let a = cache.family(&FamilyProvider::random_with_seed(1), 32, 4);
-        let b = cache.family(&FamilyProvider::random_with_seed(2), 32, 4);
-        let differs = (0..32u32).any(|u| a.member(u, 0) != b.member(u, 0));
+        let a = cache.schedule(&FamilyProvider::random_with_seed(1), 32, 3);
+        let b = cache.schedule(&FamilyProvider::random_with_seed(2), 32, 3);
+        assert!(
+            !Arc::ptr_eq(&a, &b),
+            "different seeds are different handles"
+        );
+        let differs = (0..32u32).any(|u| a.transmits(u, 0) != b.transmits(u, 0));
         assert!(differs, "providers with different seeds must differ");
         // δ is part of the key, down to the bit pattern.
-        let c = cache.family(
+        let c = cache.schedule(
             &FamilyProvider::Random {
                 seed: 1,
                 delta: 1e-4,
             },
             32,
-            4,
+            3,
         );
-        assert_ne!(a.len(), c.len(), "different δ sizes the family differently");
+        assert!(!Arc::ptr_eq(&a, &c), "different δ is a different handle");
+        assert_ne!(
+            a.period(),
+            c.period(),
+            "different δ sizes the families differently"
+        );
     }
 
     #[test]

@@ -85,11 +85,10 @@ impl FamilyProvider {
     /// trivial `(n,1)`-selective family (the full set), so the returned
     /// schedule is never empty.
     pub fn doubling_sequence(&self, n: u32, top: u32) -> Vec<DynFamily> {
-        if top == 0 {
-            return vec![self.family(n, 1)];
-        }
-        (1..=top)
-            .map(|i| self.family(n, (1u32 << i.min(31)).min(n)))
+        // top = 0 starts at F₀ = (n, 1); clamped in u64, so for n > 2^31
+        // F₃₂ is the (n, n)-selective family.
+        (u32::from(top > 0)..=top)
+            .map(|i| self.family(n, (1u64 << i).min(u64::from(n)) as u32))
             .collect()
     }
 }
@@ -273,6 +272,17 @@ mod tests {
         let p = FamilyProvider::default();
         let seq = p.doubling_sequence(10, 4); // 2^4 = 16 > n = 10
         assert_eq!(seq.last().unwrap().k(), 10);
+    }
+
+    #[test]
+    fn doubling_sequence_reaches_n_above_2_pow_31() {
+        // ⌈log n⌉ = 32: F₃₂ is the (n, n)-selective family, not F₃₁ again.
+        // Kautz–Singleton, because it sizes nothing by the union bound.
+        let n = (1u32 << 31) + 1;
+        let top = selectors::math::log_n(u64::from(n));
+        let seq = FamilyProvider::KautzSingleton.doubling_sequence(n, top);
+        let ks: Vec<u32> = seq.iter().rev().take(3).map(DynFamily::k).collect();
+        assert_eq!(ks, [n, 1 << 31, 1 << 30]);
     }
 
     #[test]

@@ -55,14 +55,10 @@ impl DoublingSchedule {
     /// Build from `provider` the families `F₁ … F_top` (`top = 0` degenerates
     /// to the single trivial `(n,1)` family).
     pub fn new(provider: &FamilyProvider, n: u32, top: u32) -> Self {
-        DoublingSchedule::from_families(provider.doubling_sequence(n, top))
-    }
-
-    /// Build over an explicit (possibly cache-shared) family sequence.
-    pub fn from_families(families: Vec<DynFamily>) -> Self {
         use selectors::ScheduleExt;
+        let families = selectors::schedule::ConcatSchedule::new(provider.doubling_sequence(n, top));
         DoublingSchedule {
-            cycle: selectors::schedule::ConcatSchedule::new(families).cycle(),
+            cycle: families.cycle(),
             indices: std::sync::Mutex::new(std::collections::BTreeMap::new()),
         }
     }

@@ -37,6 +37,11 @@
 //! mode, walking outward from it (`O(√n)` terms at most, `O(k)` for small
 //! `k`), and returns the same `m`, bit for bit, as summing all `k/2 + 1`.
 //!
+//! `m` depends on `(n, k, δ)` alone, so a private process-wide memo keyed
+//! by `(n, k, δ.to_bits())` keeps each length the sizer computed: a family
+//! built per run costs a seed fold and one lookup. A
+//! [`length`](RandomFamilyBuilder::length) override bypasses it.
+//!
 //! Two representations are built from the same coins:
 //!
 //! * [`RandomFamilyBuilder::build_explicit`] materializes the sets as
@@ -50,7 +55,9 @@ use crate::family::SelectiveFamily;
 use crate::math::LnChooseRow;
 use crate::prf::{RowPrefix, SeedPrefix};
 use crate::verify::selective_size_range;
+use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
+use std::sync::{Mutex, PoisonError};
 
 /// Builder for randomized `(n,k)`-selective families.
 #[derive(Clone, Debug)]
@@ -106,11 +113,18 @@ impl RandomFamilyBuilder {
             // The trivial (n,1)-selective family is the single full set.
             return 1;
         }
+        static LENGTHS: Mutex<BTreeMap<(u32, u32, u64), usize>> = Mutex::new(BTreeMap::new());
+        let key = (self.n, self.k, self.delta.to_bits());
+        // Each update inserts one whole entry: a poisoned map is still valid.
+        let lengths = || LENGTHS.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&m) = lengths().get(&key) {
+            return m;
+        }
         // ln of the number of target sets, computed exactly.
         let ln_targets = ln_sum_choose(self.n, selective_size_range(self.n, self.k));
         let two_e = 2.0 * std::f64::consts::E;
         let m = two_e * (ln_targets + (1.0 / self.delta).ln());
-        (m.ceil() as usize).max(1)
+        *lengths().entry(key).or_insert((m.ceil() as usize).max(1))
     }
 
     /// Membership probability `p = 1/k` of the construction.
@@ -248,6 +262,15 @@ impl OracleFamily {
         }
         let b = u64::from(id);
         (from..end).find(|&j| self.prefix.row(j as u64).hash(b, 0) <= self.threshold)
+    }
+
+    /// [`verify::selects`](crate::verify::selects) from the coins: does some
+    /// set hold exactly one member of `x`? Each set stops at its second.
+    pub fn selects(&self, x: &[u32]) -> bool {
+        (0..self.len).any(|j| {
+            let row = self.row(j);
+            x.iter().filter(|&&u| row.contains(u)).take(2).count() == 1
+        })
     }
 
     /// Materialize into an explicit family (for verification).
@@ -471,6 +494,55 @@ mod tests {
     fn length_override_is_respected() {
         let fam = RandomFamilyBuilder::new(64, 8).length(5).build_explicit();
         assert_eq!(fam.len(), 5);
+    }
+
+    #[test]
+    fn length_override_bypasses_the_memo() {
+        // A size no other test asks for: the override comes first, so a
+        // stored override is what the plain builder would read back.
+        let builder = || RandomFamilyBuilder::new(1000, 9);
+        assert_eq!(builder().length(5).prescribed_length(), 5);
+        assert_eq!(
+            builder().prescribed_length(),
+            reference_length(1000, 9, 1e-9)
+        );
+        // Memoized now, the size is still not served to an override.
+        assert_eq!(builder().length(5).prescribed_length(), 5);
+    }
+
+    #[test]
+    fn threads_sizing_one_key_agree() {
+        // Both threads start sizing the same unsized key at once.
+        let start = std::sync::Barrier::new(2);
+        let size = || {
+            start.wait();
+            RandomFamilyBuilder::new(5000, 77).prescribed_length()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let (a, b) = (s.spawn(size), s.spawn(size));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b);
+        assert_eq!(a, reference_length(5000, 77, 1e-9));
+    }
+
+    #[test]
+    fn oracle_selects_like_the_explicit_family() {
+        // The full family passes; cut to 3 sets it fails on the same target.
+        for m in [None, Some(3)] {
+            let mut b = RandomFamilyBuilder::new(256, 16).seed(3);
+            if let Some(m) = m {
+                b = b.length(m);
+            }
+            let explicit = verify::selective_monte_carlo(&b.build_explicit(), 3_000, 11);
+            assert_eq!(explicit.is_ok(), m.is_none(), "length {m:?}: {explicit:?}");
+            let oracle = b.build_oracle();
+            assert_eq!(
+                verify::selective_monte_carlo_by(256, 16, 3_000, 11, |x| oracle.selects(x)),
+                explicit,
+                "length {m:?}"
+            );
+        }
     }
 
     #[test]

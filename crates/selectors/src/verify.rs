@@ -123,7 +123,19 @@ fn random_subset<R: Rng>(n: u32, size: u32, rng: &mut R) -> Vec<u32> {
 /// Monte-Carlo falsification of `(n,k)`-selectivity: sample `trials` target
 /// sets with sizes uniform in the defining range.
 pub fn selective_monte_carlo(family: &SelectiveFamily, trials: u64, seed: u64) -> VerifyResult {
-    let (n, k) = (family.n(), family.k());
+    selective_monte_carlo_by(family.n(), family.k(), trials, seed, |x| selects(family, x))
+}
+
+/// [`selective_monte_carlo`] over any representation of an `(n,k)` family:
+/// the same targets, each tested by `selects` (for example
+/// [`OracleFamily::selects`](crate::random::OracleFamily::selects)).
+pub fn selective_monte_carlo_by(
+    n: u32,
+    k: u32,
+    trials: u64,
+    seed: u64,
+    mut selects: impl FnMut(&[u32]) -> bool,
+) -> VerifyResult {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let range = selective_size_range(n, k);
     let (lo, hi) = (*range.start(), *range.end());
@@ -134,7 +146,7 @@ pub fn selective_monte_carlo(family: &SelectiveFamily, trials: u64, seed: u64) -
     for _ in 0..trials {
         let size = rng.gen_range(lo..=hi);
         let x = random_subset(n, size, &mut rng);
-        if !selects(family, &x) {
+        if !selects(&x) {
             return Err(CounterExample { x });
         }
     }
