@@ -6,9 +6,9 @@
 //! ([`run_ensemble_stream_cached`] adapts it to a shared
 //! [`ConstructionCache`]). Since the sparse engine made single runs cheap,
 //! scheduling is the bottleneck, so execution rides on [`wakeup_runner`]'s
-//! work-stealing pool: runs are batched, about eight batches per worker,
-//! idle workers steal, and per-run results are folded **in seed order** on
-//! the caller's thread — so every aggregate is bit-identical across thread
+//! pool: runs are batched, about eight batches per worker, each worker
+//! claims the next batch from one shared cursor, and per-run results are
+//! folded **in seed order** on the caller's thread — so every aggregate is bit-identical across thread
 //! counts. Aggregation is streaming only ([`EnsembleSummary`]: Welford
 //! stats, P² quantile sketches, energy and work counters), so million-run
 //! sweeps never hold per-run digests. Workers pre-fold each batch into one
@@ -64,7 +64,7 @@ pub struct TraceSpec {
     /// Optional sidecar for **non-deterministic** execution records (one
     /// `{"record":"ensemble",…}` line per ensemble plus one
     /// `{"record":"worker",…}` line per worker: wall-clock phase timers,
-    /// steals, queue high-waters). Segregated from `sink` so the trace
+    /// batches, per-worker run counts). Segregated from `sink` so the trace
     /// stream itself stays diffable across machines and thread counts.
     pub exec: Option<Arc<Mutex<dyn Write + Send>>>,
     /// Ensemble ordinal shared across clones — tags exec records when one
@@ -215,7 +215,7 @@ impl EnsembleSpec {
         self
     }
 
-    /// Report live progress (runs/s, steals) through `progress`.
+    /// Report live progress (runs done, runs/s) through `progress`.
     pub fn with_progress_spec(mut self, progress: Progress) -> Self {
         self.progress = Some(progress);
         self
@@ -378,7 +378,8 @@ pub struct EnsembleSummary {
     /// Channel-fault and churn event totals over all runs (all zero for
     /// an ideal channel without churn).
     pub faults: FaultCounts,
-    /// Execution statistics of the runner (throughput, steals, batches).
+    /// Execution statistics of the runner (throughput, batches, per-worker
+    /// runs).
     pub exec: RunStats,
 }
 
@@ -563,7 +564,6 @@ fn flush_exec(spec: &EnsembleSpec, stats: &RunStats) {
         .with("threads", stats.threads as u64)
         .with("batch", stats.batch)
         .with("batches", stats.batches)
-        .with("steals", stats.steals)
         .with("reorder_peak", stats.reorder_peak)
         .with("elapsed_us", stats.elapsed.as_micros() as u64)
         .with(
@@ -578,10 +578,7 @@ fn flush_exec(spec: &EnsembleSpec, stats: &RunStats) {
             .with("record", "worker")
             .with("ensemble", seq)
             .with("worker", i as u64)
-            .with("runs", w.runs)
-            .with("steals", w.steals)
-            .with("fail_scans", w.fail_scans)
-            .with("queue_depth_hw", w.queue_depth_hw);
+            .with("runs", w.runs);
         writeln!(buf, "{}", row.to_json()).expect("writing to a Vec cannot fail");
     }
     exec.lock()
@@ -674,7 +671,7 @@ where
 /// the factory receives the cache next to the run seed, so seed-independent
 /// structure (doubling schedules and their per-station position indices,
 /// waking matrices) is built **once per ensemble** and
-/// shared read-only across runs and work-stealing workers, while per-run
+/// shared read-only across runs and runner workers, while per-run
 /// state stays in the stations. Outcomes are bit-identical to the uncached
 /// path — the cache holds only immutable structure.
 pub fn run_ensemble_stream_cached<P, G>(
@@ -957,7 +954,7 @@ mod tests {
 
     #[test]
     fn runner_matches_chunked_reference_bit_for_bit() {
-        // The work-stealing path must reproduce the sequential reference
+        // The threaded runner path must reproduce the sequential reference
         // exactly — latencies, energy and work counters — for any thread
         // count.
         let n = 64u32;
@@ -972,8 +969,8 @@ mod tests {
         let pattern_for = |seed| k_pattern(n, 4, seed);
         let reference = sequential(&mk_spec(1), protocol_for, pattern_for);
         for threads in [1usize, 2, 8] {
-            let stealing = run_ensemble_stream(&mk_spec(threads), protocol_for, pattern_for);
-            reference.assert_matches(&stealing, &format!("threads={threads}"));
+            let threaded = run_ensemble_stream(&mk_spec(threads), protocol_for, pattern_for);
+            reference.assert_matches(&threaded, &format!("threads={threads}"));
         }
     }
 

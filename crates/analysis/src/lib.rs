@@ -5,7 +5,7 @@
 //!
 //! * [`ensemble`] — a multi-seed experiment runner pairing a protocol
 //!   factory with a wake-pattern generator, executed on the
-//!   [`wakeup_runner`] work-stealing pool with deterministic (seed-ordered)
+//!   [`wakeup_runner`] batch-cursor pool with deterministic (seed-ordered)
 //!   streaming aggregation;
 //! * [`stats`] — summary statistics (mean/sd/median/quantiles/max, normal
 //!   95% confidence intervals) over latency samples;

@@ -1,4 +1,4 @@
-//! Ensemble-scheduling benchmarks of the work-stealing runner
+//! Ensemble-scheduling benchmarks of the batch-cursor runner
 //! (`run_ensemble_stream`), the two gates on its batch rule:
 //!
 //! * `ensemble_scheduling` — static chunk-per-thread (the pre-runner
@@ -7,9 +7,10 @@
 //!   at n = 4096) whose cost varies strongly with the seed, so a contiguous
 //!   chunk of expensive runs lands on one thread while the others idle. The
 //!   skew is monotone in the run index (cost ~ k⁴-shaped ramp): the last
-//!   static chunk concentrates most of the total work, which stealing
-//!   redistributes. On ≥ 4 cores the stealing path is expected ≥ 2× faster;
-//!   on a single core both degenerate to the same sequential sweep.
+//!   static chunk concentrates most of the total work, which the runner's
+//!   small batches, claimed one at a time from a shared cursor, spread over
+//!   every worker. On ≥ 4 cores the runner is expected ≥ 2× faster; on a
+//!   single core both degenerate to the same sequential sweep.
 //! * `many_cheap_runs` — a million sub-microsecond runs (round-robin at
 //!   n = 64, one station per run; 10⁵ under `BENCH_QUICK`), where dispatch,
 //!   batch payloads and the reorder buffer carry the cost. It prints the
@@ -99,7 +100,7 @@ impl Pin {
 }
 
 /// The pre-runner scheduling: the seed range split into one static
-/// contiguous chunk per thread (`std::thread::scope`, no stealing), every
+/// contiguous chunk per thread (`std::thread::scope`, no rebalancing), every
 /// run's full `Outcome` materialized, then folded in seed order.
 fn run_chunked(spec: &EnsembleSpec) -> Pin {
     let seeds: Vec<u64> = (0..spec.runs).map(|i| spec.seed_of(i)).collect();
@@ -128,21 +129,21 @@ fn ensemble_scheduling(c: &mut Criterion) {
         .map(|p| p.get())
         .unwrap_or(1);
     let mut group = c.benchmark_group("ensemble_scheduling");
-    let stealing = || run_ensemble_stream(&spec(threads), protocol_for, pattern_for);
+    let runner = || run_ensemble_stream(&spec(threads), protocol_for, pattern_for);
 
     // Correctness pin before timing: both schedulers, any thread count,
     // same aggregates.
     assert_eq!(
         run_chunked(&spec(1)),
-        Pin::of(&stealing()),
+        Pin::of(&runner()),
         "schedulers must produce identical ensembles"
     );
 
     group.bench_function(format!("chunked_t{threads}_rr_n4096"), |b| {
         b.iter(|| black_box(run_chunked(&spec(threads))).solved)
     });
-    group.bench_function(format!("stealing_t{threads}_rr_n4096"), |b| {
-        b.iter(|| black_box(stealing()).runs)
+    group.bench_function(format!("runner_t{threads}_rr_n4096"), |b| {
+        b.iter(|| black_box(runner()).runs)
     });
     group.finish();
 
@@ -152,14 +153,14 @@ fn ensemble_scheduling(c: &mut Criterion) {
     let a = run_chunked(&spec(threads));
     let chunked = t0.elapsed();
     let t0 = Instant::now();
-    let b = stealing();
-    let stealing_t = t0.elapsed();
+    let b = runner();
+    let runner_t = t0.elapsed();
     assert_eq!(a, Pin::of(&b));
     println!(
         "ensemble_scheduling summary: {threads} threads | chunked {chunked:?} | \
-         stealing {stealing_t:?} | speedup {:.2}x \
+         runner {runner_t:?} | speedup {:.2}x \
          (expect ≥ 2x on ≥ 4 cores; ≈ 1x single-core)",
-        chunked.as_secs_f64() / stealing_t.as_secs_f64().max(1e-9)
+        chunked.as_secs_f64() / runner_t.as_secs_f64().max(1e-9)
     );
 }
 
@@ -203,7 +204,7 @@ fn many_cheap_runs(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("many_cheap_runs");
     let mut exec = None;
-    group.bench_function(format!("stealing_t{threads}_rr_n64_x{runs}"), |b| {
+    group.bench_function(format!("runner_t{threads}_rr_n64_x{runs}"), |b| {
         b.iter(|| {
             let s = black_box(sweep());
             exec = Some(s.exec);

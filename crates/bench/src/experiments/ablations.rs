@@ -11,7 +11,7 @@
 //!   extension, ref. 19): how small a budget still solves wake-up;
 //! * **ABL-ADV** — spoiler-adversary robustness across protocols.
 //!
-//! All ensembles run streaming on the work-stealing runner; the footer
+//! All ensembles run streaming on the batch-cursor runner; the footer
 //! reports the aggregated `WorkStats`.
 
 use crate::experiment::{Check, Ctx, Experiment};

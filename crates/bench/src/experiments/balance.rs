@@ -7,7 +7,7 @@
 //!   ≥ 1/128 (we measure the empirical isolation frequency).
 //!
 //! The per-seed matrix scans are independent, so they fan out on the
-//! work-stealing runner; counters fold in seed order.
+//! batch-cursor runner; counters fold in seed order.
 
 use crate::experiment::{Ctx, Experiment};
 use crate::{Grid, Scale};

@@ -5,7 +5,7 @@
 //! Fixed `n`, sweeping `k` to `n`, measuring worst-case-flavoured latency
 //! (the adversarial last-block pattern for round-robin, bursts for the
 //! others). Each cell is a small ensemble over family seeds on the
-//! work-stealing runner; at full scale the sweep runs at `n = 2^20` — all
+//! batch-cursor runner; at full scale the sweep runs at `n = 2^20` — all
 //! three protocols ride the sparse engine, so per-run cost scales with
 //! events and `k`, not with the million-slot cycle length. The footer
 //! reports the per-table `WorkStats`.

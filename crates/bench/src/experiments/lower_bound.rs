@@ -6,7 +6,7 @@
 //! to spend versus the theoretical bound. Corollary 2.1's identity
 //! `n−k+1 = Θ(k log(n/k)+1)` for `k > n/c` is tabulated alongside. The
 //! per-`(n, k)` adversary runs are independent and fan out on the
-//! work-stealing runner (rows still print in sweep order).
+//! batch-cursor runner (rows still print in sweep order).
 
 use crate::experiment::{Check, Ctx, Experiment};
 use crate::{Grid, Scale};

@@ -7,7 +7,7 @@
 //! * classical baselines (slotted ALOHA at `p = 1/k`, binary exponential
 //!   backoff) for context.
 //!
-//! Streaming ensembles on the work-stealing runner (randomized protocols
+//! Streaming ensembles on the batch-cursor runner (randomized protocols
 //! mean many cheap runs — exactly the workload batching amortizes).
 
 use crate::experiment::{Check, Ctx, Experiment};

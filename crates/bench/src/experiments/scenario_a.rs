@@ -13,7 +13,7 @@
 //!
 //! Since every protocol here rides the sparse engine, the full sweep
 //! reaches `n = 2^20` (per-run cost is `O(events·log k)`, not `O(n)`); the
-//! ensembles run on the work-stealing runner and the table footer reports
+//! ensembles run on the batch-cursor runner and the table footer reports
 //! the aggregated `WorkStats` and throughput.
 
 use crate::experiment::{Check, Ctx, Experiment};

@@ -4,7 +4,7 @@
 //! Workload: the non-synchronized patterns Scenario B is designed for —
 //! uniform windows, staggered arithmetic arrivals and bursts. Reports
 //! per-pattern-family latency and the model-shape fit. Runs on the
-//! work-stealing runner with the sparse-engine sweep up to `n = 2^20`; the
+//! batch-cursor runner with the sparse-engine sweep up to `n = 2^20`; the
 //! footer reports per-table `WorkStats` and throughput.
 
 use crate::experiment::{Check, Ctx, Experiment};

@@ -7,7 +7,7 @@
 //! | C (neither)  | `O(k log n log log n)` |
 //!
 //! Regenerated with measured latencies for each scenario's algorithm at a
-//! grid of `(n, k)`, on the work-stealing runner with streaming
+//! grid of `(n, k)`, on the batch-cursor runner with streaming
 //! aggregation.
 
 use crate::experiment::{Check, Ctx, Experiment};

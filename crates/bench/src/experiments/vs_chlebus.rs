@@ -5,8 +5,8 @@
 //! Head-to-head: `wakeup(n)` vs the locally-synchronized doubling stand-in
 //! (`LocalDoubling`; `wakeup_core::baselines` says what it keeps of the
 //! original) on simultaneous bursts, sweeping `n` at fixed `k`. The
-//! expected ratio grows like `log n / (c·log log n)`. Streaming ensembles on the work-stealing
-//! runner; the footer reports per-table `WorkStats`.
+//! expected ratio grows like `log n / (c·log log n)`. Streaming ensembles
+//! on the batch-cursor runner; the footer reports per-table `WorkStats`.
 
 use crate::experiment::{Check, Ctx, Experiment};
 use crate::{Grid, TableMeter};

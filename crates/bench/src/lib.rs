@@ -29,7 +29,7 @@
 //! slot-class/contention histograms, the mode-switch timeline and worker
 //! utilization through the same sinks.
 //!
-//! `WAKEUP_PROGRESS` (seconds between live `runs/s | steals` lines) and
+//! `WAKEUP_PROGRESS` (seconds between live `runs done | runs/s` lines) and
 //! `WAKEUP_ASSERT_SPARSE` (turn the sparse-path expectations of EXP-KG into
 //! hard check failures) keep working as before; `WAKEUP_ASSERT_CLASSES`
 //! additionally cross-checks EXP-MEGA's class-engine cells against the
@@ -40,7 +40,7 @@
 //! across `--threads` counts (pinned by `tests/wakeup_cli.rs`).
 //!
 //! Criterion micro-benches live in `benches/` (`kernels` — simulation
-//! hot paths; `runner` — chunked vs work-stealing ensemble scheduling).
+//! hot paths; `runner` — static chunks vs the batch-cursor runner).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,8 +14,8 @@
 //!   and the burst windows it opened by cause (wake, streak, backoff);
 //! * **worker utilization** — per-ensemble and per-worker execution
 //!   records read from the `.exec.jsonl` sidecar next to the trace, when
-//!   present (the non-deterministic tier: wall-clock phases, steals,
-//!   queue high-waters).
+//!   present (the non-deterministic tier: wall-clock phases, batches,
+//!   per-worker run counts).
 
 use crate::sink::{ExperimentHead, Sink};
 use crate::Scale;
@@ -313,14 +313,7 @@ pub fn render_report(
             "simulation",
             "reduction",
         ]);
-        let mut workers = Table::new([
-            "ensemble",
-            "worker",
-            "runs",
-            "steals",
-            "fail-scans",
-            "depth hw",
-        ]);
+        let mut workers = Table::new(["ensemble", "worker", "runs"]);
         let us = |rec: &Record, f: &str| {
             format!("{:.1}ms", get_u64(rec, f).unwrap_or(0) as f64 / 1000.0)
         };
@@ -352,9 +345,6 @@ pub fn render_report(
                         cell(rec, "ensemble"),
                         cell(rec, "worker"),
                         cell(rec, "runs"),
-                        cell(rec, "steals"),
-                        cell(rec, "fail_scans"),
-                        cell(rec, "queue_depth_hw"),
                     ]);
                     sink.row("worker", rec);
                 }

@@ -5,7 +5,7 @@
 //! [`DoublingSchedule`] and the [`WakingMatrix`] are pure functions of their
 //! parameters. [`ConstructionCache`] memoizes them behind [`Arc`]s:
 //!
-//! * handles are **shared across work-stealing workers** (the cache is
+//! * handles are **shared across the runner's workers** (the cache is
 //!   `Sync`; one short mutex hold per lookup, construction itself happens
 //!   outside any lock for the common hit path);
 //! * a shared [`Arc<DoublingSchedule>`] shares its interior per-station

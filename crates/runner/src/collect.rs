@@ -3,7 +3,7 @@
 //!
 //! The runner folds per-run items into a collector **strictly in run-index
 //! order**, on the caller's thread, no matter which worker produced each
-//! item or in what order the steals interleaved. Any deterministic
+//! item or in what order the batches finished. Any deterministic
 //! collector therefore produces **bit-identical** output across thread
 //! counts — the floating-point folds see exactly the sequence a sequential
 //! loop would feed them.

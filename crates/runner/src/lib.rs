@@ -1,4 +1,4 @@
-//! # wakeup-runner — work-stealing ensemble execution with deterministic
+//! # wakeup-runner — batch-cursor ensemble execution with deterministic
 //! streaming aggregation
 //!
 //! The sparse simulation engine made single protocol runs cheap enough that
@@ -7,29 +7,27 @@
 //! thread while the others idle. This crate replaces it with a small,
 //! dependency-free execution subsystem:
 //!
-//! * **Sharded job queue** ([`queue`]): run indices `[0, runs)` are split
-//!   into contiguous *batches*; each worker drains its own deque
-//!   front-to-back and steals from the back of the fullest shard when dry.
-//!   By default the range is cut into about eight batches per worker:
-//!   enough for stealing to balance skewed run costs, few enough that
-//!   dispatch and channel traffic amortize even when one sparse run costs
-//!   microseconds. No run executes before the workers start.
+//! * **One batch cursor** ([`Runner::run`]): run indices `[0, runs)` are cut
+//!   into contiguous *batches* of `max(1, runs / (8·threads))` runs, about
+//!   eight per worker, and every worker claims the next batch from one
+//!   shared atomic counter (chunk self-scheduling). Batches therefore start
+//!   in index order, a worker that draws cheap runs simply claims more, and
+//!   dispatch costs one `fetch_add` per batch — enough batches to balance
+//!   skewed run costs, few enough that channel traffic amortizes even when
+//!   one sparse run costs microseconds. No run executes before the workers
+//!   start.
 //! * **Deterministic streaming reduction** ([`collect`]): workers ship
 //!   completed batches to the caller's thread, where a reorder buffer
 //!   replays them into a [`Collector`] **strictly in run-index order**.
-//!   Output is therefore bit-identical across thread counts and steal
-//!   interleavings — including floating-point folds. The reorder buffer
-//!   holds whole batch payloads. Under [`BatchSize::Fixed`] an admission
-//!   window (workers pause before executing batches more than `32·threads`
-//!   batches past the fold frontier) bounds it at O(threads·batch) items
-//!   even when one slow batch stalls the frontier. Under
-//!   [`BatchSize::Auto`] a call has fewer than `16·threads` batches (at
-//!   most `8·threads + 1` once `runs ≥ 64·threads²`), so the window never
-//!   binds and one payload can carry `runs / (8·threads)` items.
+//!   Output is therefore bit-identical across thread counts and schedules
+//!   — including floating-point folds. The reorder buffer holds whole batch
+//!   payloads; a call has fewer than `16·threads` batches (at most
+//!   `8·threads + 1` once `runs ≥ 64·threads²`), so one payload can carry
+//!   `runs / (8·threads)` items.
 //! * **Throughput reporting** ([`progress`]): optional live `runs/s` lines
 //!   for long sweeps, delivered through a pluggable [`ProgressSink`]
 //!   (stderr by default — experiment drivers route them through their
-//!   output sink), plus a [`RunStats`] summary (elapsed, batches, steals,
+//!   output sink), plus a [`RunStats`] summary (elapsed, batches,
 //!   per-worker run counts) on every run.
 //!
 //! ```
@@ -62,44 +60,21 @@
 
 pub mod collect;
 pub mod progress;
-pub mod queue;
 
 pub use collect::{Collector, OnlineStats, P2Quantile, VecCollector};
 pub use progress::{Progress, ProgressSink, StderrProgress};
-pub use queue::{Placement, WorkerQueueStats};
 
 use progress::ProgressMeter;
-use queue::BatchQueue;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// How batch sizes are chosen.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BatchSize {
-    /// `max(1, runs / (8·threads))` runs per batch, about eight batches per
-    /// worker: enough for stealing to balance load, few enough to amortize
-    /// dispatch. The default.
-    #[default]
-    Auto,
-    /// A fixed number of runs per batch (clamped to ≥ 1). `Fixed(1)`
-    /// maximizes steal interleavings — useful in scheduling tests.
-    Fixed(u64),
-}
-
-/// Per-worker execution breakdown: runs executed plus the worker's
-/// scheduling counters from the sharded queue.
+/// Per-worker execution breakdown.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Runs executed by this worker.
     pub runs: u64,
-    /// Successful steals performed by this worker.
-    pub steals: u64,
-    /// Steal scans that found nothing to take.
-    pub fail_scans: u64,
-    /// High-water batch depth of this worker's own shard.
-    pub queue_depth_hw: u64,
 }
 
 /// Scoped monotonic phase timers of one [`Runner::run`]. All three are
@@ -109,8 +84,8 @@ pub struct WorkerStats {
 /// on workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Setup: batch-size choice and queue construction, before the first
-    /// run starts.
+    /// Setup: thread count and batch-size choice, before the first run
+    /// starts.
     pub construction: Duration,
     /// The execution phase: from first dispatched batch until every batch
     /// is folded (workers joined / inline loop done).
@@ -131,14 +106,15 @@ pub struct RunStats {
     pub batch: u64,
     /// Number of batches dispatched.
     pub batches: u64,
-    /// Number of successful steals.
+    /// Always 0: workers claim batches from one cursor and never steal.
+    /// Kept only because the benchmark package (`perfbench/`) reads it; the
+    /// next change to the benchmark retires it.
     pub steals: u64,
     /// Always 0: no run executes before the workers start. Kept only
     /// because the benchmark package (`perfbench/`) reads it; the next
     /// change to the benchmark retires it.
     pub calibration_runs: u64,
-    /// Per-worker breakdown (runs, steals, fail scans, queue depth
-    /// high-water).
+    /// Per-worker breakdown (runs executed).
     pub workers: Vec<WorkerStats>,
     /// High-water occupancy (in batches) of the reducer's reorder buffer.
     pub reorder_peak: u64,
@@ -157,14 +133,13 @@ impl RunStats {
     /// Compact one-line rendering (for experiment footers and logs).
     pub fn render(&self) -> String {
         format!(
-            "{} runs in {:.2?} ({:.0} runs/s) | {} threads, batch {}, {} batches, {} steals",
+            "{} runs in {:.2?} ({:.0} runs/s) | {} threads, batch {}, {} batches",
             self.runs,
             self.elapsed,
             self.runs_per_sec(),
             self.threads,
             self.batch,
-            self.batches,
-            self.steals
+            self.batches
         )
     }
 
@@ -184,30 +159,22 @@ impl RunStats {
         self.workers
             .iter()
             .enumerate()
-            .map(|(i, w)| {
-                format!(
-                    "worker {i}: {} runs, {} steals, {} fail-scans, depth hw {}",
-                    w.runs, w.steals, w.fail_scans, w.queue_depth_hw
-                )
-            })
+            .map(|(i, w)| format!("worker {i}: {} runs", w.runs))
             .collect::<Vec<_>>()
             .join("\n")
     }
 }
 
-/// The work-stealing ensemble runner. Cheap to build; configuration is
-/// plain data and a `Runner` can be reused across calls.
+/// The ensemble runner. Cheap to build; configuration is plain data and a
+/// `Runner` can be reused across calls.
 #[derive(Clone, Debug, Default)]
 pub struct Runner {
     threads: Option<usize>,
-    batch: BatchSize,
-    placement: Placement,
     progress: Option<Progress>,
 }
 
 impl Runner {
-    /// A runner with defaults: available parallelism, [`BatchSize::Auto`],
-    /// interleaved placement, no progress output.
+    /// A runner with defaults: available parallelism, no progress output.
     pub fn new() -> Self {
         Runner::default()
     }
@@ -216,19 +183,6 @@ impl Runner {
     /// constructed "no threads" request still runs (inline).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Choose the batch-size policy.
-    pub fn with_batch(mut self, batch: BatchSize) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Choose the initial batch placement ([`Placement::Packed`] forces
-    /// every non-zero worker to steal — a scheduling stress mode).
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
         self
     }
 
@@ -318,9 +272,11 @@ impl Runner {
     }
 
     /// The batch-granular core behind [`run`](Self::run) and
-    /// [`run_folded`](Self::run_folded): workers turn whole index ranges
-    /// into one shipped payload `R` via `make_batch`, and `fold_batch`
-    /// replays the payloads on this thread in ascending range order.
+    /// [`run_folded`](Self::run_folded): workers claim batches of
+    /// `max(1, runs / (8·threads))` indices from one shared cursor and turn
+    /// each index range into one shipped payload `R` via `make_batch`;
+    /// `fold_batch` replays the payloads on this thread in ascending range
+    /// order.
     #[expect(
         clippy::disallowed_methods,
         reason = "phase timers: wall-clock goes to RunStats and the exec sidecar only"
@@ -347,10 +303,7 @@ impl Runner {
         let threads = self
             .resolved_threads()
             .min(usize::try_from(runs).unwrap_or(usize::MAX));
-        let batch = match self.batch {
-            BatchSize::Fixed(b) => b.max(1),
-            BatchSize::Auto => (runs / (8 * threads as u64)).max(1),
-        };
+        let batch = (runs / (8 * threads as u64)).max(1);
         stats.threads = threads;
         stats.batch = batch;
         stats.batches = runs.div_ceil(batch);
@@ -368,13 +321,10 @@ impl Runner {
                 reduction += fold_t0.elapsed();
                 i = end;
                 if let Some(m) = meter.as_mut() {
-                    m.tick(i, runs, 0);
+                    m.tick(i, runs);
                 }
             }
-            stats.workers = vec![WorkerStats {
-                runs,
-                ..WorkerStats::default()
-            }];
+            stats.workers = vec![WorkerStats { runs }];
             stats.phases.simulation = sim_t0.elapsed();
             stats.phases.reduction = reduction;
             stats.elapsed = started.elapsed();
@@ -382,81 +332,41 @@ impl Runner {
             return stats;
         }
 
-        let queue = BatchQueue::new(0..runs, batch, threads, self.placement);
         stats.phases.construction = started.elapsed();
         let sim_t0 = Instant::now();
         let mut reorder_peak = 0u64;
-        let done = AtomicU64::new(0);
+        // Batch `j` covers `j·batch .. min(runs, (j+1)·batch)`, and each
+        // worker claims the lowest unclaimed `j`: batches start in index
+        // order, so the reorder buffer only holds batches that overtook a
+        // slower one still running.
+        let cursor = AtomicU64::new(0);
         let worker_runs: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
         let (tx, rx) = mpsc::channel::<(u64, u64, R)>();
 
-        // Admission window: workers may not *execute* a batch starting more
-        // than `window` indices past the reducer's fold frontier. This is
-        // the memory bound on the reorder buffer for `Fixed` batches —
-        // without it, one pathologically slow batch would stall the
-        // frontier while every other worker drains the whole range into
-        // `pending` (O(runs) digests). `Auto` cuts the range into fewer
-        // than `16·threads` batches, so it never reaches the window.
-        // Deadlock-free: a parked worker holds a batch beyond the
-        // window, so every batch at or below the window is either running
-        // on some worker, queued in a shard whose owner will reach it
-        // front-to-back, or already folded — the frontier therefore keeps
-        // advancing and wakes the parked workers.
-        let frontier = AtomicU64::new(0);
-        let window = batch.saturating_mul(32 * threads as u64);
-        // Set when any worker unwinds: a dead worker's batch never folds,
-        // so the frontier would freeze and parked workers would sleep
-        // forever waiting on it. The flag lets them bail out instead; the
-        // scope then re-raises the original panic.
-        let poisoned = AtomicBool::new(false);
-
-        /// Sets the flag from `Drop` iff the thread is unwinding.
-        struct PanicFlag<'a>(&'a AtomicBool);
-        impl Drop for PanicFlag<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.store(true, Ordering::Release);
-                }
-            }
-        }
-
         std::thread::scope(|scope| {
-            for (me, my_runs) in worker_runs.iter().enumerate() {
+            for my_runs in &worker_runs {
                 let tx = tx.clone();
-                let queue = &queue;
-                let make_batch = &make_batch;
-                let done = &done;
-                let frontier = &frontier;
-                let poisoned = &poisoned;
-                scope.spawn(move || {
-                    let _flag = PanicFlag(poisoned);
-                    while let Some(range) = queue.pop(me) {
-                        while range.start > frontier.load(Ordering::Acquire).saturating_add(window)
-                        {
-                            if poisoned.load(Ordering::Acquire) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        let start = range.start;
-                        let count = range.end - range.start;
-                        let payload = make_batch(range);
-                        done.fetch_add(count, Ordering::Relaxed);
-                        my_runs.fetch_add(count, Ordering::Relaxed);
-                        if tx.send((start, count, payload)).is_err() {
-                            return; // reducer gone (panic unwinding)
-                        }
+                let (cursor, make_batch) = (&cursor, &make_batch);
+                scope.spawn(move || loop {
+                    let start = cursor.fetch_add(1, Ordering::Relaxed).saturating_mul(batch);
+                    if start >= runs {
+                        return;
+                    }
+                    let count = batch.min(runs - start);
+                    let payload = make_batch(start..start + count);
+                    my_runs.fetch_add(count, Ordering::Relaxed);
+                    if tx.send((start, count, payload)).is_err() {
+                        return; // reducer gone (panic unwinding)
                     }
                 });
             }
             drop(tx);
-
-            // The reducer can panic too (the collector is caller code, and
-            // it runs here). Parked workers watch `poisoned`, so the same
-            // guard must cover this thread's unwind — otherwise the scope
-            // would block forever joining a worker parked on a frontier
-            // that can no longer advance.
-            let _reducer_flag = PanicFlag(&poisoned);
+            // Owned by this closure: if the collector (caller code, run
+            // here) panics, the unwind drops the receiver before the scope
+            // joins, so each worker stops at its next send. A panicking
+            // worker drops its sender; the others drain the cursor and exit,
+            // the channel disconnects, and the scope re-raises the panic.
+            let rx = rx;
 
             // Reduce on this thread: replay batch payloads in index order.
             let mut pending: BTreeMap<u64, (u64, R)> = BTreeMap::new();
@@ -472,13 +382,13 @@ impl Runner {
                             expected += count;
                         }
                         reduction += fold_t0.elapsed();
-                        frontier.store(expected, Ordering::Release);
                     }
                     Err(mpsc::RecvTimeoutError::Timeout) => {}
                     Err(mpsc::RecvTimeoutError::Disconnected) => break,
                 }
                 if let Some(m) = meter.as_mut() {
-                    m.tick(done.load(Ordering::Relaxed), runs, queue.steals());
+                    let done = worker_runs.iter().map(|r| r.load(Ordering::Relaxed)).sum();
+                    m.tick(done, runs);
                 }
             }
         });
@@ -486,16 +396,10 @@ impl Runner {
         stats.phases.simulation = sim_t0.elapsed();
         stats.phases.reduction = reduction;
         stats.reorder_peak = reorder_peak;
-        stats.steals = queue.steals();
-        stats.workers = queue
-            .worker_stats()
+        stats.workers = worker_runs
             .into_iter()
-            .zip(worker_runs)
-            .map(|(q, runs)| WorkerStats {
+            .map(|runs| WorkerStats {
                 runs: runs.into_inner(),
-                steals: q.steals,
-                fail_scans: q.fail_scans,
-                queue_depth_hw: q.queue_depth_hw,
             })
             .collect();
         stats.elapsed = started.elapsed();
@@ -511,12 +415,11 @@ impl Runner {
     fn report_done(&self, stats: &RunStats) {
         if let Some(p) = &self.progress {
             p.emit(&format!(
-                "[{}] {}/{} runs (100.0%) | {:.0} runs/s | {} steals",
+                "[{}] {}/{} runs (100.0%) | {:.0} runs/s",
                 p.label,
                 stats.runs,
                 stats.runs,
-                stats.runs_per_sec(),
-                stats.steals
+                stats.runs_per_sec()
             ));
             p.emit(&format!("[{}] {}", p.label, stats.render_phases()));
             for line in stats.render_workers().lines() {

@@ -5,7 +5,7 @@
 //! interval and hands it to the [`ProgressSink`] the caller plugged in:
 //!
 //! ```text
-//! [runner] 412000/1048576 runs (39.3%) | 183402 runs/s | 12 steals
+//! [runner] 412000/1048576 runs (39.3%) | 183402 runs/s
 //! ```
 //!
 //! The default sink is [`StderrProgress`] (tables on stdout stay
@@ -98,14 +98,14 @@ impl ProgressMeter {
     }
 
     /// Emit an update if the interval elapsed.
-    pub(crate) fn tick(&mut self, done: u64, total: u64, steals: u64) {
+    pub(crate) fn tick(&mut self, done: u64, total: u64) {
         if self.last.elapsed() < self.spec.every {
             return;
         }
         self.last = Instant::now();
         let secs = self.started.elapsed().as_secs_f64().max(1e-9);
         self.spec.emit(&format!(
-            "[{}] {done}/{total} runs ({:.1}%) | {:.0} runs/s | {steals} steals",
+            "[{}] {done}/{total} runs ({:.1}%) | {:.0} runs/s",
             self.spec.label,
             100.0 * done as f64 / total.max(1) as f64,
             done as f64 / secs,

@@ -15,7 +15,7 @@
 //! | [`selectors`] | selective families, Kautz–Singleton codes, schedule algebra |
 //! | [`wakeup_core`] | the paper's algorithms and the waking matrix |
 //! | [`wakeup_analysis`] | ensembles, statistics, model-shape fitting, tables |
-//! | [`wakeup_runner`] | work-stealing ensemble execution, streaming accumulators |
+//! | [`wakeup_runner`] | batch-cursor ensemble execution, streaming accumulators |
 //!
 //! ## Quickstart
 //!
